@@ -13,19 +13,14 @@ Four certificates back the solver's convergence story:
    objective has enough local structure (a linear-rate regime).
 """
 
-import numpy as np
-
 from nonconvex_mm import (
     LeastSquaresLoss,
     McpPenalty,
     MmConfig,
     ProblemInstance,
     SyntheticSpec,
-    finite_length,
-    kkt_residual,
-    rate_fit,
+    certify,
     run_mm,
-    subgradient_residual,
     synth_generate,
 )
 
@@ -36,30 +31,24 @@ prob = ProblemInstance(loss=LeastSquaresLoss(data),
                        penalty=McpPenalty(lam=0.2, gamma=3.0))
 
 trace = run_mm(prob, MmConfig(scheme="a", rho=1.01, max_iter=3000, tol=1e-12))
-mu, lf = trace.meta["mu"], trace.meta["lipschitz"]
-print(f"run: {trace.num_steps()} steps, converged = {trace.converged}")
+print(f"run: {trace.num_steps()} steps, stopped on {trace.meta['stop_reason']}")
+
+# run_mm recorded its guarantee in trace.meta; certify checks every step
+cert = certify(trace)
 
 # 1. sufficient descent margins
-gamma = mu - lf
-drops = -np.diff(trace.objective)
-steps = np.asarray(trace.step_norm[1:])
-margins = drops - 0.5 * gamma * steps**2
-print(f"descent: worst margin {margins.min():.2e} (must be >= -1e-9)")
+print(f"descent: gamma = mu - L_f = {cert.gamma:.4f}, "
+      f"worst margin {cert.worst_descent:.2e} (must be >= -1e-9)")
 
-# 2. subgradient bound, re-derived step by step
-worst_gap = np.inf
-for k in range(trace.num_steps()):
-    rep = subgradient_residual(trace.iterates[k + 1], trace.iterates[k],
-                               prob, mu, "a")
-    worst_gap = min(worst_gap, rep.bound - rep.B_norm)
-print(f"subgradient bound: worst (bound - ||A||) = {worst_gap:.2e} (>= 0)")
-print(f"kkt residual at the last iterate: {kkt_residual(trace.final_w, prob):.2e}")
+# 2. subgradient bound
+print(f"subgradient bound: worst (bound - ||A||) = {cert.worst_bound:.2e} (>= -1e-8)")
+print(f"kkt residual at the last iterate: {cert.kkt:.2e}")
 
 # 3. finite length
-total, tail = finite_length(trace)
-print(f"finite length: total {total:.4f}, second-half tail {tail:.2e}")
+print(f"finite length: total {cert.length:.4f}, second-half tail {cert.tail:.2e}")
 
 # 4. rate regime
-fit = rate_fit(trace)
+fit = cert.rate
 print(f"rate regime: {fit.regime}, contraction factor {fit.rate_constant:.4f}, "
       f"fit quality {fit.fit_quality:.4f}")
+print(f"all certificates hold: {cert.passed}")

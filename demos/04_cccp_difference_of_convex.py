@@ -20,7 +20,7 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     SyntheticSpec,
-    cccp_descent_check,
+    certify,
     dc_decompose,
     dc_problem_from_penalty,
     run_cccp,
@@ -50,8 +50,9 @@ print(f"\ncertified strong convexity of u: gamma_u = {dc.gamma_u:.4f}")
 
 trace = run_cccp(dc, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
 print(f"cccp: {trace.num_steps()} outer iterations, F* = {trace.final_objective:.10f}")
-ok, worst = cccp_descent_check(trace)
-print(f"outer descent inequality holds: {ok} (worst margin {worst:.2e})")
+cert = certify(trace)
+print(f"outer descent and residual bound hold: {cert.passed} "
+      f"(worst descent margin {cert.worst_descent:.2e})")
 
 mm = run_mm(ProblemInstance(loss=loss, penalty=pen),
             MmConfig(scheme="a", max_iter=5000, tol=1e-12))

@@ -2,34 +2,34 @@
 
 Flags mirror the math: --lambda, --theta, --gamma, --epsilon, --rho.
 Exit codes: 0 converged / 1 usage or input error / 2 iteration budget
-exhausted / 3 a diagnostic inequality failed.  NONCONVEX_MM_THREADS
-caps how many solver runs ``bench`` executes concurrently.
+exhausted / 3 a diagnostic inequality failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
 from .data_io import SyntheticSpec, read_libsvm, synth_generate, write_trace
-from .diagnostics import finite_length, kkt_residual, rate_fit
+from .diagnostics import certify
 from .losses import make_loss
 from .mm import IterateTrace, MmConfig, ProblemInstance, run_mm
-from .penalties import (
-    CappedL1Penalty,
-    LogEpsilonPenalty,
-    LogPenalty,
-    McpPenalty,
-    ScadPenalty,
-)
+from .penalties import make_penalty
 
 __all__ = ["main", "build_parser"]
 
-_PENALTY_CHOICES = ("log", "log-eps", "scad", "mcp", "capped-l1")
+# CLI name -> (make_penalty kind, shape field, flag setting it, value when
+# the flag is unset); only --theta is unset by default
+_PENALTIES = {
+    "log": ("log", "theta", "theta", 1.0),
+    "log-eps": ("log_eps", "eps", "epsilon", None),
+    "scad": ("scad", "theta", "theta", 3.7),
+    "mcp": ("mcp", "gamma", "gamma", None),
+    "capped-l1": ("capped_l1", "theta", "theta", 1.0),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +52,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
     model = sub.add_argument_group("model")
     model.add_argument("--loss", choices=("ls", "logistic"), default="logistic")
-    model.add_argument("--penalty", choices=_PENALTY_CHOICES, default="log-eps")
+    model.add_argument("--penalty", choices=tuple(_PENALTIES), default="log-eps")
     model.add_argument("--lambda", dest="lam", type=float, default=0.1,
                        help="penalty weight")
     model.add_argument("--theta", type=float, default=None,
@@ -92,23 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_theta(kind: str) -> float:
-    return {"log": 1.0, "scad": 3.7, "capped-l1": 1.0}.get(kind, 1.0)
-
-
-def _build_penalty(args):
-    theta = args.theta if args.theta is not None else _default_theta(args.penalty)
-    if args.penalty == "log":
-        return LogPenalty(lam=args.lam, theta=theta)
-    if args.penalty == "log-eps":
-        return LogEpsilonPenalty(lam=args.lam, eps=args.epsilon)
-    if args.penalty == "scad":
-        return ScadPenalty(lam=args.lam, theta=theta)
-    if args.penalty == "mcp":
-        return McpPenalty(lam=args.lam, gamma=args.gamma)
-    return CappedL1Penalty(lam=args.lam, theta=theta)
-
-
 def _build_problem(args) -> ProblemInstance:
     task = "regression" if args.loss == "ls" else "classification"
     if args.data:
@@ -117,7 +100,10 @@ def _build_problem(args) -> ProblemInstance:
         spec = SyntheticSpec(n=args.n, p=args.p, sparsity=args.sparsity,
                              noise_sd=args.noise_sd, seed=args.seed, task=task)
         data, _ = synth_generate(spec)
-    return ProblemInstance(loss=make_loss(args.loss, data), penalty=_build_penalty(args))
+    kind, field, flag, unset = _PENALTIES[args.penalty]
+    shape = getattr(args, flag)
+    penalty = make_penalty(kind, args.lam, **{field: unset if shape is None else shape})
+    return ProblemInstance(loss=make_loss(args.loss, data), penalty=penalty)
 
 
 def _mm_config(args, scheme: str | None = None) -> MmConfig:
@@ -149,11 +135,10 @@ def _cmd_solve(args) -> int:
     trace = run_mm(prob, _mm_config(args))
     _finalize_trace(trace, args)
     _write_outputs(trace, args)
-    final_kkt = kkt_residual(trace.final_w, prob)
     print(f"scheme         : {args.scheme}")
     print(f"iterations     : {trace.num_steps()}")
     print(f"final objective: {trace.final_objective:.12g}")
-    print(f"kkt residual   : {final_kkt:.6g}")
+    print(f"kkt residual   : {trace.meta['kkt']:.6g}")
     print(f"converged      : {trace.converged}")
     nnz = int(np.count_nonzero(trace.final_w))
     print(f"nonzeros       : {nnz} / {len(trace.final_w)}")
@@ -173,15 +158,7 @@ def _cmd_bench(args) -> int:
     else:
         note = f"scheme b unsupported for {prob.penalty.kind}; running scheme a only"
 
-    try:
-        threads = max(1, int(os.environ.get("NONCONVEX_MM_THREADS", "2")))
-    except ValueError:
-        threads = 2
-    if threads > 1 and len(schemes) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(schemes))) as pool:
-            traces = list(pool.map(lambda s: run_mm(prob, _mm_config(args, s)), schemes))
-    else:
-        traces = [run_mm(prob, _mm_config(args, s)) for s in schemes]
+    traces = [run_mm(prob, _mm_config(args, s)) for s in schemes]
     for t in traces:
         _finalize_trace(t, args)
 
@@ -229,60 +206,31 @@ def _cmd_diagnose(args) -> int:
     prob = _build_problem(args)
     trace = run_mm(prob, _mm_config(args))
     _finalize_trace(trace, args)
-
-    mu = trace.meta["mu"]
-    lf = trace.meta["lipschitz"]
-    gamma = mu - lf
-    failures = []
-
-    if gamma <= 0:
-        failures.append(f"majorization: mu={mu:.6g} <= L_f={lf:.6g} (gamma <= 0)")
-
-    worst_descent = np.inf
-    worst_bound = np.inf
-    lz = prob.penalty.deriv_lipschitz() if args.scheme == "b" else 0.0
-    for k in range(trace.num_steps()):
-        drop = trace.objective[k] - trace.objective[k + 1]
-        step = trace.step_norm[k + 1]
-        worst_descent = min(worst_descent, drop - 0.5 * gamma * step**2)
-        bound = (mu + lf + lz) * step
-        worst_bound = min(worst_bound, bound - trace.residual[k + 1])
-    if trace.num_steps() == 0:
-        worst_descent = worst_bound = 0.0
-    if worst_descent < -1e-9:
-        failures.append(f"descent: worst margin {worst_descent:.3e} < -1e-9")
-    if worst_bound < -1e-8:
-        failures.append(f"subgradient bound: worst margin {worst_bound:.3e} < -1e-8")
-
-    final_kkt = kkt_residual(trace.final_w, prob)
-    if trace.num_steps() > 0 and final_kkt > trace.residual[-1] + 1e-8:
-        failures.append(
-            f"kkt residual {final_kkt:.3e} exceeds certificate {trace.residual[-1]:.3e}"
-        )
-
-    total, tail = finite_length(trace)
-    fit = rate_fit(trace)
-    trace.meta["rate_fit"] = {
-        "regime": fit.regime,
-        "rate_constant": None if np.isnan(fit.rate_constant) else fit.rate_constant,
-        "fit_quality": fit.fit_quality,
-    }
+    cert = certify(trace)
+    report = asdict(cert)
+    rate = report.pop("rate")
+    if np.isnan(rate["rate_constant"]):
+        rate["rate_constant"] = None
+    trace.meta["rate_fit"] = rate
+    trace.meta["certificate"] = {"passed": cert.passed, **report}
     _write_outputs(trace, args)
 
-    print(f"gamma (mu - L_f)           : {gamma:.6g}")
-    print(f"worst descent margin       : {worst_descent:.6g}")
-    print(f"worst residual-bound margin: {worst_bound:.6g}")
-    print(f"trajectory length          : total {total:.6g}, second-half tail {tail:.6g}")
+    fit = cert.rate
+    print(f"gamma (mu - L_f)           : {cert.gamma:.6g}")
+    print(f"worst descent margin       : {cert.worst_descent:.6g}")
+    print(f"worst residual-bound margin: {cert.worst_bound:.6g}")
+    print(f"trajectory length          : total {cert.length:.6g}, "
+          f"second-half tail {cert.tail:.6g}")
     print(f"rate regime                : {fit.regime} "
           f"(constant {fit.rate_constant:.6g}, fit quality {fit.fit_quality:.3f})")
-    print(f"final kkt residual         : {final_kkt:.6g}")
-    if failures:
+    print(f"final kkt residual         : {cert.kkt:.6g}")
+    if cert.failures:
         print("FAILED checks:")
-        for f in failures:
+        for f in cert.failures:
             print(f"  - {f}")
         return 3
     print("all inequality checks passed")
-    return 0
+    return 0 if trace.converged else 2
 
 
 def main(argv=None) -> int:

@@ -199,6 +199,7 @@ def write_trace(trace: IterateTrace, fmt: str, path) -> None:
             "residual": list(trace.residual),
             "elapsed_sec": list(trace.elapsed_sec),
             "converged": bool(trace.converged),
+            "stop_reason": meta.get("stop_reason"),
             "final_w": None if trace.final_w is None else list(map(float, trace.final_w)),
             "config": {
                 "scheme": meta.get("scheme"),
@@ -211,8 +212,9 @@ def write_trace(trace: IterateTrace, fmt: str, path) -> None:
                 "seed": meta.get("seed"),
             },
         }
-        if "rate_fit" in meta:
-            payload["rate_fit"] = meta["rate_fit"]
+        for key in ("rate_fit", "certificate"):
+            if key in meta:
+                payload[key] = meta[key]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

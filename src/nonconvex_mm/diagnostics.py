@@ -9,7 +9,9 @@ Everything here is a computable certificate:
   subdifferential of F, which vanishes precisely at critical points;
 * ``finite_length`` sums step norms to evidence trajectory summability;
 * ``rate_fit`` classifies the tail error decay of a converged run as
-  finite / linear / sublinear, mirroring the KL-exponent regimes.
+  finite / linear / sublinear, mirroring the KL-exponent regimes;
+* ``certify`` checks a whole trace against the guarantee its solver
+  recorded in ``trace.meta``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Certificate",
     "ResidualReport",
     "RateFit",
+    "certify",
     "subgradient_residual",
     "kkt_residual",
     "finite_length",
@@ -53,17 +57,6 @@ class ResidualReport:
     kkt: float
 
 
-def _signed_subdiff_bounds(w: np.ndarray, penalty) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise interval of the subdifferential of r at w."""
-    t = np.abs(w)
-    lo_t, hi_t = penalty.deriv_interval(t)
-    lo_t = np.broadcast_to(np.asarray(lo_t, dtype=float), w.shape)
-    hi_t = np.broadcast_to(np.asarray(hi_t, dtype=float), w.shape)
-    lo = np.where(w > 0, lo_t, np.where(w < 0, -hi_t, -penalty.deriv(0.0)))
-    hi = np.where(w > 0, hi_t, np.where(w < 0, -lo_t, penalty.deriv(0.0)))
-    return lo, hi
-
-
 def kkt_residual(w, prob) -> float:
     """Euclidean distance from 0 to the subdifferential of F at w.
 
@@ -73,7 +66,7 @@ def kkt_residual(w, prob) -> float:
     """
     w = np.asarray(w, dtype=float).ravel()
     g = prob.loss.gradient(w)
-    lo, hi = _signed_subdiff_bounds(w, prob.penalty)
+    lo, hi = prob.penalty.subdiff_interval(w)
     dist = np.maximum(0.0, np.maximum(g + lo, -(g + hi)))
     return float(np.linalg.norm(dist))
 
@@ -205,3 +198,67 @@ def rate_fit(trace, min_points: int = 20, quality_threshold: float = 0.8) -> Rat
     if sub_ok:
         return RateFit(SUBLINEAR, exponent, min(max(r2_sub, 0.0), 1.0))
     return RateFit(UNDETERMINED, float("nan"), max(r2_lin, r2_sub, 0.0))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A trace checked against its solver's guarantee (see ``certify``).
+
+    Margins are the worst over all steps, 0 for a trace without steps;
+    ``kkt`` is None unless the solver recorded it, ``rate`` None unless
+    the trace recorded iterates.
+    """
+
+    gamma: float
+    worst_descent: float
+    worst_bound: float
+    kkt: float | None
+    length: float
+    tail: float
+    rate: RateFit | None
+    failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def _neg_tol(tol: float) -> str:
+    return "-" + np.format_float_scientific(tol, trim="-", exp_digits=1)
+
+
+def certify(trace) -> Certificate:
+    """Check every step of a trace against the guarantee in ``trace.meta``.
+
+    Descent margin F_k - F_{k+1} - (gamma/2)||Delta_k||^2 fails below
+    -(descent_slack * ||Delta_k|| + descent_tol); bound margin
+    residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol;
+    a recorded final ``kkt`` must not exceed the last residual by 1e-8.
+    """
+    meta = trace.meta
+    gamma = meta["gamma"]
+    total, tail = finite_length(trace)
+    obj = np.asarray(trace.objective, dtype=float)
+    steps = np.asarray(trace.step_norm[1:], dtype=float)
+    descent = obj[:-1] - obj[1:] - 0.5 * gamma * steps**2
+    bound = meta["residual_lipschitz"] * steps - np.asarray(trace.residual[1:], dtype=float)
+    worst_descent = float(descent.min()) if len(steps) else 0.0
+    worst_bound = float(bound.min()) if len(steps) else 0.0
+    kkt = meta.get("kkt")
+
+    failures = []
+    if gamma <= 0:
+        # only an MM surrogate weight can get here: DcProblem refuses gamma_u <= 0
+        failures.append(f"majorization: mu={meta['mu']:.6g} <= L_f={meta['lipschitz']:.6g} "
+                        "(gamma <= 0)")
+    if np.any(descent < -(meta["descent_slack"] * steps + meta["descent_tol"])):
+        failures.append(f"descent: worst margin {worst_descent:.3e} "
+                        f"< {_neg_tol(meta['descent_tol'])}")
+    if worst_bound < -meta["bound_tol"]:
+        failures.append(f"subgradient bound: worst margin {worst_bound:.3e} "
+                        f"< {_neg_tol(meta['bound_tol'])}")
+    if kkt is not None and len(steps) and kkt > trace.residual[-1] + 1e-8:
+        failures.append(f"kkt residual {kkt:.3e} exceeds certificate {trace.residual[-1]:.3e}")
+    rate = None if trace.iterates is None else rate_fit(trace)
+    return Certificate(gamma, worst_descent, worst_bound, kkt, total, tail, rate,
+                       tuple(failures))

@@ -114,9 +114,8 @@ def gram_max_eigenvalue(X, rel_tol: float = 1e-8, max_steps: int = 500):
     return lam, False
 
 
-def least_squares_strong_convexity(data: Dataset, rel_tol: float = 1e-10,
-                                   max_steps: int = 2000) -> float:
-    """Smallest eigenvalue of X^T X / n by inverse power iteration.
+def least_squares_strong_convexity(data: Dataset) -> float:
+    """Smallest eigenvalue of X^T X / n.
 
     Certifies the strong-convexity modulus of the least-squares loss.
     Raises if the Gram matrix is singular (rank-deficient design).
@@ -126,23 +125,11 @@ def least_squares_strong_convexity(data: Dataset, rel_tol: float = 1e-10,
     if _is_sparse(A):
         A = A.toarray()
     A = np.asarray(A)
-    p = A.shape[0]
     try:
-        chol = np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise ValueError("design is rank deficient; least-squares loss is not strongly convex")
-    v = np.full(p, 1.0 / np.sqrt(p))
-    lam = np.inf
-    for _ in range(max_steps):
-        z = np.linalg.solve(chol, v)
-        w = np.linalg.solve(chol.T, z)
-        nw = np.linalg.norm(w)
-        v_new = w / nw
-        lam_new = float(v_new @ (A @ v_new))
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            return lam_new
-        lam, v = lam_new, v_new
-    return lam
+    return float(np.linalg.eigvalsh(A)[0])
 
 
 def _check_dim(w: np.ndarray, p: int) -> np.ndarray:

@@ -202,6 +202,8 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
 def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     """Run the majorize-minimize loop until the step's infinity norm
     drops to ``config.tol`` or ``config.max_iter`` steps were taken.
+    ``trace.meta`` records which (``stop_reason``), the guarantee
+    ``certify`` checks, and ``kkt`` at the final iterate.
     """
     mu, lf = _resolve_mu(prob, config)
     step = step_a if config.scheme == "a" else step_b
@@ -244,4 +246,9 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             break
 
     trace.final_w = w
+    # the guarantee certify() checks; L_zeta enters only when r is linearized
+    lz = prob.penalty.deriv_lipschitz() if config.scheme == "b" else 0.0
+    trace.meta.update(stop_reason="tol" if trace.converged else "budget", kkt=report.kkt,
+                      gamma=mu - lf, residual_lipschitz=mu + lf + lz,
+                      descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8)
     return trace

@@ -47,10 +47,10 @@ class UnsupportedPenaltyError(ValueError):
 
 
 class SubgradientInterval(NamedTuple):
-    """Closed interval of scalar subgradients, ``lo <= hi``."""
+    """Closed interval(s) of subgradients, ``lo <= hi`` (floats or arrays)."""
 
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
 
 def _check_nonneg(t: np.ndarray) -> None:
@@ -121,16 +121,19 @@ class Penalty:
         d = self.deriv(t)
         return d, d
 
-    def subdiff_interval(self, u: float) -> SubgradientInterval:
-        """Interval of the subdifferential of zeta(|.|) at a scalar u."""
-        if u == 0.0:
-            d0 = self.deriv(0.0)
-            return SubgradientInterval(-d0, d0)
-        lo, hi = self.deriv_interval(abs(u))
-        lo, hi = float(lo), float(hi)
-        if u > 0:
-            return SubgradientInterval(lo, hi)
-        return SubgradientInterval(-hi, -lo)
+    def subdiff_interval(self, u) -> SubgradientInterval:
+        """Interval of the subdifferential of zeta(|.|) at u, componentwise.
+
+        A scalar u gives float bounds, an array gives arrays of its shape.
+        """
+        arr, scalar = _as_float_array(u)
+        lo_t, hi_t = self.deriv_interval(np.abs(arr))
+        d0 = self.deriv(0.0)
+        lo = np.where(arr > 0, lo_t, np.where(arr < 0, -hi_t, -d0))
+        hi = np.where(arr > 0, hi_t, np.where(arr < 0, -lo_t, d0))
+        if scalar:
+            return SubgradientInterval(float(lo), float(hi))
+        return SubgradientInterval(lo, hi)
 
     def prox(self, u, alpha: float):
         """Exact scalar prox: argmin_w (w - u)^2 / (2*alpha) + zeta(|w|).

@@ -23,7 +23,7 @@ from nonconvex_mm import (
     ProblemInstance,
     ScadPenalty,
     SyntheticSpec,
-    cccp_descent_check,
+    certify,
     dc_problem_from_penalty,
     finite_length,
     kkt_residual,
@@ -298,8 +298,9 @@ def test_criterion_9_cccp_suite():
     dc = dc_problem_from_penalty(loss, pen)
     trace = run_cccp(dc, cfg)
     assert trace.converged
-    ok, worst = cccp_descent_check(trace)
-    assert ok
+    cert = certify(trace)
+    assert cert.passed
+    worst = cert.worst_descent
     lv = dc.v_lipschitz()
     for k in range(1, len(trace.iters)):
         assert trace.residual[k] <= lv * trace.step_norm[k] + 1e-10

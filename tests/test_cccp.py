@@ -13,8 +13,8 @@ from nonconvex_mm import (
     ScadPenalty,
     SyntheticSpec,
     UnsupportedPenaltyError,
-    cccp_descent_check,
     cccp_step,
+    certify,
     dc_decompose,
     dc_problem_from_penalty,
     run_cccp,
@@ -138,8 +138,8 @@ def test_pure_convex_case_matches_reference_solver():
     ref_obj = loss.value(ref) + kappa * np.sum(np.abs(ref))
     assert trace.final_objective == pytest.approx(ref_obj, abs=1e-6)
     # the descent inequality holds with gamma_u in the purely convex case too
-    ok, worst = cccp_descent_check(trace)
-    assert ok and worst >= -1e-9
+    cert = certify(trace)
+    assert cert.passed and cert.worst_descent >= -1e-9
 
 
 def test_mcp_run_descends_and_reaches_small_residual():
@@ -150,8 +150,8 @@ def test_mcp_run_descends_and_reaches_small_residual():
     objs = trace.objective
     assert all(a >= b - 1e-10 for a, b in zip(objs, objs[1:]))
     assert trace.residual[-1] <= 1e-6
-    ok, worst = cccp_descent_check(trace)
-    assert ok and worst >= -1e-9
+    cert = certify(trace)
+    assert cert.passed and cert.worst_descent >= -1e-9
 
 
 def test_start_at_critical_point_terminates_immediately():
@@ -171,6 +171,13 @@ def test_residual_bound_holds_on_every_step():
     lv = prob.v_lipschitz()
     for k in range(1, len(trace.iters)):
         assert trace.residual[k] <= lv * trace.step_norm[k] + 1e-10
+    assert certify(trace).passed
+    # an inflated certificate on one step is caught by the library check
+    trace.residual[1] = lv * trace.step_norm[1] + 1e-6
+    cert = certify(trace)
+    assert not cert.passed
+    assert cert.worst_bound == pytest.approx(-1e-6, rel=1e-6)
+    assert [f.split(":")[0] for f in cert.failures] == ["subgradient bound"]
 
 
 def test_descent_check_vacuous_on_single_row():
@@ -179,9 +186,10 @@ def test_descent_check_vacuous_on_single_row():
     from nonconvex_mm import IterateTrace
     tr = IterateTrace()
     tr.append(0, prob.objective(np.zeros(prob.p)), 0.0, 0.0, 0.0)
-    tr.meta = {"gamma_u": prob.gamma_u, "inner_tol": 1e-12}
-    ok, worst = cccp_descent_check(tr)
-    assert ok and worst == 0.0
+    tr.meta = {"gamma": prob.gamma_u, "residual_lipschitz": prob.v_lipschitz(),
+               "descent_slack": 2e-12, "descent_tol": 1e-12, "bound_tol": 1e-10}
+    cert = certify(tr)
+    assert cert.passed and cert.worst_descent == 0.0 and cert.worst_bound == 0.0
 
 
 def test_box_constraint_feasible_exactly():

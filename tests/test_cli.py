@@ -82,6 +82,7 @@ def test_solve_json_output(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["config"]["seed"] == 21
     assert payload["config"]["scheme"] == "b"
+    assert payload["stop_reason"] == "tol"
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -128,14 +129,6 @@ def test_bench_capped_l1_runs_scheme_a_only(tmp_path, capsys):
     assert all(r[3] == "" for r in rows)
 
 
-def test_bench_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NONCONVEX_MM_THREADS", "1")
-    path = tmp_path / "bench.csv"
-    code = run_cli("bench", *SMALL, "--lambda", "0.2", "--tol", "1e-8",
-                   "--out", str(path))
-    assert code == 0
-
-
 def test_bench_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     flags = ["bench", *SMALL, "--lambda", "0.2", "--no-timing", "--tol", "1e-8"]
@@ -163,6 +156,19 @@ def test_diagnose_forced_bad_mu_exits_3(capsys):
     assert "gamma" in out or "majorization" in out
 
 
+def test_diagnose_budget_exhausted_exits_2(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    code = run_cli("diagnose", *SMALL, "--lambda", "0.02", "--epsilon", "1.0",
+                   "--tol", "1e-10", "--format", "json", "--out", str(path))
+    assert "all inequality checks passed" in capsys.readouterr().out
+    assert code == 2
+    import json
+    payload = json.loads(path.read_text())
+    assert payload["converged"] is False
+    assert payload["stop_reason"] == "budget"
+    assert payload["certificate"]["passed"] is True
+
+
 def test_diagnose_start_at_critical_point_trivial_report(capsys):
     code = run_cli("diagnose", *SMALL, "--lambda", "5.0", "--epsilon", "1.0")
     out = capsys.readouterr().out
@@ -180,3 +186,6 @@ def test_diagnose_json_embeds_rate_fit(tmp_path):
     assert payload["rate_fit"]["regime"] in ("linear", "sublinear", "finite",
                                              "undetermined")
     assert "fit_quality" in payload["rate_fit"]
+    cert = payload["certificate"]
+    assert cert["passed"] is True and cert["failures"] == []
+    assert cert["worst_descent"] >= -1e-9 and cert["worst_bound"] >= -1e-8

@@ -12,6 +12,7 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     SyntheticSpec,
+    certify,
     finite_length,
     kkt_residual,
     rate_fit,
@@ -179,6 +180,67 @@ def test_residual_envelope_shrinks_on_converged_run():
     half = len(res) // 2
     assert res[half:].max() < res[:half].max()
     assert res[-1] <= 1e-6
+
+
+# ---------------------------------------------------------------- certify
+def guarded_trace(objective, step_norm, residual, gamma=1.0, lipschitz=2.0):
+    """Hand-built trace carrying an MM-style guarantee in its meta."""
+    tr = IterateTrace()
+    for k, row in enumerate(zip(objective, step_norm, residual)):
+        tr.append(k, *row, 0.0)
+    tr.meta = {"gamma": gamma, "residual_lipschitz": lipschitz, "descent_slack": 0.0,
+               "descent_tol": 1e-9, "bound_tol": 1e-8}
+    return tr
+
+
+def test_certify_passes_a_valid_hand_built_trace():
+    # drops 1.0 and 0.5 against required 0.5 * 1 * 1 and 0.5 * 1 * 0.25
+    cert = certify(guarded_trace([3.0, 2.0, 1.5], [0.0, 1.0, 0.5], [0.0, 1.5, 1.0]))
+    assert cert.passed and cert.failures == ()
+    assert cert.worst_descent == pytest.approx(0.375)
+    assert cert.worst_bound == pytest.approx(0.0)
+    assert cert.kkt is None and cert.rate is None
+    assert (cert.length, cert.tail) == (1.5, 0.5)
+
+
+def test_certify_catches_insufficient_descent():
+    cert = certify(guarded_trace([3.0, 2.9], [0.0, 1.0], [0.0, 1.0]))
+    assert not cert.passed
+    assert cert.worst_descent == pytest.approx(-0.4)
+    assert cert.failures == ("descent: worst margin -4.000e-01 < -1e-9",)
+
+
+def test_certify_catches_violated_residual_bound():
+    cert = certify(guarded_trace([3.0, 2.0], [0.0, 1.0], [0.0, 2.5]))
+    assert not cert.passed
+    assert cert.worst_bound == pytest.approx(-0.5)
+    assert cert.failures == ("subgradient bound: worst margin -5.000e-01 < -1e-8",)
+
+
+def test_certify_single_row_trace_is_vacuous():
+    cert = certify(guarded_trace([3.0], [0.0], [0.7]))
+    assert cert.passed
+    assert cert.worst_descent == 0.0 and cert.worst_bound == 0.0
+
+
+def test_certify_mm_run_agrees_with_its_checks():
+    prob = logistic_problem()
+    trace = run_mm(prob, MmConfig(scheme="b", max_iter=5000, tol=1e-10))
+    cert = certify(trace)
+    assert cert.passed and trace.meta["stop_reason"] == "tol"
+    assert cert.kkt == kkt_residual(trace.final_w, prob)
+    assert cert.rate is not None
+
+
+def test_certify_reports_majorization_failure_for_small_rho():
+    prob = logistic_problem()
+    with pytest.warns(UserWarning):
+        trace = run_mm(prob, MmConfig(scheme="a", rho=0.5, max_iter=50))
+    cert = certify(trace)
+    assert not cert.passed
+    assert cert.gamma == pytest.approx(-0.5 * prob.loss.lipschitz)
+    assert cert.failures[0].startswith("majorization: mu=")
+    assert trace.meta["stop_reason"] == "budget"
 
 
 # ----------------------------------------------------------------- rate fit

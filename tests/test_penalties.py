@@ -223,6 +223,17 @@ def test_subdiff_interval_at_zero_and_kink():
     assert smooth.lo == smooth.hi == pytest.approx(pen.deriv(2.0))
 
 
+@pytest.mark.parametrize("pen", [ScadPenalty(lam=0.5, theta=3.0),
+                                 CappedL1Penalty(lam=0.9, theta=1.5),
+                                 LogEpsilonPenalty(lam=0.4, eps=0.5)])
+def test_subdiff_interval_array_matches_scalar(pen):
+    u = np.array([0.0, 1.5, -1.5, 2.0, -0.2, 7.0])
+    lo, hi = pen.subdiff_interval(u)
+    assert lo.shape == hi.shape == u.shape
+    for i, ui in enumerate(u):
+        assert (lo[i], hi[i]) == tuple(pen.subdiff_interval(float(ui)))
+
+
 # ------------------------------------------------------------------ factory
 def test_make_penalty_dispatch():
     pen = make_penalty("mcp", 0.4, gamma=2.0)
