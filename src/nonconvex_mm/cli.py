@@ -1,8 +1,9 @@
 """Command-line front end: solve, bench, and diagnose.
 
 Flags mirror the math: --lambda, --theta, --gamma, --epsilon, --rho.
-Exit codes: 0 converged / 1 usage or input error / 2 iteration budget
-exhausted / 3 a diagnostic inequality failed.
+Exit codes: 0 converged / 1 usage or input error, or a non-finite
+objective / 2 iteration budget exhausted / 3 a diagnostic inequality
+failed.
 """
 
 from __future__ import annotations
@@ -111,10 +112,23 @@ def _mm_config(args, scheme: str | None = None) -> MmConfig:
                     max_iter=args.max_iter, tol=args.tol)
 
 
-def _finalize_trace(trace: IterateTrace, args) -> None:
+def _solve(prob: ProblemInstance, args, scheme: str | None = None,
+           write_partial: bool = True) -> IterateTrace:
+    """One run_mm with the CLI's trace settings.  A run stopped by a
+    non-finite objective is an error; when ``write_partial`` (--out names
+    a trace file) its partial trace is written out first."""
+    trace = run_mm(prob, _mm_config(args, scheme))
     trace.meta["seed"] = args.seed
     if args.no_timing:
         trace.elapsed_sec = [0.0] * len(trace.elapsed_sec)
+    if trace.meta["stop_reason"] == "nonfinite":
+        if write_partial:
+            _write_outputs(trace, args)
+        raise FloatingPointError(
+            f"objective became non-finite at iteration {len(trace)}; "
+            "mu may be below the true gradient Lipschitz constant"
+        )
+    return trace
 
 
 def _write_outputs(trace: IterateTrace, args) -> None:
@@ -131,9 +145,7 @@ def _write_outputs(trace: IterateTrace, args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    prob = _build_problem(args)
-    trace = run_mm(prob, _mm_config(args))
-    _finalize_trace(trace, args)
+    trace = _solve(_build_problem(args), args)
     _write_outputs(trace, args)
     print(f"scheme         : {args.scheme}")
     print(f"iterations     : {trace.num_steps()}")
@@ -158,9 +170,8 @@ def _cmd_bench(args) -> int:
     else:
         note = f"scheme b unsupported for {prob.penalty.kind}; running scheme a only"
 
-    traces = [run_mm(prob, _mm_config(args, s)) for s in schemes]
-    for t in traces:
-        _finalize_trace(t, args)
+    # --out names the combined CSV here, not a trace
+    traces = [_solve(prob, args, s, write_partial=False) for s in schemes]
 
     by = dict(zip(schemes, traces))
     ta = by["a"]
@@ -203,9 +214,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    prob = _build_problem(args)
-    trace = run_mm(prob, _mm_config(args))
-    _finalize_trace(trace, args)
+    trace = _solve(_build_problem(args), args)
     cert = certify(trace)
     report = asdict(cert)
     rate = report.pop("rate")

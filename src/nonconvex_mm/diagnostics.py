@@ -57,6 +57,13 @@ class ResidualReport:
     kkt: float
 
 
+def _kkt_distance(w: np.ndarray, g: np.ndarray, penalty) -> float:
+    """Distance from 0 to g + the subdifferential of r at w."""
+    lo, hi = penalty.subdiff_interval(w)
+    dist = np.maximum(0.0, np.maximum(g + lo, -(g + hi)))
+    return float(np.linalg.norm(dist))
+
+
 def kkt_residual(w, prob) -> float:
     """Euclidean distance from 0 to the subdifferential of F at w.
 
@@ -65,10 +72,28 @@ def kkt_residual(w, prob) -> float:
     two-sided interval hull.
     """
     w = np.asarray(w, dtype=float).ravel()
-    g = prob.loss.gradient(w)
-    lo, hi = prob.penalty.subdiff_interval(w)
-    dist = np.maximum(0.0, np.maximum(g + lo, -(g + hi)))
-    return float(np.linalg.norm(dist))
+    return _kkt_distance(w, prob.loss.gradient(w), prob.penalty)
+
+
+def _step_subgradient(w_next: np.ndarray, delta: np.ndarray, g_next: np.ndarray,
+                      g: np.ndarray, mu: float,
+                      d: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(b, B) of the step w -> w_next = w + delta, given both gradients of f.
+
+    ``d`` is zeta'(|w|) - zeta'(|w_next|) for scheme "b" and None for
+    scheme "a", where b = 0 and B = A.
+    """
+    # grad Q_f(w_next | w) = grad f(w) + mu * (w_next - w)
+    A = g_next - g - mu * delta
+    if d is None:
+        return np.zeros_like(A), A
+    b = np.sign(w_next) * d
+    zero = w_next == 0.0
+    if np.any(zero):
+        dz = d[zero]
+        c = np.divide(A[zero], dz, out=np.zeros_like(dz), where=dz != 0.0)
+        b[zero] = np.clip(c, -1.0, 1.0) * dz
+    return b, A - b
 
 
 def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualReport:
@@ -91,34 +116,26 @@ def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualRep
     w_next = np.asarray(w_next, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     delta = w_next - w
-    # grad Q_f(w_next | w) = grad f(w) + mu * (w_next - w)
-    A = prob.loss.gradient(w_next) - prob.loss.gradient(w) - mu * delta
+    pen = prob.penalty
+    g_next = prob.loss.gradient(w_next)
     lf = prob.loss.lipschitz
     step = float(np.linalg.norm(delta))
 
     if scheme == "a":
-        b = np.zeros_like(A)
-        B = A
+        d = None
         bound = (mu + lf) * step
     else:
-        pen = prob.penalty
         if not pen.supports_linearization:
             raise ValueError(f"scheme 'b' residual undefined for {pen.kind} penalty")
         d = pen.deriv(np.abs(w)) - pen.deriv(np.abs(w_next))
-        b = np.sign(w_next) * d
-        zero = w_next == 0.0
-        if np.any(zero):
-            dz = d[zero]
-            c = np.divide(A[zero], dz, out=np.zeros_like(dz), where=dz != 0.0)
-            b[zero] = np.clip(c, -1.0, 1.0) * dz
-        B = A - b
         bound = (mu + lf + pen.deriv_lipschitz()) * step
+    b, B = _step_subgradient(w_next, delta, g_next, prob.loss.gradient(w), mu, d)
 
     return ResidualReport(
         b_vector=b,
         B_norm=float(np.linalg.norm(B)),
         bound=float(bound),
-        kkt=kkt_residual(w_next, prob),
+        kkt=_kkt_distance(w_next, g_next, pen),
     )
 
 

@@ -3,18 +3,21 @@
 Two losses are provided:
 
 * ``LeastSquaresLoss`` -- f(w) = ||X w - y||^2 / (2n); the gradient's
-  Lipschitz constant is the top eigenvalue of X^T X / n, estimated by
-  power iteration with a trace fallback.
+  Lipschitz constant is the top eigenvalue of X^T X / n, found by power
+  iteration, or exactly from the smaller Gram matrix when that stalls.
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
 Both accept a dense ndarray or a scipy CSR design matrix and are
 immutable after construction, so instances can be shared freely across
-concurrent solver runs.
+concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
+loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
+its two halves.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,6 +117,11 @@ def gram_max_eigenvalue(X, rel_tol: float = 1e-8, max_steps: int = 500):
     return lam, False
 
 
+# the exact eigensolve on the smaller Gram matrix costs O(min(n, p)^3);
+# above this size a stalled power iteration falls back to the trace bound
+_EXACT_GRAM_MAX_DIM = 2000
+
+
 def least_squares_strong_convexity(data: Dataset) -> float:
     """Smallest eigenvalue of X^T X / n.
 
@@ -149,15 +157,18 @@ class LeastSquaresLoss:
             raise ValueError("least-squares loss needs regression targets")
         self.data = data
 
-    def value(self, w) -> float:
+    def value_and_grad(self, w) -> tuple[float, np.ndarray]:
+        """f(w) and grad f(w) from one residual r = X w - y."""
         w = _check_dim(w, self.data.p)
         r = np.asarray(self.data.X @ w).ravel() - self.data.y
-        return float(r @ r) / (2.0 * self.data.n)
+        grad = np.asarray(self.data.X.T @ r).ravel() / self.data.n
+        return float(r @ r) / (2.0 * self.data.n), grad
+
+    def value(self, w) -> float:
+        return self.value_and_grad(w)[0]
 
     def gradient(self, w) -> np.ndarray:
-        w = _check_dim(w, self.data.p)
-        r = np.asarray(self.data.X @ w).ravel() - self.data.y
-        return np.asarray(self.data.X.T @ r).ravel() / self.data.n
+        return self.value_and_grad(w)[1]
 
     @cached_property
     def lipschitz(self) -> float:
@@ -165,10 +176,20 @@ class LeastSquaresLoss:
         if _frobenius_sq(X) == 0.0:
             raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
         lam, converged = gram_max_eigenvalue(X)
-        if not converged:
-            # trace(X^T X)/n always upper-bounds the top eigenvalue
-            return _frobenius_sq(X) / n
-        return lam
+        if converged:
+            return lam
+        if min(X.shape) <= _EXACT_GRAM_MAX_DIM:
+            # X X^T and X^T X share their nonzero eigenvalues; solve the smaller
+            G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+            G = G.toarray() if _is_sparse(G) else np.asarray(G)
+            return float(np.linalg.eigvalsh(G / n)[-1])
+        warnings.warn(
+            f"power iteration did not converge and min(n, p) > {_EXACT_GRAM_MAX_DIM}; "
+            "using the trace bound ||X||_F^2 / n, which can be far above L_f",
+            RuntimeWarning, stacklevel=3,
+        )
+        # trace(X^T X)/n always upper-bounds the top eigenvalue
+        return _frobenius_sq(X) / n
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -195,17 +216,18 @@ class LogisticLoss:
             raise ValueError("logistic loss needs classification labels")
         self.data = data
 
-    def _margins(self, w: np.ndarray) -> np.ndarray:
-        return self.data.y * np.asarray(self.data.X @ w).ravel()
+    def value_and_grad(self, w) -> tuple[float, np.ndarray]:
+        """f(w) and grad f(w) from one set of margins y_i x_i^T w."""
+        w = _check_dim(w, self.data.p)
+        neg_margins = -(self.data.y * np.asarray(self.data.X @ w).ravel())
+        coef = -self.data.y * _sigmoid(neg_margins) / self.data.n
+        return float(np.mean(_softplus(neg_margins))), np.asarray(self.data.X.T @ coef).ravel()
 
     def value(self, w) -> float:
-        w = _check_dim(w, self.data.p)
-        return float(np.mean(_softplus(-self._margins(w))))
+        return self.value_and_grad(w)[0]
 
     def gradient(self, w) -> np.ndarray:
-        w = _check_dim(w, self.data.p)
-        coef = -self.data.y * _sigmoid(-self._margins(w)) / self.data.n
-        return np.asarray(self.data.X.T @ coef).ravel()
+        return self.value_and_grad(w)[1]
 
     @cached_property
     def lipschitz(self) -> float:

@@ -15,6 +15,14 @@ of two exact minimization steps:
 
 Scheme "b" with ``LogEpsilonPenalty`` is exactly iteratively re-weighted
 l1 with weights lam / (|w_i| + eps).
+
+``run_mm`` evaluates the loss once per step: ``value_and_grad(w+)`` gives
+F(w+) for the trace and grad f(w+), which certifies this step and is
+carried into the next one (with zeta'(|w+|) for scheme "b").  So a step
+costs one ``X @ w``, one ``X.T @ r``, one ``reg_value``, at most one
+``penalty.deriv`` and, for scheme "a", one prox; the step certificate is
+built from these, and the exact KKT residual only at the first and last
+iterate.
 """
 
 from __future__ import annotations
@@ -25,7 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import kkt_residual, subgradient_residual
+# kkt_residual and subgradient_residual are not called here, but stay
+# importable from this module: perfbench/tracer.py patches them on it
+from .diagnostics import (_kkt_distance, _step_subgradient, kkt_residual,  # noqa: F401
+                          subgradient_residual)
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -136,7 +147,8 @@ def quad_surrogate_value(w, anchor, mu: float, loss) -> float:
     if w.shape != anchor.shape:
         raise ValueError("w and anchor have different lengths")
     d = w - anchor
-    return loss.value(anchor) + float(loss.gradient(anchor) @ d) + 0.5 * mu * float(d @ d)
+    f, g = loss.value_and_grad(anchor)
+    return f + float(g @ d) + 0.5 * mu * float(d @ d)
 
 
 def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
@@ -153,27 +165,39 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
     return float(np.sum(penalty.value(aa) + penalty.deriv(aa) * (np.abs(w) - aa)))
 
 
-def step_a(w, prob: ProblemInstance, mu: float) -> np.ndarray:
-    """Exact minimizer of Q_f(. | w) + r: componentwise penalty prox."""
+def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
+    """The preconditions of one MM step; scheme "b" linearizes the penalty."""
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if linearize and not penalty.supports_linearization:
+        raise UnsupportedPenaltyError(
+            f"{penalty.kind} penalty cannot be linearized; use scheme 'a'"
+        )
+
+
+def _mm_update(w: np.ndarray, g: np.ndarray, mu: float, penalty: Penalty,
+               omega: np.ndarray | None) -> np.ndarray:
+    """Minimizer of Q_f(. | w) + r, or of Q_f(. | w) + Q_r(. | w) when the
+    weights omega = zeta'(|w|) are given; g = grad f(w)."""
+    z = w - g / mu
+    if omega is None:
+        return penalty.prox(z, 1.0 / mu)
+    return np.sign(z) * np.maximum(np.abs(z) - omega / mu, 0.0)
+
+
+def step_a(w, prob: ProblemInstance, mu: float) -> np.ndarray:
+    """Exact minimizer of Q_f(. | w) + r: componentwise penalty prox."""
+    _check_step(mu, prob.penalty, linearize=False)
     w = np.asarray(w, dtype=float).ravel()
-    z = w - prob.loss.gradient(w) / mu
-    return prob.penalty.prox(z, 1.0 / mu)
+    return _mm_update(w, prob.loss.gradient(w), mu, prob.penalty, None)
 
 
 def step_b(w, prob: ProblemInstance, mu: float) -> np.ndarray:
     """Exact minimizer of Q_f(. | w) + Q_r(. | w): weighted soft-threshold."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not prob.penalty.supports_linearization:
-        raise UnsupportedPenaltyError(
-            f"{prob.penalty.kind} penalty cannot be linearized; use scheme 'a'"
-        )
+    _check_step(mu, prob.penalty, linearize=True)
     w = np.asarray(w, dtype=float).ravel()
-    z = w - prob.loss.gradient(w) / mu
-    omega = prob.penalty.deriv(np.abs(w))
-    return np.sign(z) * np.maximum(np.abs(z) - omega / mu, 0.0)
+    return _mm_update(w, prob.loss.gradient(w), mu, prob.penalty,
+                      prob.penalty.deriv(np.abs(w)))
 
 
 def reweighted_l1_weights(w, epsilon: float, lam: float) -> np.ndarray:
@@ -204,9 +228,15 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     drops to ``config.tol`` or ``config.max_iter`` steps were taken.
     ``trace.meta`` records which (``stop_reason``), the guarantee
     ``certify`` checks, and ``kkt`` at the final iterate.
+
+    A non-finite objective at the start raises ``FloatingPointError``.
+    One later in the run ends it with ``stop_reason="nonfinite"``: the
+    trace keeps every finite row, so the non-finite objective belongs to
+    iteration ``len(trace)`` and ``final_w`` is the last finite iterate.
     """
     mu, lf = _resolve_mu(prob, config)
-    step = step_a if config.scheme == "a" else step_b
+    loss, pen = prob.loss, prob.penalty
+    linearize = config.scheme == "b"
     w = np.zeros(prob.p) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
     if w.shape[0] != prob.p:
         raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
@@ -218,37 +248,43 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         "lipschitz": lf,
         "rho": config.rho,
         "tol": config.tol,
-        "penalty": {"kind": prob.penalty.kind, **prob.penalty.params()},
-        "loss": prob.loss.kind,
+        "penalty": {"kind": pen.kind, **pen.params()},
+        "loss": loss.kind,
     }
     t0 = time.perf_counter()
-    f_curr = prob.objective(w)
+    f_loss, g = loss.value_and_grad(w)
+    f_curr = f_loss + pen.reg_value(w)
     if not np.isfinite(f_curr):
         raise FloatingPointError("objective is not finite at the starting point")
-    trace.append(0, f_curr, 0.0, kkt_residual(w, prob), time.perf_counter() - t0, w)
+    trace.append(0, f_curr, 0.0, _kkt_distance(w, g, pen), time.perf_counter() - t0, w)
+    _check_step(mu, pen, linearize)
+    # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
+    omega = pen.deriv(np.abs(w)) if linearize else None
 
+    stop_reason = "budget"
     for k in range(config.max_iter):
-        w_next = step(w, prob, mu)
-        report = subgradient_residual(w_next, w, prob, mu, config.scheme)
-        f_next = prob.objective(w_next)
+        w_next = _mm_update(w, g, mu, pen, omega)
+        f_loss, g_next = loss.value_and_grad(w_next)
+        f_next = f_loss + pen.reg_value(w_next)
         if not np.isfinite(f_next):
-            raise FloatingPointError(
-                f"objective became non-finite at iteration {k + 1}; "
-                "mu may be below the true gradient Lipschitz constant"
-            )
+            stop_reason = "nonfinite"
+            break
+        omega_next = pen.deriv(np.abs(w_next)) if linearize else None
         delta = w_next - w
-        step_norm = float(np.linalg.norm(delta))
-        trace.append(k + 1, f_next, step_norm, report.B_norm,
+        _, B = _step_subgradient(w_next, delta, g_next, g, mu,
+                                 None if omega is None else omega - omega_next)
+        trace.append(k + 1, f_next, float(np.linalg.norm(delta)), float(np.linalg.norm(B)),
                      time.perf_counter() - t0, w_next)
-        w = w_next
+        w, g, omega = w_next, g_next, omega_next
         if np.max(np.abs(delta), initial=0.0) <= config.tol:
             trace.converged = True
+            stop_reason = "tol"
             break
 
     trace.final_w = w
     # the guarantee certify() checks; L_zeta enters only when r is linearized
-    lz = prob.penalty.deriv_lipschitz() if config.scheme == "b" else 0.0
-    trace.meta.update(stop_reason="tol" if trace.converged else "budget", kkt=report.kkt,
+    lz = pen.deriv_lipschitz() if linearize else 0.0
+    trace.meta.update(stop_reason=stop_reason, kkt=_kkt_distance(w, g, pen),
                       gamma=mu - lf, residual_lipschitz=mu + lf + lz,
                       descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8)
     return trace

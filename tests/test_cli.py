@@ -1,5 +1,8 @@
+import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from nonconvex_mm.cli import main
@@ -44,6 +47,20 @@ def test_solve_capped_l1_scheme_b_rejected(capsys):
                    "--scheme", "b")
     assert code == 1
     assert "scheme" in capsys.readouterr().err
+
+
+def test_solve_nonfinite_writes_partial_trace_and_exits_1(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("solve", *SMALL, "--loss", "ls", "--penalty", "mcp", "--rho", "0.05",
+                       "--tol", "0", "--out", str(path), "--format", "json", "--no-timing")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "nonconvex-mm: error: objective became non-finite at iteration" in err
+    doc = json.loads(path.read_text())
+    assert doc["stop_reason"] == "nonfinite" and doc["converged"] is False
+    assert f"at iteration {len(doc['iter'])};" in err
+    assert all(math.isfinite(v) for v in doc["objective"] + doc["final_w"])
 
 
 def test_solve_budget_exhausted_exits_2(tmp_path):

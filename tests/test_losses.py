@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,11 +102,30 @@ def test_lipschitz_trace_fallback_when_power_iteration_stalls(monkeypatch):
     lam, converged = gram_max_eigenvalue(X, max_steps=1)
     assert not converged
     monkeypatch.setattr(losses_mod, "gram_max_eigenvalue", lambda X: (0.0, False))
+    # the trace bound is kept only for designs too large to eigensolve
+    monkeypatch.setattr(losses_mod, "_EXACT_GRAM_MAX_DIM", 4)
     loss = LeastSquaresLoss(d)
     trace_bound = float(np.sum(X**2)) / 12
-    assert loss.lipschitz == pytest.approx(trace_bound)
+    with pytest.warns(RuntimeWarning, match="trace bound"):
+        assert loss.lipschitz == pytest.approx(trace_bound)
     # the fallback really is an upper bound on the top eigenvalue
     assert trace_bound >= float(np.linalg.eigvalsh(X.T @ X / 12).max())
+
+
+def test_lipschitz_exact_when_power_iteration_stalls_on_sparse_design():
+    # a CSR design with p >> n on which 500 power steps miss 1e-8 relative
+    # change; the trace bound would be 150x above the top eigenvalue here
+    rng = np.random.Generator(np.random.Philox(key=15))
+    X = sp.random(300, 2000, density=0.05, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    _, converged = gram_max_eigenvalue(X)
+    assert not converged
+    d = Dataset(X=X, y=rng.standard_normal(300), task="regression")
+    lam_oracle = float(np.linalg.eigvalsh((X @ X.T).toarray() / 300).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LeastSquaresLoss(d).lipschitz == pytest.approx(lam_oracle, rel=1e-12)
+    assert float(X.multiply(X).sum()) / 300 > 100 * lam_oracle
 
 
 def test_zero_design_rejected():
@@ -191,6 +211,29 @@ def test_logistic_lipschitz_frobenius_identity():
 
 
 # ------------------------------------------------ invariants across losses
+@pytest.mark.parametrize("sparse", [False, True])
+def test_value_and_grad_is_one_evaluation_of_both_formulas(sparse):
+    # bitwise equal to the residual and margin formulas written out here
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(25, 7))
+    Xs = sp.csr_matrix(X) if sparse else X
+    w = rng.normal(size=7)
+    y = rng.normal(size=25)
+    f, g = LeastSquaresLoss(Dataset(X=Xs, y=y, task="regression")).value_and_grad(w)
+    r = np.asarray(Xs @ w).ravel() - y
+    assert f == float(r @ r) / 50.0
+    np.testing.assert_array_equal(g, np.asarray(Xs.T @ r).ravel() / 25)
+
+    y = rng.choice([-1.0, 1.0], size=25)
+    loss = LogisticLoss(Dataset(X=Xs, y=y, task="classification"))
+    f, g = loss.value_and_grad(w)
+    m = y * np.asarray(Xs @ w).ravel()
+    assert f == float(np.mean(np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(-m)))))
+    sig = np.where(-m >= 0, 1.0 / (1.0 + np.exp(m)), np.exp(-m) / (1.0 + np.exp(-m)))
+    np.testing.assert_array_equal(g, np.asarray(Xs.T @ (-y * sig / 25)).ravel())
+    assert (loss.value(w), *loss.gradient(w)) == (f, *g)
+
+
 def _make_losses(rng):
     dr = regression(rng.normal(size=(20, 6)), rng.normal(size=20))
     dc = random_classification(rng, 20, 6)

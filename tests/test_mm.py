@@ -1,5 +1,9 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nonconvex_mm import (
     CappedL1Penalty,
@@ -13,11 +17,13 @@ from nonconvex_mm import (
     UnsupportedPenaltyError,
     kkt_residual,
     linearized_penalty_value,
+    make_penalty,
     quad_surrogate_value,
     reweighted_l1_weights,
     run_mm,
     step_a,
     step_b,
+    subgradient_residual,
     synth_generate,
     SyntheticSpec,
 )
@@ -259,9 +265,24 @@ def test_nonfinite_abort_when_mu_too_small():
     rng = np.random.default_rng(9)
     prob = ls_problem(rng, n=40, p=10)
     cfg = MmConfig(scheme="a", rho=0.05, max_iter=2000, tol=0.0)
-    with np.errstate(over="ignore"), pytest.warns(UserWarning):
-        with pytest.raises(FloatingPointError):
-            run_mm(prob, cfg)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning):
+        trace = run_mm(prob, cfg)
+    # the partial trace survives: every row finite, the run neither converged
+    # nor used its budget, and final_w is the last finite iterate
+    assert trace.meta["stop_reason"] == "nonfinite"
+    assert not trace.converged and 1 <= trace.num_steps() < cfg.max_iter
+    assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.residual))
+    np.testing.assert_array_equal(trace.final_w, trace.iterates[-1])
+    assert np.isfinite(trace.meta["kkt"])
+    assert trace.meta["kkt"] == kkt_residual(trace.final_w, prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(prob.objective(step_a(trace.final_w, prob, trace.meta["mu"])))
+
+
+def test_nonfinite_objective_at_start_raises():
+    prob = ls_problem(np.random.default_rng(9))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="starting point"):
+        run_mm(prob, MmConfig(), w0=np.full(prob.p, 1e200))
 
 
 def test_trace_records_and_objective_monotone():
@@ -302,6 +323,102 @@ def test_scheme_b_step_cheaper_than_scheme_a():
     med(step_a)  # warm up both paths
     med(step_b)
     assert med(step_b) <= med(step_a)
+
+
+# ------------------------------------------------------ run_mm vs its parts
+def _oracle_problems():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(40, 15))
+    w_true = np.where(rng.random(15) < 0.3, rng.normal(size=15) * 2, 0.0)
+    y_reg = X @ w_true + 0.3 * rng.normal(size=40)
+    y_cls = np.where(X @ w_true + 0.5 * rng.normal(size=40) >= 0, 1.0, -1.0)
+    for design in (X, sp.csr_matrix(X)):
+        yield "ls", LeastSquaresLoss(Dataset(X=design, y=y_reg, task="regression"))
+        yield "logistic", LogisticLoss(Dataset(X=design, y=y_cls, task="classification"))
+
+
+_ORACLE_PENALTIES = [("log", {"theta": 1.0}), ("log_eps", {"eps": 0.5}),
+                     ("scad", {"theta": 3.7}), ("mcp", {"gamma": 3.0}),
+                     ("capped_l1", {"theta": 1.0})]
+
+
+def reference_run(prob, scheme, mu, max_iter, tol):
+    """The MM loop written with the public one-step functions only."""
+    step = step_a if scheme == "a" else step_b
+    w = np.zeros(prob.p)
+    rows = [(prob.objective(w), 0.0, kkt_residual(w, prob))]
+    for _ in range(max_iter):
+        w_next = step(w, prob, mu)
+        report = subgradient_residual(w_next, w, prob, mu, scheme)
+        delta = w_next - w
+        rows.append((prob.objective(w_next), float(np.linalg.norm(delta)), report.B_norm))
+        assert report.kkt == kkt_residual(w_next, prob)
+        w = w_next
+        if np.max(np.abs(delta)) <= tol:
+            break
+    return rows, w, kkt_residual(w, prob)
+
+
+@pytest.mark.parametrize("kind,shape", _ORACLE_PENALTIES, ids=[k for k, _ in _ORACLE_PENALTIES])
+def test_run_mm_bitwise_equals_reference_loop(kind, shape):
+    pen = make_penalty(kind, 0.1, **shape)
+    schemes = ("a", "b") if pen.supports_linearization else ("a",)
+    for (loss_kind, loss), scheme in itertools.product(_oracle_problems(), schemes):
+        prob = ProblemInstance(loss=loss, penalty=pen)
+        trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=1e-9,
+                                      record_iterates=False))
+        rows, w, kkt = reference_run(prob, scheme, trace.meta["mu"], 60, 1e-9)
+        assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows, (
+            loss_kind, scheme)
+        np.testing.assert_array_equal(trace.final_w, w)
+        assert trace.meta["kkt"] == kkt
+
+
+class CountingLoss:
+    """Forwards to a loss and counts each evaluation entry point."""
+
+    def __init__(self, loss):
+        self.inner, self.kind, self.data = loss, loss.kind, loss.data
+        self.lipschitz = loss.lipschitz
+        self.calls = collections.Counter()
+
+    def value_and_grad(self, w):
+        self.calls["value_and_grad"] += 1
+        return self.inner.value_and_grad(w)
+
+    def value(self, w):
+        self.calls["value"] += 1
+        return self.inner.value(w)
+
+    def gradient(self, w):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(w)
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+def test_run_mm_evaluates_the_loss_once_per_step(scheme):
+    base = logistic_problem()
+    loss = CountingLoss(base.loss)
+    prob = ProblemInstance(loss=loss, penalty=base.penalty)
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=200, tol=1e-10))
+    assert trace.num_steps() > 10
+    assert loss.calls == {"value_and_grad": trace.num_steps() + 1}
+
+
+def test_capped_l1_scheme_b_rejected_before_the_loop():
+    loss = CountingLoss(ls_problem(np.random.default_rng(13)).loss)
+    prob = ProblemInstance(loss=loss, penalty=CappedL1Penalty(lam=0.5, theta=1.0))
+    with pytest.raises(UnsupportedPenaltyError, match="use scheme 'a'"):
+        run_mm(prob, MmConfig(scheme="b"))
+    assert loss.calls == {"value_and_grad": 1}
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_run_mm_rejects_nonpositive_mu(scheme, mu):
+    prob = ls_problem(np.random.default_rng(13))
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="mu must be positive"):
+        run_mm(prob, MmConfig(scheme=scheme, mu_override=mu))
 
 
 def test_config_validation():
