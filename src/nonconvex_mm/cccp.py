@@ -80,6 +80,8 @@ def _as_bounds(box, p: int):
     lo, hi = box
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (p,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (p,)).copy()
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("box bounds must not be NaN")
     if np.any(lo > hi):
         raise ValueError("box lower bounds exceed upper bounds")
     return lo, hi
@@ -169,8 +171,8 @@ class CccpConfig:
     def __post_init__(self):
         if min(self.max_iter, self.inner_max_iter) < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.tol < 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 <= self.tol < np.inf and 0 < self.inner_tol < np.inf):
+            raise ValueError("tolerances must be finite, with tol >= 0 and inner_tol > 0")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Two losses are provided:
 
 * ``LeastSquaresLoss`` -- f(w) = ||X w - y||^2 / (2n); the gradient's
-  Lipschitz constant is the top eigenvalue of X^T X / n, found by power
-  iteration, or exactly from the smaller Gram matrix when that stalls.
+  Lipschitz constant is the top eigenvalue of X^T X / n, found by Lanczos
+  (ARPACK) to machine precision through matvecs only.
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
@@ -17,19 +17,18 @@ its two halves.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "Dataset",
     "LeastSquaresLoss",
     "LogisticLoss",
     "make_loss",
-    "gram_max_eigenvalue",
     "least_squares_strong_convexity",
 ]
 
@@ -91,37 +90,6 @@ def _frobenius_sq(X) -> float:
     return float(np.sum(X**2))
 
 
-def gram_max_eigenvalue(X, rel_tol: float = 1e-8, max_steps: int = 500):
-    """Power iteration for the top eigenvalue of X^T X / n.
-
-    Returns ``(estimate, converged)``.  The matrix is only touched through
-    matvecs, so sparse designs stay sparse.
-    """
-    n, p = X.shape
-    v = np.full(p, 1.0 / np.sqrt(p))
-    lam = 0.0
-    for _ in range(max_steps):
-        mv = X.T @ (X @ v) / n
-        mv = np.asarray(mv).ravel()
-        norm = np.linalg.norm(mv)
-        if norm == 0.0:
-            # v is in the null space; restart from a shifted direction
-            v = np.zeros(p)
-            v[0] = 1.0
-            continue
-        lam_new = float(v @ mv)
-        v = mv / norm
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            return lam_new, True
-        lam = lam_new
-    return lam, False
-
-
-# the exact eigensolve on the smaller Gram matrix costs O(min(n, p)^3);
-# above this size a stalled power iteration falls back to the trace bound
-_EXACT_GRAM_MAX_DIM = 2000
-
-
 def least_squares_strong_convexity(data: Dataset) -> float:
     """Smallest eigenvalue of X^T X / n.
 
@@ -172,24 +140,20 @@ class LeastSquaresLoss:
 
     @cached_property
     def lipschitz(self) -> float:
-        X, n = self.data.X, self.data.n
-        if _frobenius_sq(X) == 0.0:
+        """Top eigenvalue of X^T X / n: Lanczos on the matvec v -> X^T (X v) / n,
+        so sparse designs stay sparse."""
+        X = self.data.X
+        n, p = X.shape
+        fro2 = _frobenius_sq(X)
+        if fro2 == 0.0:
             raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
-        lam, converged = gram_max_eigenvalue(X)
-        if converged:
-            return lam
-        if min(X.shape) <= _EXACT_GRAM_MAX_DIM:
-            # X X^T and X^T X share their nonzero eigenvalues; solve the smaller
-            G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
-            G = G.toarray() if _is_sparse(G) else np.asarray(G)
-            return float(np.linalg.eigvalsh(G / n)[-1])
-        warnings.warn(
-            f"power iteration did not converge and min(n, p) > {_EXACT_GRAM_MAX_DIM}; "
-            "using the trace bound ||X||_F^2 / n, which can be far above L_f",
-            RuntimeWarning, stacklevel=3,
-        )
-        # trace(X^T X)/n always upper-bounds the top eigenvalue
-        return _frobenius_sq(X) / n
+        if p == 1:
+            # the Gram matrix is 1x1, and eigsh needs k < p
+            return fro2 / n
+        gram = LinearOperator((p, p), matvec=lambda v: X.T @ (X @ v) / n, dtype=float)
+        # a fixed generic start: the ones vector can be an eigenvector of X^T X
+        v0 = np.random.default_rng(0).standard_normal(p)
+        return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

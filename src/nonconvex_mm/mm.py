@@ -91,8 +91,8 @@ class MmConfig:
             raise ValueError("rho must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and nonnegative")
 
 
 @dataclass
@@ -167,8 +167,8 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
 
 def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
     """The preconditions of one MM step; scheme "b" linearizes the penalty."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu:g}")
     if linearize and not penalty.supports_linearization:
         raise UnsupportedPenaltyError(
             f"{penalty.kind} penalty cannot be linearized; use scheme 'a'"

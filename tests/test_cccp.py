@@ -86,6 +86,33 @@ def test_gamma_zero_refused():
         DcProblem(loss=loss, l1_weight=0.5, remainder=None, gamma_u=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", np.nan), ("tol", np.inf), ("inner_tol", np.nan), ("inner_tol", np.inf),
+])
+def test_config_rejects_nonfinite_tolerances(field, value):
+    # inner_tol = nan ran every inner solve to its budget yet reported it exact
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        CccpConfig(**{field: value})
+
+
+@pytest.mark.parametrize("box", [
+    (np.nan, 1.0), (-1.0, np.nan), (np.where(np.arange(20) == 3, np.nan, -1.0), 1.0),
+])
+def test_nan_box_bound_refused(box):
+    loss = full_rank_ls()
+    with pytest.raises(ValueError, match="NaN"):
+        dc_problem_from_penalty(loss, McpPenalty(lam=0.2, gamma=3.0), box=box)
+
+
+def test_infinite_box_bounds_allowed():
+    loss = full_rank_ls(seed=8)
+    pen = McpPenalty(lam=0.2, gamma=3.0)
+    cfg = CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300)
+    free = run_cccp(dc_problem_from_penalty(loss, pen), cfg)
+    boxed = run_cccp(dc_problem_from_penalty(loss, pen, box=(-np.inf, np.inf)), cfg)
+    np.testing.assert_array_equal(boxed.final_w, free.final_w)
+
+
 # -------------------------------------------------------------- inner solve
 def test_convex_subproblem_orthonormal_design_is_soft_thresholding():
     rng = np.random.default_rng(1)

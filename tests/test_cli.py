@@ -63,6 +63,16 @@ def test_solve_nonfinite_writes_partial_trace_and_exits_1(tmp_path, capsys):
     assert all(math.isfinite(v) for v in doc["objective"] + doc["final_w"])
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rho", "nan", "mu must be positive and finite"),
+    ("--mu", "inf", "mu must be positive and finite"),
+    ("--tol", "nan", "tol must be finite"),
+])
+def test_solve_nonfinite_setting_exits_1(capsys, flag, value, message):
+    assert run_cli("solve", *SMALL, flag, value) == 1
+    assert f"nonconvex-mm: error: {message}" in capsys.readouterr().err
+
+
 def test_solve_budget_exhausted_exits_2(tmp_path):
     code = run_cli("solve", *SMALL, "--lambda", "0.2", "--epsilon", "1.0",
                    "--max-iter", "3", "--tol", "1e-14")

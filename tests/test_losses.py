@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +8,13 @@ from nonconvex_mm import (
     Dataset,
     LeastSquaresLoss,
     LogisticLoss,
-    gram_max_eigenvalue,
+    McpPenalty,
+    MmConfig,
+    ProblemInstance,
+    certify,
     least_squares_strong_convexity,
     make_loss,
+    run_mm,
 )
 
 from helpers import fd_gradient
@@ -77,55 +80,85 @@ def test_ls_lipschitz_identity_and_diag():
     assert LeastSquaresLoss(d).lipschitz == pytest.approx(2.0, rel=1e-7)
 
 
+def gram_top_eigenvalue(X):
+    # X X^T and X^T X share their nonzero eigenvalues; solve the smaller
+    X = X.toarray() if sp.issparse(X) else X
+    G = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
+    return float(np.linalg.eigvalsh(G / X.shape[0])[-1])
+
+
 def test_ls_lipschitz_against_dense_eigensolver():
-    rng = np.random.default_rng(42)
-    X = rng.normal(size=(10, 4))
-    d = regression(X, rng.normal(size=10))
-    lam_oracle = float(np.linalg.eigvalsh(X.T @ X / 10).max())
-    assert LeastSquaresLoss(d).lipschitz == pytest.approx(lam_oracle, rel=1e-6)
+    for seed, n, p in ((42, 10, 4), (9, 30, 6)):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        d = regression(X, rng.normal(size=n))
+        assert LeastSquaresLoss(d).lipschitz == pytest.approx(gram_top_eigenvalue(X), rel=1e-12)
 
 
-def test_power_iteration_reports_convergence():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(30, 6))
-    lam, converged = gram_max_eigenvalue(X)
-    assert converged
-    assert lam == pytest.approx(float(np.linalg.eigvalsh(X.T @ X / 30).max()), rel=1e-6)
+def negatively_correlated_design(n=200):
+    # two standardized features: X^T X / n = [[1, r], [r, 1]] with r < 0,
+    # whose eigenvector for the smaller eigenvalue 1 + r is the ones vector
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=n)
+    X = np.column_stack([a, -0.81 * a + 0.59 * rng.normal(size=n)])
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    return X, X @ np.array([1.0, 0.5]) + 0.3 * rng.normal(size=n)
 
 
-def test_lipschitz_trace_fallback_when_power_iteration_stalls(monkeypatch):
-    import nonconvex_mm.losses as losses_mod
+def clustered_spectrum_design(n=60, p=40):
+    # top three eigenvalues of X^T X / n are 1, 1 - 1e-9, 1 - 2e-9
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.normal(size=(n, p)))
+    V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    ev = np.concatenate([[1.0, 1.0 - 1e-9, 1.0 - 2e-9], rng.uniform(0.1, 0.9, size=p - 3)])
+    return U * np.sqrt(n * ev) @ V.T
 
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(12, 5))
-    d = regression(X, rng.normal(size=12))
-    lam, converged = gram_max_eigenvalue(X, max_steps=1)
-    assert not converged
-    monkeypatch.setattr(losses_mod, "gram_max_eigenvalue", lambda X: (0.0, False))
-    # the trace bound is kept only for designs too large to eigensolve
-    monkeypatch.setattr(losses_mod, "_EXACT_GRAM_MAX_DIM", 4)
-    loss = LeastSquaresLoss(d)
-    trace_bound = float(np.sum(X**2)) / 12
-    with pytest.warns(RuntimeWarning, match="trace bound"):
-        assert loss.lipschitz == pytest.approx(trace_bound)
-    # the fallback really is an upper bound on the top eigenvalue
-    assert trace_bound >= float(np.linalg.eigvalsh(X.T @ X / 12).max())
+
+def sparse_p_much_greater_than_n_design():
+    # 500 power-iteration steps from the ones vector miss 1e-8 relative
+    # change here, and the trace bound is 150x above the top eigenvalue
+    rng = np.random.Generator(np.random.Philox(key=15))
+    return sp.random(300, 2000, density=0.05, format="csr", random_state=rng,
+                     data_rvs=rng.standard_normal)
+
+
+@pytest.mark.parametrize("design", [
+    lambda: negatively_correlated_design()[0],
+    # rows orthogonal to the ones vector, so the ones vector lies in the null space
+    lambda: np.array([[-1.0, 4.0, -1.0, -2.0], [1.25, -2.75, -0.75, 2.25]]) / 10.0,
+    clustered_spectrum_design,
+    lambda: np.random.default_rng(7).normal(size=(5, 1)),
+    lambda: np.random.default_rng(8).normal(size=(1, 5)),
+    lambda: np.array([[-3.0]]),
+], ids=["negatively-correlated", "rows-orthogonal-to-ones", "clustered-spectrum",
+        "p-1", "n-1", "n-1-p-1"])
+def test_ls_lipschitz_exact_on_hard_designs(design):
+    X = design()
+    d = Dataset(X=X, y=np.ones(X.shape[0]), task="regression")
+    assert LeastSquaresLoss(d).lipschitz == pytest.approx(gram_top_eigenvalue(X), rel=1e-12)
 
 
 def test_lipschitz_exact_when_power_iteration_stalls_on_sparse_design():
-    # a CSR design with p >> n on which 500 power steps miss 1e-8 relative
-    # change; the trace bound would be 150x above the top eigenvalue here
-    rng = np.random.Generator(np.random.Philox(key=15))
-    X = sp.random(300, 2000, density=0.05, format="csr", random_state=rng,
-                  data_rvs=rng.standard_normal)
-    _, converged = gram_max_eigenvalue(X)
-    assert not converged
-    d = Dataset(X=X, y=rng.standard_normal(300), task="regression")
-    lam_oracle = float(np.linalg.eigvalsh((X @ X.T).toarray() / 300).max())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert LeastSquaresLoss(d).lipschitz == pytest.approx(lam_oracle, rel=1e-12)
-    assert float(X.multiply(X).sum()) / 300 > 100 * lam_oracle
+    X = sparse_p_much_greater_than_n_design()
+    d = Dataset(X=X, y=np.ones(300), task="regression")
+    lam = gram_top_eigenvalue(X)
+    assert LeastSquaresLoss(d).lipschitz == pytest.approx(lam, rel=1e-12)
+    assert float(X.multiply(X).sum()) / 300 > 100 * lam
+
+
+def test_lipschitz_repeatable_bitwise():
+    X = sparse_p_much_greater_than_n_design()
+    d = Dataset(X=X, y=np.ones(300), task="regression")
+    assert len({LeastSquaresLoss(d).lipschitz for _ in range(5)}) == 1
+
+
+def test_negatively_correlated_design_converges_and_certifies():
+    X, y = negatively_correlated_design()
+    prob = ProblemInstance(loss=LeastSquaresLoss(regression(X, y)),
+                           penalty=McpPenalty(lam=0.1, gamma=3.0))
+    trace = run_mm(prob, MmConfig(scheme="a", tol=1e-10))
+    assert trace.meta["stop_reason"] == "tol"
+    assert certify(trace).passed
 
 
 def test_zero_design_rejected():
@@ -294,7 +327,7 @@ def test_sparse_design_matches_dense():
     w = rng.normal(size=5)
     assert sparse.value(w) == pytest.approx(dense.value(w), rel=1e-14)
     np.testing.assert_allclose(sparse.gradient(w), dense.gradient(w), rtol=1e-14)
-    assert sparse.lipschitz == pytest.approx(dense.lipschitz, rel=1e-6)
+    assert sparse.lipschitz == pytest.approx(dense.lipschitz, rel=1e-12)
 
 
 def test_dataset_validation():

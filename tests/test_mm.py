@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -419,6 +420,23 @@ def test_run_mm_rejects_nonpositive_mu(scheme, mu):
     prob = ls_problem(np.random.default_rng(13))
     with pytest.warns(UserWarning), pytest.raises(ValueError, match="mu must be positive"):
         run_mm(prob, MmConfig(scheme=scheme, mu_override=mu))
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("field, value", [
+    ("rho", math.nan), ("rho", math.inf), ("mu_override", math.nan), ("mu_override", math.inf),
+])
+def test_run_mm_rejects_nonfinite_mu(scheme, field, value):
+    # mu = inf made a zero step that stopped as converged; mu = nan ended "nonfinite"
+    prob = ls_problem(np.random.default_rng(13))
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        run_mm(prob, MmConfig(scheme=scheme, **{field: value}))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_rejects_nonfinite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        MmConfig(tol=tol)
 
 
 def test_config_validation():
