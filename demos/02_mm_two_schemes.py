@@ -32,7 +32,7 @@ loss = LogisticLoss(data)
 penalty = LogEpsilonPenalty(lam=0.2, eps=1.0)
 prob = ProblemInstance(loss=loss, penalty=penalty)
 print(f"loss curvature bound L_f = {loss.lipschitz:.3f}; "
-      f"surrogate weight mu = {1.01 * loss.lipschitz:.3f}")
+      f"surrogate weight cap mu = {1.01 * loss.lipschitz:.3f}")
 
 traces = {}
 for scheme in ("a", "b"):
@@ -42,7 +42,8 @@ for scheme in ("a", "b"):
     print(f"scheme ({scheme}): {tr.num_steps()} iterations, "
           f"F* = {tr.final_objective:.10f}, "
           f"kkt residual = {kkt_residual(tr.final_w, prob):.2e}, "
-          f"support = {np.flatnonzero(tr.final_w)}")
+          f"support = {np.flatnonzero(tr.final_w)}, "
+          f"per-step mu_k in [{min(tr.mu[1:]):.3f}, {max(tr.mu[1:]):.3f}]")
 
 gap = abs(traces["a"].final_objective - traces["b"].final_objective)
 print(f"\nthe two schemes agree: |F_a - F_b| = {gap:.2e}")

@@ -13,9 +13,12 @@ objective equals the MM objective f + r.
 Each outer iteration linearizes v at the current point and solves the
 resulting convex subproblem by proximal gradient with the exact prox of
 kappa*|.|_1 + delta_box (soft-threshold then clamp, exact per
-coordinate).  Strong convexity of u must be certified up front: either
-the least-squares Gram matrix has full rank or an explicit ridge is
-added (which changes F and is recorded as such).
+coordinate).  Each inner step 1/L_k comes from the certified curvature
+search that ``run_mm`` uses, with L_k between the strong-convexity
+modulus gamma_u and the global bound L_f + ridge.  Strong convexity of
+u must be certified up front: either the least-squares Gram matrix has
+full rank or an explicit ridge is added (which changes F and is
+recorded as such).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
-from .mm import IterateTrace
+from .mm import IterateTrace, _curvature_search
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -180,6 +183,7 @@ class InnerSolveInfo:
     residual: float
     iterations: int
     inexact: bool
+    gradient_evals: int
 
 
 def _prox_l1_box(z: np.ndarray, thresh: float, box) -> np.ndarray:
@@ -208,35 +212,42 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
 
     The smooth part is f + ridge minus the linearization of v; the prox
     part kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold
-    prox.  Iterates until the subproblem's first-order residual drops to
-    ``cfg.inner_tol``; if the budget runs out the best iterate is
-    returned flagged inexact.
+    prox.  Each step x -> prox(x - grad / L_k) takes its curvature L_k
+    in [gamma_u, L_f + ridge] from ``_curvature_search``, starting at
+    L_f + ridge.  Iterates until the subproblem's first-order residual
+    drops to ``cfg.inner_tol``; if the budget runs out the best iterate
+    is returned flagged inexact.
     """
     w = np.asarray(w, dtype=float).ravel()
     g_v = prob.v_grad(w)
     lip = prob.loss.lipschitz + prob.ridge
-    step = 1.0 / lip
-    x = prob.project(w.copy())
+    evals = 0
 
     def grad_s(x):
+        nonlocal evals
+        evals += 1
         return prob.loss.gradient(x) + prob.ridge * x - g_v
 
-    resid = np.inf
-    for it in range(1, cfg.inner_max_iter + 1):
-        g = grad_s(x)
+    def trial(L):
+        x_next = _prox_l1_box(x - g / L, prob.l1_weight / L, prob.box)
+        return x_next, grad_s(x_next)
+
+    x = prob.project(w.copy())
+    g = grad_s(x)
+    L = lip
+    for it in range(cfg.inner_max_iter + 1):
         resid = _subproblem_residual(x, g, prob.l1_weight, prob.box)
-        if resid <= cfg.inner_tol:
-            return x, InnerSolveInfo(resid, it - 1, False)
-        x = _prox_l1_box(x - step * g, prob.l1_weight * step, prob.box)
-    resid = _subproblem_residual(x, grad_s(x), prob.l1_weight, prob.box)
-    return x, InnerSolveInfo(resid, cfg.inner_max_iter, resid > cfg.inner_tol)
+        if resid <= cfg.inner_tol or it == cfg.inner_max_iter:
+            return x, InnerSolveInfo(resid, it, resid > cfg.inner_tol, evals)
+        _, (x, g), L = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     """Outer CCCP loop; the trace's residual column holds the
     linearization-gap certificate ||grad v(w^(k-1)) - grad v(w^(k))||.
-    ``trace.meta`` records the guarantee ``certify`` checks and the
-    ``stop_reason`` ("tol" or "budget").
+    ``trace.meta`` records the guarantee ``certify`` checks, the
+    ``stop_reason`` ("tol" or "budget") and, per inner solve, its
+    residual, steps and gradient evaluations.
     """
     w = np.zeros(prob.p) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
     w = prob.project(w)
@@ -250,6 +261,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "inner_tol": cfg.inner_tol,
         "inner_residuals": [],
         "inner_iterations": [],
+        "inner_gradient_evals": [],
         "any_inexact": False,
         # the guarantee certify() checks; an inexact inner solve may give
         # back up to 2 * inner_tol * ||Delta|| of the descent
@@ -267,6 +279,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         w_next, info = cccp_step(w, prob, cfg)
         trace.meta["inner_residuals"].append(info.residual)
         trace.meta["inner_iterations"].append(info.iterations)
+        trace.meta["inner_gradient_evals"].append(info.gradient_evals)
         trace.meta["any_inexact"] = trace.meta["any_inexact"] or info.inexact
         delta = w_next - w
         cert = float(np.linalg.norm(prob.v_grad(w) - prob.v_grad(w_next)))

@@ -85,9 +85,9 @@ class Dataset:
 
 
 def _frobenius_sq(X) -> float:
-    if _is_sparse(X):
-        return float(np.sum(X.data**2))
-    return float(np.sum(X**2))
+    """||X||_F^2 as one dot product, without an n x p temporary."""
+    x = X.data if _is_sparse(X) else X.ravel(order="K")
+    return float(x @ x)
 
 
 def least_squares_strong_convexity(data: Dataset) -> float:

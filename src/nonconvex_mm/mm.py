@@ -2,13 +2,12 @@
 
 Each iteration replaces the smooth loss by the quadratic surrogate
 
-    Q_f(w | a) = f(a) + <grad f(a), w - a> + (mu/2) ||w - a||^2,
+    Q_f(w | a) = f(a) + <grad f(a), w - a> + (mu_k/2) ||w - a||^2,
 
-with mu = rho * L_f (rho > 1 gives strict majorization), then takes one
-of two exact minimization steps:
+then takes one of two exact minimization steps:
 
 * scheme "a" -- minimize Q_f + r via the penalty's exact scalar prox,
-  componentwise on z = w - grad f(w) / mu;
+  componentwise on z = w - grad f(w) / mu_k;
 * scheme "b" -- additionally replace the penalty by its tangent-line
   majorant, which collapses the subproblem to weighted soft-thresholding
   with weights zeta'(|w_i|).
@@ -16,13 +15,28 @@ of two exact minimization steps:
 Scheme "b" with ``LogEpsilonPenalty`` is exactly iteratively re-weighted
 l1 with weights lam / (|w_i| + eps).
 
-``run_mm`` evaluates the loss once per step: ``value_and_grad(w+)`` gives
-F(w+) for the trace and grad f(w+), which certifies this step and is
-carried into the next one (with zeta'(|w+|) for scheme "b").  So a step
-costs one ``X @ w``, one ``X.T @ r``, one ``reg_value``, at most one
-``penalty.deriv`` and, for scheme "a", one prox; the step certificate is
-built from these, and the exact KKT residual only at the first and last
-iterate.
+mu = rho * L_f (or ``mu_override``) is the cap on the surrogate weight;
+the weight a step actually uses is mu_k = L_k + gamma, with the descent
+slack gamma = mu - L_f and L_k in [0, L_f] found by a certified
+curvature search: starting from the curvature measured along the
+previous step and doubling, the first L_k with
+
+    <grad f(w+) - grad f(w), w+ - w> <= (L_k/2) ||w+ - w||^2
+
+is taken; L_k = L_f (mu_k = mu) needs no check.  For the convex losses
+here the test makes Q_f majorize f at the point taken, so every step
+keeps the descent F(w) - F(w+) >= (gamma/2) ||w+ - w||^2 and the
+subgradient bound (mu + L_f + L_zeta) ||w+ - w|| of a fixed-mu run.
+With gamma <= 0 (rho <= 1 or ``mu_override`` <= L_f) the search is
+pinned at L_f and every step uses mu.
+
+``run_mm`` evaluates the loss once per trial: ``value_and_grad(w+)``
+gives F(w+) for the trace and grad f(w+), which checks the curvature,
+certifies the step and is carried into the next one (with zeta'(|w+|)
+for scheme "b").  So a trial costs one ``X @ w``, one ``X.T @ r`` and,
+for scheme "a", one prox; an accepted step adds one ``reg_value`` and
+at most one ``penalty.deriv``.  The step certificate is built from
+these, and the exact KKT residual only at the first and last iterate.
 """
 
 from __future__ import annotations
@@ -71,10 +85,13 @@ class ProblemInstance:
 class MmConfig:
     """Solver knobs.
 
-    ``rho`` scales the loss curvature bound into the surrogate weight
-    mu = rho * L_f.  Values below 1 break majorization and are allowed
-    only so the diagnostics can demonstrate the failure; both rho <= 1
-    and an explicit ``mu_override`` below L_f trigger a warning.
+    ``rho`` scales the loss curvature bound into the cap on the
+    surrogate weight, mu = rho * L_f; each step uses a weight mu_k <= mu
+    certified by the curvature search (see the module docstring), and
+    ``trace.mu`` records it.  Values of rho below 1 break majorization
+    and are allowed only so the diagnostics can demonstrate the failure;
+    both rho <= 1 and an explicit ``mu_override`` below L_f trigger a
+    warning, and pin every step at mu_k = mu.
     """
 
     scheme: str = "a"
@@ -101,7 +118,9 @@ class IterateTrace:
 
     Row k holds the objective at the k-th visited iterate, the step norm
     ||w^(k) - w^(k-1)|| (0 for the first row), a residual certificate for
-    that iterate, and the cumulative wall time when it was produced.  The
+    that iterate, the cumulative wall time when it was produced, and the
+    surrogate weight mu_k of the step that produced it (None for the
+    first row and for solvers without one).  The
     objective column is nonincreasing (up to evaluation roundoff once the
     per-step decrease falls below one ulp of F) for any valid
     majorization run.
@@ -112,18 +131,20 @@ class IterateTrace:
     step_norm: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
     elapsed_sec: list[float] = field(default_factory=list)
+    mu: list[float | None] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
     final_w: np.ndarray | None = None
     converged: bool = False
     meta: dict = field(default_factory=dict)
 
     def append(self, k: int, objective: float, step_norm: float,
-               residual: float, elapsed: float, w=None) -> None:
+               residual: float, elapsed: float, w=None, mu: float | None = None) -> None:
         self.iters.append(int(k))
         self.objective.append(float(objective))
         self.step_norm.append(float(step_norm))
         self.residual.append(float(residual))
         self.elapsed_sec.append(float(elapsed))
+        self.mu.append(None if mu is None else float(mu))
         if self.iterates is not None and w is not None:
             self.iterates.append(np.array(w, dtype=float))
 
@@ -140,8 +161,7 @@ class IterateTrace:
 
 def quad_surrogate_value(w, anchor, mu: float, loss) -> float:
     """Quadratic loss majorant Q_f(w | anchor) with weight mu."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     w = np.asarray(w, dtype=float).ravel()
     anchor = np.asarray(anchor, dtype=float).ravel()
     if w.shape != anchor.shape:
@@ -165,10 +185,14 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
     return float(np.sum(penalty.value(aa) + penalty.deriv(aa) * (np.abs(w) - aa)))
 
 
-def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
-    """The preconditions of one MM step; scheme "b" linearizes the penalty."""
+def _check_mu(mu: float) -> None:
     if not 0 < mu < np.inf:
         raise ValueError(f"mu must be positive and finite, got {mu:g}")
+
+
+def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
+    """The preconditions of one MM step; scheme "b" linearizes the penalty."""
+    _check_mu(mu)
     if linearize and not penalty.supports_linearization:
         raise UnsupportedPenaltyError(
             f"{penalty.kind} penalty cannot be linearized; use scheme 'a'"
@@ -211,6 +235,32 @@ def reweighted_l1_weights(w, epsilon: float, lam: float) -> np.ndarray:
     return lam / (np.abs(np.asarray(w, dtype=float)) + epsilon)
 
 
+def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
+    """The first curvature L, from L_start clipped to [L_min, L_max] and
+    doubling up to L_max, whose trial step passes the descent check.
+
+    ``trial(L)`` returns a tuple that starts with x+ and grad f(x+) for
+    the step taken with curvature L from x, where g = grad f(x).  L is
+    accepted when <grad f(x+) - g, x+ - x> <= (L/2) ||x+ - x||^2, which
+    for a convex f gives f(x+) <= f(x) + <g, x+ - x> + (L/2) ||x+ - x||^2;
+    L_max, a global curvature bound, is accepted without the check.
+    Returns (L, trial(L), the start for the next step): the curvature
+    2 <grad f(x+) - g, x+ - x> / ||x+ - x||^2 measured along the step
+    taken, or L when that is not positive (or not a number).
+    """
+    L = min(max(L_start, L_min), L_max)
+    while True:
+        out = trial(L)
+        d = out[0] - x
+        dd = float(d @ d)
+        curv = float((out[1] - g) @ d)
+        if L >= L_max or curv <= 0.5 * L * dd:
+            break
+        L = min(2.0 * L, L_max)
+    measured = 2.0 * curv / dd if dd > 0.0 else 0.0
+    return L, out, measured if measured > 0.0 else L
+
+
 def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     lf = prob.loss.lipschitz
     mu = config.mu_override if config.mu_override is not None else config.rho * lf
@@ -226,8 +276,10 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
 def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     """Run the majorize-minimize loop until the step's infinity norm
     drops to ``config.tol`` or ``config.max_iter`` steps were taken.
-    ``trace.meta`` records which (``stop_reason``), the guarantee
-    ``certify`` checks, and ``kkt`` at the final iterate.
+    ``trace.mu`` holds each step's surrogate weight mu_k <= mu.
+    ``trace.meta`` records why the run stopped (``stop_reason``), the
+    guarantee ``certify`` checks, ``kkt`` at the final iterate and
+    ``loss_evals``, the loss evaluations of the curvature search.
 
     A non-finite objective at the start raises ``FloatingPointError``.
     One later in the run ends it with ``stop_reason="nonfinite"``: the
@@ -260,21 +312,36 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     _check_step(mu, pen, linearize)
     # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
     omega = pen.deriv(np.abs(w)) if linearize else None
+    # mu_k = L_k + gamma keeps the descent slack of mu = L_f + gamma; without
+    # slack the search is pinned at L_f
+    gamma = mu - lf
+    l_min = 0.0 if gamma > 0 else lf
+    l_start = lf
+    loss_evals = 0
+
+    def trial(L):
+        # the step from the current w, g and omega with curvature L
+        nonlocal loss_evals
+        loss_evals += 1
+        mu_k = mu if L >= lf else L + gamma
+        w_next = _mm_update(w, g, mu_k, pen, omega)
+        f_loss, g_next = loss.value_and_grad(w_next)
+        return w_next, g_next, f_loss, mu_k
 
     stop_reason = "budget"
     for k in range(config.max_iter):
-        w_next = _mm_update(w, g, mu, pen, omega)
-        f_loss, g_next = loss.value_and_grad(w_next)
+        _, (w_next, g_next, f_loss, mu_k), l_start = _curvature_search(
+            trial, w, g, l_start, lf, l_min)
         f_next = f_loss + pen.reg_value(w_next)
         if not np.isfinite(f_next):
             stop_reason = "nonfinite"
             break
         omega_next = pen.deriv(np.abs(w_next)) if linearize else None
         delta = w_next - w
-        _, B = _step_subgradient(w_next, delta, g_next, g, mu,
+        _, B = _step_subgradient(w_next, delta, g_next, g, mu_k,
                                  None if omega is None else omega - omega_next)
         trace.append(k + 1, f_next, float(np.linalg.norm(delta)), float(np.linalg.norm(B)),
-                     time.perf_counter() - t0, w_next)
+                     time.perf_counter() - t0, w_next, mu_k)
         w, g, omega = w_next, g_next, omega_next
         if np.max(np.abs(delta), initial=0.0) <= config.tol:
             trace.converged = True
@@ -282,9 +349,11 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             break
 
     trace.final_w = w
-    # the guarantee certify() checks; L_zeta enters only when r is linearized
+    # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
+    # enters only when r is linearized
     lz = pen.deriv_lipschitz() if linearize else 0.0
     trace.meta.update(stop_reason=stop_reason, kkt=_kkt_distance(w, g, pen),
-                      gamma=mu - lf, residual_lipschitz=mu + lf + lz,
-                      descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8)
+                      gamma=gamma, residual_lipschitz=mu + lf + lz,
+                      descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8,
+                      loss_evals=loss_evals)
     return trace

@@ -22,6 +22,8 @@ from nonconvex_mm import (
     synth_generate,
 )
 
+from nonconvex_mm import cccp as cccp_module
+
 from helpers import prox_gradient_reference, zeta_reference
 
 
@@ -152,6 +154,33 @@ def test_cccp_step_1d_grid_oracle():
     grid = np.arange(-5.0, 5.0001, 1e-4)
     objs = [loss.value([g]) + prob.l1_weight * abs(g) - gv * g for g in grid]
     assert abs(out[0] - grid[int(np.argmin(objs))]) <= 1e-3
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.4])
+def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
+    loss = full_rank_ls(seed=12)
+    prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
+                                   box=(-1.0, 1.0))
+    search = cccp_module._curvature_search
+    accepted = []
+
+    def recording(*args):
+        out = search(*args)
+        accepted.append(out[0])
+        return out
+
+    monkeypatch.setattr(cccp_module, "_curvature_search", recording)
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and certify(trace).passed
+    cap = loss.lipschitz + ridge
+    assert len(accepted) == sum(trace.meta["inner_iterations"]) > 0
+    assert all(prob.gamma_u <= L <= cap for L in accepted)
+    assert min(accepted) < cap
+    # one gradient per trial of the search plus one at each inner start
+    evals = trace.meta["inner_gradient_evals"]
+    assert len(evals) == trace.num_steps()
+    assert all(e >= it + 1 for e, it in zip(evals, trace.meta["inner_iterations"]))
+    assert trace.mu == [None] * len(trace)
 
 
 # --------------------------------------------------------------- outer loop

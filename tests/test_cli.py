@@ -186,7 +186,8 @@ def test_diagnose_forced_bad_mu_exits_3(capsys):
 def test_diagnose_budget_exhausted_exits_2(tmp_path, capsys):
     path = tmp_path / "diag.json"
     code = run_cli("diagnose", *SMALL, "--lambda", "0.02", "--epsilon", "1.0",
-                   "--tol", "1e-10", "--format", "json", "--out", str(path))
+                   "--tol", "1e-10", "--max-iter", "100", "--format", "json",
+                   "--out", str(path))
     assert "all inequality checks passed" in capsys.readouterr().out
     assert code == 2
     import json

@@ -231,6 +231,23 @@ def test_json_trace_carries_config_echo(tmp_path):
     assert payload["converged"] is True
 
 
+def test_json_trace_carries_each_rows_mu(tmp_path):
+    spec = SyntheticSpec(n=30, p=6, sparsity=2, noise_sd=0.5, seed=3,
+                         task="classification")
+    data, _ = synth_generate(spec)
+    prob = ProblemInstance(loss=LogisticLoss(data),
+                           penalty=LogEpsilonPenalty(lam=0.3, eps=0.5))
+    trace = run_mm(prob, MmConfig(scheme="b", max_iter=100, tol=1e-8))
+    path = tmp_path / "run.json"
+    write_trace(trace, "json", path)
+    payload = json.loads(path.read_text())
+    assert payload["mu"] == trace.mu
+    assert payload["mu"][0] is None and len(payload["mu"]) == len(payload["iter"])
+    csv_path = tmp_path / "run.csv"
+    write_trace(trace, "csv", csv_path)
+    assert csv_path.read_text().splitlines()[0] == "iter,objective,step_norm,residual,elapsed_sec"
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(IterateTrace(), "xml", tmp_path / "x")

@@ -29,6 +29,8 @@ from nonconvex_mm import (
     SyntheticSpec,
 )
 
+from nonconvex_mm.mm import _curvature_search
+
 from helpers import soft_threshold_bisect
 
 
@@ -73,6 +75,14 @@ def test_surrogate_majorizes_loss():
     for _ in range(1000):
         w = rng.normal(size=8) * 3
         assert quad_surrogate_value(w, anchor, mu, prob.loss) >= prob.loss.value(w) - 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_surrogate_rejects_nonpositive_or_nonfinite_mu(mu):
+    # nan and inf used to pass through as a nan or inf surrogate value
+    prob = ls_problem(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        quad_surrogate_value(np.ones(8), np.zeros(8), mu, prob.loss)
 
 
 def test_linearized_penalty_tight_and_majorizing():
@@ -343,12 +353,13 @@ _ORACLE_PENALTIES = [("log", {"theta": 1.0}), ("log_eps", {"eps": 0.5}),
                      ("capped_l1", {"theta": 1.0})]
 
 
-def reference_run(prob, scheme, mu, max_iter, tol):
-    """The MM loop written with the public one-step functions only."""
+def reference_run(prob, scheme, mus, tol):
+    """The MM loop written with the public one-step functions only, taking
+    step k with the surrogate weight mus[k]."""
     step = step_a if scheme == "a" else step_b
     w = np.zeros(prob.p)
     rows = [(prob.objective(w), 0.0, kkt_residual(w, prob))]
-    for _ in range(max_iter):
+    for mu in mus:
         w_next = step(w, prob, mu)
         report = subgradient_residual(w_next, w, prob, mu, scheme)
         delta = w_next - w
@@ -368,11 +379,87 @@ def test_run_mm_bitwise_equals_reference_loop(kind, shape):
         prob = ProblemInstance(loss=loss, penalty=pen)
         trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=1e-9,
                                       record_iterates=False))
-        rows, w, kkt = reference_run(prob, scheme, trace.meta["mu"], 60, 1e-9)
+        assert trace.mu[0] is None
+        rows, w, kkt = reference_run(prob, scheme, trace.mu[1:], 1e-9)
         assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows, (
             loss_kind, scheme)
         np.testing.assert_array_equal(trace.final_w, w)
         assert trace.meta["kkt"] == kkt
+
+
+# ------------------------------------------------------- curvature search
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("loss_kind", ["ls", "logistic"])
+def test_every_mu_k_is_capped_and_majorizes(scheme, loss_kind):
+    if loss_kind == "ls":
+        # column scales over 1.5 decades: the curvature along one step says
+        # little about the next, so an unchecked start would not majorize
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 12)) * np.logspace(0, 1.5, 12)
+        y = X @ np.where(rng.random(12) < 0.4, rng.normal(size=12), 0.0)
+        y += 0.3 * rng.normal(size=60)
+        prob = ProblemInstance(loss=LeastSquaresLoss(Dataset(X=X, y=y, task="regression")),
+                               penalty=McpPenalty(lam=0.05, gamma=2.5))
+    else:
+        prob = logistic_problem()
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=500, tol=1e-10))
+    mu, gamma = trace.meta["mu"], trace.meta["gamma"]
+    assert gamma == mu - trace.meta["lipschitz"] > 0
+    mus = trace.mu[1:]
+    assert trace.mu[0] is None and len(mus) == trace.num_steps() > 10
+    assert all(gamma < mu_k <= mu for mu_k in mus)
+    # the first step starts at the cap L_f, where mu itself is used
+    assert mus[0] == mu
+    # the curvature search leaves the loose global bound behind
+    assert min(mus) < mu
+    for w, w_next, mu_k in zip(trace.iterates, trace.iterates[1:], mus):
+        f_next = prob.loss.value(w_next)
+        q = quad_surrogate_value(w_next, w, mu_k - gamma, prob.loss)
+        assert q >= f_next - 1e-12 * (1.0 + abs(f_next))
+
+
+def test_curvature_search_doubles_back_from_a_tiny_start():
+    prob = ls_problem(np.random.default_rng(15), n=50, p=10)
+    loss, lf = prob.loss, prob.loss.lipschitz
+    x = np.random.default_rng(16).normal(size=10)
+    f, g = loss.value_and_grad(x)
+    tried = []
+
+    def trial(L):
+        tried.append(L)
+        x_next = x - g / L
+        return x_next, loss.gradient(x_next)
+
+    start = 1e-6 * lf
+    L, (x_next, _), _ = _curvature_search(trial, x, g, start, lf, 0.0)
+    # each failed trial doubles L; the accepted one majorizes f at x_next
+    assert len(tried) > 5 and tried[0] == start
+    assert all(b == min(2.0 * a, lf) for a, b in zip(tried, tried[1:]))
+    assert L == tried[-1] <= lf
+    d = x_next - x
+    assert loss.value(x_next) <= f + float(g @ d) + 0.5 * L * float(d @ d) + 1e-12
+    d_prev = -g / tried[-2]
+    curv = float((loss.gradient(x + d_prev) - g) @ d_prev)
+    assert curv > 0.5 * tried[-2] * float(d_prev @ d_prev)
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("field, factor", [("rho", 1.0), ("rho", 0.9), ("mu_override", 1.0),
+                                           ("mu_override", 0.8)])
+def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
+    # gamma = mu - L_f <= 0 pins the search at L_f: every step uses mu itself
+    prob = ls_problem(np.random.default_rng(17), n=60, p=12)
+    value = factor * prob.loss.lipschitz if field == "mu_override" else factor
+    with pytest.warns(UserWarning):
+        trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=40, tol=1e-9,
+                                      **{field: value}))
+    mu = trace.meta["mu"]
+    assert trace.mu[1:] == [mu] * trace.num_steps()
+    assert trace.meta["loss_evals"] == trace.num_steps()
+    rows, w, kkt = reference_run(prob, scheme, [mu] * 40, 1e-9)
+    assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows
+    np.testing.assert_array_equal(trace.final_w, w)
+    assert trace.meta["kkt"] == kkt
 
 
 class CountingLoss:
@@ -403,7 +490,9 @@ def test_run_mm_evaluates_the_loss_once_per_step(scheme):
     prob = ProblemInstance(loss=loss, penalty=base.penalty)
     trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=200, tol=1e-10))
     assert trace.num_steps() > 10
-    assert loss.calls == {"value_and_grad": trace.num_steps() + 1}
+    # one evaluation per trial of the curvature search, plus the start
+    assert trace.meta["loss_evals"] >= trace.num_steps()
+    assert loss.calls == {"value_and_grad": trace.meta["loss_evals"] + 1}
 
 
 def test_capped_l1_scheme_b_rejected_before_the_loop():
