@@ -1,9 +1,11 @@
-"""Tour of the four nonconvex penalties and their exact scalar prox.
+"""Tour of the five nonconvex penalties and their exact scalar prox.
 
 Each penalty interpolates between l1-like behavior near zero and a flat
 (or nearly flat) tail, which is what removes the estimation bias of the
-plain l1 norm.  The prox operators are exact: candidate enumeration over
-the pieces, no inner iterations.
+plain l1 norm.  The prox operators are exact and closed-form, with no
+inner iterations: a threshold formula where the prox objective is convex
+(soft, firm or SCAD thresholding), and a threshold on |u| between the two
+competing pieces where it is not.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ penalties = {
 }
 
 # ---------------------------------------------------------------- values
-# All four agree with the l1 norm's slope at the origin but flatten out.
+# All five rise linearly from the origin, like the l1 norm, but flatten out.
 ts = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
 print("penalty values zeta(t)")
 print("t:".ljust(18), "  ".join(f"{t:7.2f}" for t in ts))

@@ -4,8 +4,8 @@ Scheme (a) majorizes only the loss and applies the penalty's exact prox;
 scheme (b) additionally linearizes the penalty, which turns every update
 into one weighted soft-threshold -- the classical iteratively
 re-weighted l1 method.  Both descend monotonically and land on the same
-objective value; (b) is cheaper per iteration because it never runs the
-prox's candidate enumeration.
+objective value; (b) is cheaper per iteration because it never solves the
+LOG prox's per-coordinate quadratic.
 """
 
 import numpy as np

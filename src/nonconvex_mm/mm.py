@@ -203,10 +203,14 @@ def _mm_update(w: np.ndarray, g: np.ndarray, mu: float, penalty: Penalty,
                omega: np.ndarray | None) -> np.ndarray:
     """Minimizer of Q_f(. | w) + r, or of Q_f(. | w) + Q_r(. | w) when the
     weights omega = zeta'(|w|) are given; g = grad f(w)."""
-    z = w - g / mu
+    z = np.divide(g, mu)
+    np.subtract(w, z, out=z)
     if omega is None:
         return penalty.prox(z, 1.0 / mu)
-    return np.sign(z) * np.maximum(np.abs(z) - omega / mu, 0.0)
+    out = np.abs(z)
+    out -= omega / mu
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, z, out=out)
 
 
 def step_a(w, prob: ProblemInstance, mu: float) -> np.ndarray:
@@ -265,9 +269,14 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     lf = prob.loss.lipschitz
     mu = config.mu_override if config.mu_override is not None else config.rho * lf
     if mu <= lf:
+        if prob.loss.kind == "logistic":
+            why = ("for logistic loss L_f is the loose Frobenius bound, so mu may "
+                   "still majorize f; certify(trace) checks the descent of every step")
+        else:
+            why = "majorization is not strict and the descent guarantee degenerates"
         warnings.warn(
-            f"surrogate weight mu={mu:.6g} <= L_f={lf:.6g}: majorization is not "
-            "strict and the descent guarantee degenerates",
+            f"surrogate weight mu={mu:.6g} <= L_f={lf:.6g}: every step is pinned at "
+            f"mu, with no curvature search; {why}",
             stacklevel=3,
         )
     return mu, lf

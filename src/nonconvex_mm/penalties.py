@@ -2,7 +2,7 @@
 
 Each penalty is a scalar map ``zeta : [0, inf) -> [0, inf)`` applied
 coordinatewise through the absolute value, ``r(w) = sum_i zeta(|w_i|)``.
-Four families are provided:
+Five families are provided:
 
 * ``LogPenalty`` -- normalized logarithmic penalty
   ``lam * log(1 + theta*t) / log(theta + 1)``.
@@ -15,10 +15,17 @@ Four families are provided:
   ``theta``, so linearization-based schemes reject it and only the exact
   prox path applies.
 
-All proximal operators are computed exactly by candidate enumeration:
-zero, the piece boundaries, and the stationary point of every
-differentiable piece clipped to its interval.  Ties are broken towards
-the smallest magnitude.
+Every proximal operator is exact and closed-form.  It branches once on
+the step ``alpha``: where the prox objective is convex in ``w`` it is a
+threshold formula (soft thresholding, firm thresholding for MCP, the
+three-piece SCAD threshold); where a middle piece is concave only its
+endpoints compete, and a scalar threshold on ``|u|`` picks between them.
+The log penalties have no closed-form threshold, so there the objective
+decides, and only on the coordinates where it can go either way.  Ties
+are broken towards the smallest magnitude.  The closed forms follow the
+proximal maps of Gong et al., "A General Iterative Shrinkage and
+Thresholding Algorithm for Non-convex Regularized Optimization Problems"
+(ICML 2013), and firm thresholding as in Breheny & Huang (2011).
 """
 
 from __future__ import annotations
@@ -76,8 +83,11 @@ class Penalty:
     def _deriv(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _prox_candidates(self, absu: np.ndarray, alpha: float) -> list[np.ndarray]:
-        """Nonnegative minimizer candidates for each entry of ``absu``."""
+    def _prox_magnitude(self, a: np.ndarray, alpha: float) -> np.ndarray:
+        """argmin over w >= 0 of (w - a)^2 / (2*alpha) + zeta(w), for a 1-d
+        array ``a = |u|``.  May overwrite and return ``a``.  NaN and +inf
+        entries must map to themselves without floating-point warnings.
+        """
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -140,21 +150,69 @@ class Penalty:
 
         Works componentwise on arrays.  Among global minimizers the one
         with smallest magnitude is returned, and the output always
-        satisfies |out| <= |u| with sign(out) in {0, sign(u)}.
+        satisfies |out| <= |u| with sign(out) in {0, sign(u)}.  +-inf
+        maps to +-inf and NaN to NaN.
         """
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("prox step alpha must be positive")
         arr, scalar = _as_float_array(u)
-        absu = np.abs(arr)
-        cands = [np.zeros_like(absu)] + self._prox_candidates(absu, float(alpha))
-        stack = np.stack([np.clip(np.nan_to_num(c, nan=0.0), 0.0, absu) for c in cands])
-        objs = (stack - absu) ** 2 / (2.0 * alpha) + self._value(stack)
-        best = objs.min(axis=0)
-        # tie-break: smallest-magnitude candidate within a hair of the minimum
-        tied = objs <= best + 1e-12 * (1.0 + np.abs(best))
-        w = np.where(tied, stack, np.inf).min(axis=0)
-        out = np.sign(arr) * w
+        flat = arr.reshape(-1)
+        w = self._prox_magnitude(np.abs(flat), float(alpha))
+        out = np.copysign(w, flat, out=w).reshape(arr.shape)
         return float(out) if scalar else out
+
+
+def _keep_above(a: np.ndarray, thr: float, shift: float, cap: float) -> np.ndarray:
+    """Prox magnitude when two candidates compete: ``a`` itself (the flat
+    piece) where ``a > thr``, and the first piece's soft threshold
+    ``min(max(a - shift, 0), cap)`` elsewhere.  Overwrites ``a``.
+    """
+    if thr <= shift:
+        # the soft threshold is 0 at every a <= thr: hard thresholding
+        a *= a > thr
+        return a
+    w = np.subtract(a, shift)
+    np.maximum(w, 0.0, out=w)
+    np.minimum(w, cap, out=w)
+    np.copyto(w, a, where=a > thr)
+    return w
+
+
+def _log_prox_magnitude(a: np.ndarray, alpha: float, c: float, b: float) -> np.ndarray:
+    """Prox magnitude of zeta(t) = c * log(1 + b*t).
+
+    Stationary points solve b*w^2 + (1 - a*b)*w + (alpha*c*b - a) = 0.  Its
+    larger root is ``a - 2*alpha*c / (t + sqrt(t^2 - 4*alpha*c))`` with
+    ``t = a + 1/b``, a form without cancellation.  For ``a > alpha*c*b`` the
+    slope at 0 is negative and that root is the minimizer.  Below, 0 is
+    the minimizer when the objective is convex (``alpha*c*b^2 <= 1``);
+    otherwise, for ``a`` between the double-root point ``2*sqrt(alpha*c) -
+    1/b`` and ``alpha*c*b``, 0 and the root are compared by objective.
+    """
+    ac = alpha * c
+    t = a + 1.0 / b
+    s = np.multiply(t, t)
+    s -= 4.0 * ac
+    # the discriminant is negative only below the double-root point, where
+    # the selection below keeps 0
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    s += t
+    r = np.divide(2.0 * ac, s, out=t)
+    np.subtract(a, r, out=r)
+    np.maximum(r, 0.0, out=r)
+    descend = a > ac * b
+    if ac * b * b > 1.0:
+        band = a >= 2.0 * math.sqrt(ac) - 1.0 / b
+        band ^= descend
+        idx = np.flatnonzero(band)
+        if idx.size:
+            ri = r[idx]
+            # the objective at the root minus the one at 0; a tie keeps 0
+            gain = ri * (ri - 2.0 * a[idx]) / (2.0 * alpha) + c * np.log1p(b * ri)
+            descend[idx] = gain < 0.0
+    r *= descend
+    return r
 
 
 @dataclass(frozen=True)
@@ -188,16 +246,8 @@ class LogPenalty(Penalty):
         # sup |zeta''| is attained at t = 0
         return self._scale * self.theta**2
 
-    def _prox_candidates(self, absu, alpha):
-        # stationary points solve theta*w^2 + (1 - theta*u)*w + (alpha*c*theta - u) = 0
-        c = self._scale
-        a = self.theta
-        b = 1.0 - self.theta * absu
-        const = alpha * c * self.theta - absu
-        disc = b * b - 4.0 * a * const
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        return [(-b + root) / (2.0 * a), (-b - root) / (2.0 * a), absu.copy()]
+    def _prox_magnitude(self, a, alpha):
+        return _log_prox_magnitude(a, alpha, self._scale, self.theta)
 
 
 @dataclass(frozen=True)
@@ -231,14 +281,8 @@ class LogEpsilonPenalty(Penalty):
     def deriv_lipschitz(self) -> float:
         return self.lam / self.eps**2
 
-    def _prox_candidates(self, absu, alpha):
-        # stationary points solve w^2 + (eps - u)*w + (alpha*lam - u*eps) = 0
-        b = self.eps - absu
-        const = alpha * self.lam - absu * self.eps
-        disc = b * b - 4.0 * const
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        return [(-b + root) / 2.0, (-b - root) / 2.0, absu.copy()]
+    def _prox_magnitude(self, a, alpha):
+        return _log_prox_magnitude(a, alpha, self.lam, 1.0 / self.eps)
 
 
 @dataclass(frozen=True)
@@ -272,19 +316,27 @@ class ScadPenalty(Penalty):
     def deriv_lipschitz(self) -> float:
         return 1.0 / (self.theta - 1.0)
 
-    def _prox_candidates(self, absu, alpha):
+    def _prox_magnitude(self, a, alpha):
         lam, th = self.lam, self.theta
-        cands = [
-            np.clip(absu - alpha * lam, 0.0, lam),      # linear piece
-            np.full_like(absu, lam),
-            np.full_like(absu, th * lam),
-            np.maximum(absu, th * lam),                  # flat piece
-        ]
         den = th - 1.0 - alpha
-        if abs(den) > 1e-14:
-            mid = (absu * (th - 1.0) - alpha * th * lam) / den
-            cands.append(np.clip(mid, lam, th * lam))
-        return cands
+        if den > 0:
+            # convex: soft threshold up to (1+alpha)*lam, the middle piece's
+            # stationary point up to theta*lam, identity beyond
+            w = np.subtract(a, alpha * lam)
+            np.maximum(w, 0.0, out=w)
+            mid = np.multiply(a, (th - 1.0) / den)
+            mid -= alpha * th * lam / den
+            np.maximum(w, mid, out=w)
+            np.minimum(w, a, out=w)
+            return w
+        # the middle piece is concave: the linear piece's soft threshold
+        # (capped at lam) against the flat piece, which wins past the point
+        # where the linear piece's prox value reaches (theta+1)*lam^2/2
+        if alpha >= th + 1.0:
+            thr = lam * math.sqrt(alpha * (th + 1.0))
+        else:
+            thr = lam * (th + 1.0 + alpha) / 2.0
+        return _keep_above(a, thr, alpha * lam, lam)
 
 
 @dataclass(frozen=True)
@@ -315,17 +367,18 @@ class McpPenalty(Penalty):
     def deriv_lipschitz(self) -> float:
         return 1.0 / self.gamma
 
-    def _prox_candidates(self, absu, alpha):
+    def _prox_magnitude(self, a, alpha):
         lam, g = self.lam, self.gamma
-        cands = [
-            np.full_like(absu, lam * g),
-            np.maximum(absu, lam * g),                   # flat piece
-        ]
-        den = 1.0 - alpha / g
-        if abs(den) > 1e-14:
-            inner = (absu - alpha * lam) / den
-            cands.append(np.clip(inner, 0.0, lam * g))
-        return cands
+        if alpha < g:
+            # firm thresholding: min(max(a - alpha*lam, 0) / (1 - alpha/g), a)
+            w = np.subtract(a, alpha * lam)
+            np.maximum(w, 0.0, out=w)
+            w *= 1.0 / (1.0 - alpha / g)
+            np.minimum(w, a, out=w)
+            return w
+        # the quadratic piece is concave: 0 against the flat piece, whose
+        # objective lam^2*g/2 beats a^2/(2*alpha) past lam*sqrt(alpha*g)
+        return _keep_above(a, lam * math.sqrt(alpha * g), alpha * lam, 0.0)
 
 
 @dataclass(frozen=True)
@@ -374,13 +427,15 @@ class CappedL1Penalty(Penalty):
             return float(lo), float(hi)
         return lo, hi
 
-    def _prox_candidates(self, absu, alpha):
+    def _prox_magnitude(self, a, alpha):
+        # the linear piece's soft threshold (capped at theta) against the
+        # flat piece, which wins once the first's prox value exceeds lam*theta
         lam, th = self.lam, self.theta
-        return [
-            np.clip(absu - alpha * lam, 0.0, th),        # linear piece
-            np.full_like(absu, th),
-            np.maximum(absu, th),                        # flat piece
-        ]
+        if alpha * lam >= 2.0 * th:
+            thr = math.sqrt(2.0 * alpha * lam * th)
+        else:
+            thr = th + alpha * lam / 2.0
+        return _keep_above(a, thr, alpha * lam, th)
 
 
 _KINDS = {

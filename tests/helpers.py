@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here re-derives expected behavior from first principles
-(table formulas, grid search, finite differences, bisection) without
+(table formulas, grid search, candidate enumeration, finite differences,
+bisection) without
 touching the package's own minimization or derivative code paths, so a
 bug cannot hide on both sides of an assertion.
 """
@@ -46,6 +47,120 @@ def prox_grid_oracle(kind: str, u: float, alpha: float, step: float = 1e-4,
     obj = (grid - u) ** 2 / (2.0 * alpha) + zeta_reference(kind, grid, **params)
     j = int(np.argmin(obj))
     return float(grid[j]), float(obj[j])
+
+
+def prox_candidates(kind: str, absu: np.ndarray, alpha: float, **params) -> list:
+    """Nonnegative minimizer candidates of (w - |u|)^2/(2*alpha) + zeta(w):
+    the piece boundaries and the stationary point of every differentiable
+    piece, clipped to its interval.  NaN marks a candidate that does not
+    exist at that entry.
+    """
+    if kind in ("log", "log_eps"):
+        # zeta = c*log(1 + b*t); stationary points solve
+        # b*w^2 + (1 - b*u)*w + (alpha*c*b - u) = 0
+        if kind == "log":
+            c, b = params["lam"] / math.log(params["theta"] + 1.0), params["theta"]
+        else:
+            c, b = params["lam"], 1.0 / params["eps"]
+        lin = 1.0 - b * absu
+        const = alpha * c * b - absu
+        disc = lin * lin - 4.0 * b * const
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(np.where(disc >= 0, disc, np.nan))
+        return [(-lin + root) / (2.0 * b), (-lin - root) / (2.0 * b), absu.copy()]
+    if kind == "scad":
+        lam, th = params["lam"], params["theta"]
+        cands = [
+            np.clip(absu - alpha * lam, 0.0, lam),      # linear piece
+            np.full_like(absu, lam),
+            np.full_like(absu, th * lam),
+            np.maximum(absu, th * lam),                  # flat piece
+        ]
+        den = th - 1.0 - alpha
+        if abs(den) > 1e-14:
+            mid = (absu * (th - 1.0) - alpha * th * lam) / den
+            cands.append(np.clip(mid, lam, th * lam))
+        return cands
+    if kind == "mcp":
+        lam, g = params["lam"], params["gamma"]
+        cands = [
+            np.full_like(absu, lam * g),
+            np.maximum(absu, lam * g),                   # flat piece
+        ]
+        den = 1.0 - alpha / g
+        if abs(den) > 1e-14:
+            cands.append(np.clip((absu - alpha * lam) / den, 0.0, lam * g))
+        return cands
+    if kind == "capped_l1":
+        lam, th = params["lam"], params["theta"]
+        return [
+            np.clip(absu - alpha * lam, 0.0, th),        # linear piece
+            np.full_like(absu, th),
+            np.maximum(absu, th),                        # flat piece
+        ]
+    raise ValueError(kind)
+
+
+def prox_enumeration(pen, u, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact prox of a package penalty by candidate enumeration.
+
+    Evaluates the prox objective at zero and at every candidate of
+    ``prox_candidates`` and keeps the best; among candidates within
+    ``1e-12*(1 + |best|)`` of the minimum the smallest magnitude wins.
+    Only the penalty's ``value`` is used.  Returns (argmin, min objective),
+    arrays shaped like ``u``.
+    """
+    u = np.asarray(u, dtype=float)
+    absu = np.abs(u)
+    cands = [np.zeros_like(absu)] + prox_candidates(pen.kind, absu, alpha, **pen.params())
+    stack = np.stack([np.clip(np.nan_to_num(c, nan=0.0), 0.0, absu) for c in cands])
+    objs = (stack - absu) ** 2 / (2.0 * alpha) + pen.value(stack)
+    best = objs.min(axis=0)
+    tied = objs <= best + 1e-12 * (1.0 + np.abs(best))
+    w = np.where(tied, stack, np.inf).min(axis=0)
+    return np.sign(u) * w, best
+
+
+def _zeta_kinks(kind: str, params: dict) -> list:
+    """Points where zeta changes formula (its pieces' boundaries)."""
+    if kind == "scad":
+        return [params["lam"], params["theta"] * params["lam"]]
+    if kind == "mcp":
+        return [params["lam"] * params["gamma"]]
+    if kind == "capped_l1":
+        return [params["theta"]]
+    return []
+
+
+def prox_piece_changes(pen, alpha: float, lo: float, hi: float) -> np.ndarray:
+    """|u| in [lo, hi] where the enumerated prox moves to another piece.
+
+    The piece of w is 0 for w == 0, else the piece of zeta that holds w.
+    It is scanned on a 300-point geometric grid and each change is
+    narrowed by bisection; the returned points are the first |u| on the
+    new piece, within 1e-13 relative of the change.  These are the
+    thresholds a closed-form prox has to get right.
+    """
+    kinks = np.array(_zeta_kinks(pen.kind, pen.params()))
+
+    def piece(a):
+        w = np.abs(prox_enumeration(pen, a, alpha)[0])
+        return np.where(w == 0.0, 0, 1 + np.searchsorted(kinks, w, side="left"))
+
+    grid = np.geomspace(lo, hi, 300)
+    pieces = piece(grid)
+    at = np.flatnonzero(pieces[1:] != pieces[:-1])
+    left, right = grid[at], grid[at + 1]
+    p_left = pieces[at]
+    while True:
+        live = right - left > 1e-13 * right
+        if not live.any():
+            break
+        mid = 0.5 * (left + right)
+        same = piece(mid) == p_left
+        left = np.where(live & same, mid, left)
+        right = np.where(live & ~same, mid, right)
+    return right
 
 
 def fd_gradient(fun, w: np.ndarray) -> np.ndarray:

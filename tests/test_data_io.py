@@ -78,6 +78,23 @@ def test_nonincreasing_indices_rejected(tmp_path):
         read_libsvm(path)
 
 
+def test_label_only_row_is_an_empty_csr_row(tmp_path):
+    path = tmp_path / "gap.libsvm"
+    path.write_text("+1 1:0.5 3:2.0\n-1\n+1 2:1.0\n")
+    data = read_libsvm(path)
+    np.testing.assert_array_equal(data.X.indptr, [0, 2, 2, 3])
+    np.testing.assert_array_equal(data.X.toarray(),
+                                  [[0.5, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(data.y, [1.0, -1.0, 1.0])
+
+
+def test_duplicate_index_rejected_with_line_number(tmp_path):
+    path = tmp_path / "dup.libsvm"
+    path.write_text("+1 1:1.0\n-1 2:1 2:3\n")
+    with pytest.raises(LibsvmFormatError, match=r":2: indices must be strictly increasing \(2 after 2\)"):
+        read_libsvm(path)
+
+
 def test_label_normalization(tmp_path):
     path = tmp_path / "zeroone.libsvm"
     path.write_text("1 1:1.0\n0 1:2.0\n")
@@ -102,6 +119,13 @@ def test_force_p(tmp_path):
     assert data.p == 10
     with pytest.raises(LibsvmFormatError, match="exceeds"):
         read_libsvm(path, force_p=0)
+
+
+def test_force_p_below_the_largest_index_rejected(tmp_path):
+    path = tmp_path / "wide.libsvm"
+    path.write_text("+1 1:1.0 5:2.0\n-1 2:1.0\n")
+    with pytest.raises(LibsvmFormatError, match="feature index 5 exceeds forced p=3"):
+        read_libsvm(path, force_p=3)
 
 
 def test_libsvm_round_trip_exact(tmp_path):

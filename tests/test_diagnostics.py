@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
@@ -15,6 +18,7 @@ from nonconvex_mm import (
     certify,
     finite_length,
     kkt_residual,
+    make_penalty,
     rate_fit,
     run_mm,
     step_a,
@@ -48,7 +52,44 @@ def trace_from_iterates(iterates):
     return tr
 
 
+_SHAPES = {"log": {"theta": 2.0}, "log_eps": {"eps": 0.5}, "scad": {"theta": 3.7},
+           "mcp": {"gamma": 2.5}, "capped_l1": {"theta": 0.8}}
+
+
+@functools.cache
+def _loss(kind):
+    if kind == "logistic":
+        return logistic_problem().loss
+    data, _ = synth_generate(SyntheticSpec(n=40, p=12, sparsity=3, noise_sd=0.3, seed=3))
+    return LeastSquaresLoss(data)
+
+
 # -------------------------------------------------------- subgradient report
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(loss_kind=st.sampled_from(["ls", "logistic"]), scheme=st.sampled_from(["a", "b"]),
+       kind=st.sampled_from(sorted(_SHAPES)), lam=st.floats(-3, 1).map(lambda e: 10.0 ** e),
+       mu_factor=st.floats(-1, 1).map(lambda e: 10.0 ** e),
+       scale=st.floats(-3, 2).map(lambda e: 10.0 ** e), zero_share=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_certified_subgradient_dominates_kkt(loss_kind, scheme, kind, lam, mu_factor,
+                                             scale, zero_share, seed):
+    # B is a member of the subdifferential at the MM step's output, so its
+    # norm is at least the distance from 0 to that subdifferential
+    assume(not (scheme == "b" and kind == "capped_l1"))
+    loss = _loss(loss_kind)
+    prob = ProblemInstance(loss=loss, penalty=make_penalty(kind, lam, **_SHAPES[kind]))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(prob.p) * scale
+    w[rng.random(prob.p) < zero_share] = 0.0
+    mu = mu_factor * loss.lipschitz
+    w_next = (step_a if scheme == "a" else step_b)(w, prob, mu)
+    rep = subgradient_residual(w_next, w, prob, mu, scheme)
+    kkt = kkt_residual(w_next, prob)
+    assert rep.kkt == kkt
+    assert rep.B_norm >= kkt - 1e-10 * (1.0 + kkt)
+
+
+
 def test_fixed_point_gives_zero_certificate():
     prob = logistic_problem()
     w = np.zeros(prob.p)

@@ -310,8 +310,10 @@ def test_trace_records_and_objective_monotone():
 
 def test_scheme_b_step_cheaper_than_scheme_a():
     # directional timing claim only: the linearized update is one weighted
-    # soft-threshold, while the exact prox enumerates candidates; with a
-    # tiny n the per-step cost is dominated by that difference
+    # soft-threshold, while the exact log prox also solves a quadratic per
+    # coordinate; with a tiny n the per-step cost is dominated by that
+    # difference, which is about 15% of a step here, so the two steps are
+    # timed alternately and a drift in machine speed hits both alike
     import time
 
     rng = np.random.default_rng(10)
@@ -323,17 +325,16 @@ def test_scheme_b_step_cheaper_than_scheme_a():
     mu = 1.01 * loss.lipschitz
     w = rng.normal(size=p)
 
-    def med(fun, reps=15):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fun(w, prob, mu)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
+    def timed(fun):
+        t0 = time.perf_counter()
+        fun(w, prob, mu)
+        return time.perf_counter() - t0
 
-    med(step_a)  # warm up both paths
-    med(step_b)
-    assert med(step_b) <= med(step_a)
+    for _ in range(15):  # warm up both paths
+        timed(step_a)
+        timed(step_b)
+    times = np.array([(timed(step_a), timed(step_b)) for _ in range(15)])
+    assert np.median(times[:, 1]) <= np.median(times[:, 0])
 
 
 # ------------------------------------------------------ run_mm vs its parts
@@ -460,6 +461,19 @@ def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
     assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows
     np.testing.assert_array_equal(trace.final_w, w)
     assert trace.meta["kkt"] == kkt
+
+
+@pytest.mark.parametrize("make, field, value, why", [
+    (lambda: ls_problem(np.random.default_rng(17), n=60, p=12), "rho", 1.0,
+     "majorization is not strict"),
+    (logistic_problem, "rho", 0.5, "loose Frobenius bound.*certify"),
+    (logistic_problem, "mu_override", 0.1, "loose Frobenius bound.*certify"),
+])
+def test_warning_without_slack_says_the_step_is_pinned(make, field, value, why):
+    prob = make()
+    with pytest.warns(UserWarning, match=rf"<= L_f=.*every step is pinned at mu, "
+                                         rf"with no curvature search; .*{why}"):
+        run_mm(prob, MmConfig(scheme="a", max_iter=3, **{field: value}))
 
 
 class CountingLoss:

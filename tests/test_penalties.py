@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
@@ -13,7 +15,7 @@ from nonconvex_mm import (
     make_penalty,
 )
 
-from helpers import prox_grid_oracle, zeta_reference
+from helpers import prox_enumeration, prox_grid_oracle, prox_piece_changes, zeta_reference
 
 SMOOTH = [
     ("log", LogPenalty(lam=0.7, theta=2.0), {"lam": 0.7, "theta": 2.0}),
@@ -198,6 +200,130 @@ def test_prox_tie_break_prefers_smaller_magnitude():
     obj = lambda w: (w - 1.0) ** 2 / 2.0 + pen.value(abs(w))
     assert obj(0.0) == obj(1.0) == 0.5
     assert pen.prox(1.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("pen,u,alpha,expected", [
+    # h(0) = u^2/(2*alpha) equals the flat value lam^2*gamma/2 = 1
+    (McpPenalty(lam=1.0, gamma=2.0), 2.0, 2.0, 0.0),
+    # h(0) = 16/8 equals the flat value (theta+1)*lam^2/2 = 2
+    (ScadPenalty(lam=1.0, theta=3.0), 4.0, 4.0, 0.0),
+    # h(0.5) = (0.5 - 3.5)^2/6 + 0.5 equals the flat value 2
+    (ScadPenalty(lam=1.0, theta=3.0), -3.5, 3.0, -0.5),
+    # h(1) = (1 - 3)^2/4 + 1 equals the flat value 2 and the whole middle
+    # piece, which is linear at alpha = theta - 1
+    (ScadPenalty(lam=1.0, theta=3.0), 3.0, 2.0, 1.0),
+])
+def test_prox_exact_ties_go_to_the_smaller_magnitude(pen, u, alpha, expected):
+    # the larger minimizer is u itself, on the flat piece
+    assert (expected - u) ** 2 / (2 * alpha) + pen.value(abs(expected)) == pen.value(abs(u))
+    assert pen.prox(u, alpha) == expected
+
+
+@pytest.mark.parametrize("kind,pen,params", ALL)
+@pytest.mark.parametrize("alpha", [0.3, 2.5, 40.0])
+def test_prox_maps_nonfinite_input_to_itself(kind, pen, params, alpha):
+    u = np.array([np.inf, -np.inf, np.nan, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pen.prox(u, alpha)
+        assert pen.prox(-np.inf, alpha) == -np.inf
+    assert out[0] == np.inf and out[1] == -np.inf and np.isnan(out[2])
+    assert out[3] == pen.prox(1.0, alpha)
+
+
+def test_prox_rejects_nonpositive_or_nan_step():
+    pen = ScadPenalty(lam=1.0, theta=3.0)
+    for alpha in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            pen.prox(1.0, alpha)
+
+
+def test_prox_keeps_shape_and_leaves_input_alone():
+    pen = McpPenalty(lam=0.5, gamma=2.0)
+    u = np.arange(-6.0, 6.0).reshape(3, 4)[:, ::2]
+    before = u.copy()
+    out = pen.prox(u, 3.0)
+    assert out.shape == u.shape
+    np.testing.assert_array_equal(u, before)
+    np.testing.assert_array_equal(out, pen.prox(u.ravel(), 3.0).reshape(u.shape))
+
+
+# ------------------------------------------- prox against the enumeration
+def _pow10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _piece_scale(pen, alpha):
+    return max(alpha, 1.0) * pen.lam * 10.0
+
+
+@st.composite
+def _prox_case(draw, kind):
+    # below lam ~ 1e-6 every objective is under the absolute tie tolerance,
+    # so half the draws come from scales where a wrong piece shows
+    lam = draw(st.one_of(_pow10(-12, 6), _pow10(-2, 2)))
+    if kind == "log":
+        pen = LogPenalty(lam=lam, theta=draw(_pow10(-2, 2)))
+        edge = 1.0 / (pen.lam / math.log(pen.theta + 1.0) * pen.theta ** 2)
+    elif kind == "log_eps":
+        pen = LogEpsilonPenalty(lam=lam, eps=draw(_pow10(-2, 2)))
+        edge = pen.eps ** 2 / pen.lam
+    elif kind == "scad":
+        pen = ScadPenalty(lam=lam, theta=draw(st.floats(2.0, 20.0, exclude_min=True)))
+        edge = pen.theta - 1.0
+    elif kind == "mcp":
+        pen = McpPenalty(lam=lam, gamma=draw(_pow10(-1, 2)))
+        edge = pen.gamma
+    else:
+        pen = CappedL1Penalty(lam=lam, theta=lam * draw(_pow10(-2, 2)))
+        edge = 2.0 * pen.theta / lam
+    # the step on both sides of, and at, the penalty's regime boundary
+    alpha = draw(st.one_of(
+        _pow10(-3, 3),
+        st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                         edge * (1 - 1e-9), edge * (1 + 1e-9), edge / 2, edge * 1.05,
+                         edge * 2]),
+    ))
+    alpha = min(max(alpha, 1e-3), 1e3)
+    # |u| near the scale where the pieces meet, and anywhere up to 1e150
+    scale = _piece_scale(pen, alpha)
+    mag = st.one_of(st.just(0.0), _pow10(-3, 1.5).map(lambda m: scale * m), _pow10(-20, 150))
+    u = draw(st.lists(st.tuples(mag, st.sampled_from([-1.0, 1.0])), min_size=1, max_size=40))
+    return pen, alpha, np.array([m * sgn for m, sgn in u])
+
+
+# relative offsets from a piece change: within rounding of it, and far
+# enough that the wrong piece loses by more than the tie tolerance
+_NEAR = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
+
+
+def _near_piece_changes(pen, alpha):
+    scale = _piece_scale(pen, alpha)
+    edges = prox_piece_changes(pen, alpha, scale * 1e-6, scale * 1e3)
+    return (edges[:, None] * (1.0 + _NEAR)).ravel()
+
+
+def _check_against_enumeration(pen, alpha, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pen.prox(u, alpha)
+    _, best = prox_enumeration(pen, u, alpha)
+    obj = (out - u) ** 2 / (2.0 * alpha) + pen.value(np.abs(out))
+    worst = np.max(obj - best - 1e-12 * (1.0 + np.abs(best)))
+    assert worst <= 0.0, (pen, alpha, u[np.argmax(obj - best)])
+    assert np.all(np.abs(out) <= np.abs(u))
+    assert np.all((out == 0) | (np.sign(out) == np.sign(u)))
+
+
+@pytest.mark.parametrize("kind", ["log", "log_eps", "scad", "mcp", "capped_l1"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_prox_matches_enumeration_oracle(kind, data):
+    pen, alpha, u = data.draw(_prox_case(kind))
+    near = _near_piece_changes(pen, alpha)
+    if data.draw(st.booleans()):
+        near = -near
+    _check_against_enumeration(pen, alpha, np.concatenate([u, near]))
 
 
 # ------------------------------------------------------------ reg / interval
