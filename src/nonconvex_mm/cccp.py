@@ -19,14 +19,22 @@ modulus gamma_u and the global bound L_f + ridge.  Strong convexity of
 u must be certified up front: either the least-squares Gram matrix has
 full rank or an explicit ridge is added (which changes F and is
 recorded as such).
+
+The inner gradient of a least-squares loss is G x - (b + grad v(w)) +
+ridge*x, with the Gram pair (G, b) = (X^T X / n, X^T y / n) cached on
+the data set: p*p flops per evaluation.  That path runs when p*p <=
+nnz(X) (p <= n for a dense design); otherwise, and for every other
+loss, each evaluation calls ``loss.gradient``, which costs 2*nnz(X).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
 from .mm import IterateTrace, _curvature_search
@@ -187,24 +195,44 @@ class InnerSolveInfo:
 
 
 def _prox_l1_box(z: np.ndarray, thresh: float, box) -> np.ndarray:
-    out = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    out = np.abs(z)
+    out -= thresh
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, z, out=out)
     if box is not None:
-        out = np.clip(out, box[0], box[1])
+        np.maximum(out, box[0], out=out)
+        np.minimum(out, box[1], out=out)
     return out
 
 
 def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
-    """Exact distance from 0 to the subdifferential of the convex subproblem."""
-    lo = np.where(x > 0, kappa, np.where(x < 0, -kappa, -kappa))
-    hi = np.where(x > 0, kappa, np.where(x < 0, -kappa, kappa))
+    """Exact distance from 0 to the subdifferential of the convex subproblem.
+
+    Per coordinate it is max(0, grad_s + lo, -(grad_s + hi)), where
+    [lo, hi] is kappa times the subdifferential of |x_i|; a coordinate at
+    its lower (upper) box bound drops the first (second) term.
+    """
+    below = np.where(x > 0, kappa, -kappa)
+    below += grad_s
+    above = np.where(x < 0, kappa, -kappa)
+    above -= grad_s
     if box is not None:
-        blo, bhi = box
-        at_lo = x <= blo
-        at_hi = x >= bhi
-        lo = np.where(at_lo, -np.inf, lo)
-        hi = np.where(at_hi, np.inf, hi)
-    d = np.maximum(0.0, np.maximum(grad_s + lo, -(grad_s + hi)))
-    return float(np.linalg.norm(d))
+        below[x <= box[0]] = 0.0
+        above[x >= box[1]] = 0.0
+    np.maximum(below, above, out=below)
+    np.maximum(below, 0.0, out=below)
+    return math.sqrt(below @ below)
+
+
+def _inner_gram(loss):
+    """The data set's cached (X^T X / n, X^T y / n) when ``loss`` is least
+    squares and a Gram matvec (p*p flops) costs no more than the design's
+    two matvecs (2*nnz(X) flops); None otherwise."""
+    if not isinstance(loss, LeastSquaresLoss):
+        return None
+    X = loss.data.X
+    nnz = X.nnz if sp.issparse(X) else X.size
+    return loss.data.gram if X.shape[1] ** 2 <= nnz else None
 
 
 def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:
@@ -217,16 +245,30 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     L_f + ridge.  Iterates until the subproblem's first-order residual
     drops to ``cfg.inner_tol``; if the budget runs out the best iterate
     is returned flagged inexact.
+
+    For least squares with p*p <= nnz(X) the smooth gradient is
+    G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
+    and ``loss.gradient`` is never called; otherwise every evaluation
+    calls ``loss.gradient``.
     """
     w = np.asarray(w, dtype=float).ravel()
     g_v = prob.v_grad(w)
-    lip = prob.loss.lipschitz + prob.ridge
+    ridge = prob.ridge
+    lip = prob.loss.lipschitz + ridge
+    gram = _inner_gram(prob.loss)
+    b = None if gram is None else gram[1] + g_v
     evals = 0
 
     def grad_s(x):
         nonlocal evals
         evals += 1
-        return prob.loss.gradient(x) + prob.ridge * x - g_v
+        if gram is None:
+            return prob.loss.gradient(x) + ridge * x - g_v
+        out = gram[0] @ x
+        out -= b
+        if ridge:
+            out += ridge * x
+        return out
 
     def trial(L):
         x_next = _prox_l1_box(x - g / L, prob.l1_weight / L, prob.box)

@@ -12,7 +12,13 @@ Both accept a dense ndarray or a scipy CSR design matrix and are
 immutable after construction, so instances can be shared freely across
 concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
 loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
-its two halves.
+its two halves.  Each loss builds the transposed design once, so a
+sparse CSR design does not build a new CSC view on every gradient.
+
+A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n)
+the first time it is asked for.  The strong-convexity certificate reads
+its first half, and the CCCP inner loop uses the pair in place of
+``LeastSquaresLoss.gradient`` when p*p <= nnz(X).
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ class Dataset:
     """Design matrix plus targets.
 
     ``task`` is "regression" (real targets) or "classification" (labels
-    exactly in {-1, +1}).
+    exactly in {-1, +1}).  The fields are never reassigned, so the
+    least-squares Gram pair ``gram`` is built once and then shared by
+    every loss and problem made from this data set.
     """
 
     X: object  # (n, p) ndarray or scipy sparse matrix
@@ -83,6 +91,24 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X^T X / n, X^T y / n) as read-only dense arrays.
+
+        The Hessian and the linear term of the least-squares loss:
+        grad f(w) = G w - b.  Costs one X^T X on first access and p*p
+        floats kept for the life of the data set.
+        """
+        X = self.X
+        G = (X.T @ X) / self.n
+        if _is_sparse(G):
+            G = G.toarray()
+        G = np.asarray(G)
+        b = np.asarray(X.T @ self.y).ravel() / self.n
+        G.flags.writeable = False
+        b.flags.writeable = False
+        return G, b
+
 
 def _frobenius_sq(X) -> float:
     """||X||_F^2 as one dot product, without an n x p temporary."""
@@ -95,12 +121,9 @@ def least_squares_strong_convexity(data: Dataset) -> float:
 
     Certifies the strong-convexity modulus of the least-squares loss.
     Raises if the Gram matrix is singular (rank-deficient design).
+    Reads the Gram matrix cached on ``data``.
     """
-    X = data.X
-    A = (X.T @ X) / data.n
-    if _is_sparse(A):
-        A = A.toarray()
-    A = np.asarray(A)
+    A = data.gram[0]
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -124,12 +147,13 @@ class LeastSquaresLoss:
         if data.task != "regression":
             raise ValueError("least-squares loss needs regression targets")
         self.data = data
+        self._xt = data.X.T
 
     def value_and_grad(self, w) -> tuple[float, np.ndarray]:
         """f(w) and grad f(w) from one residual r = X w - y."""
         w = _check_dim(w, self.data.p)
         r = np.asarray(self.data.X @ w).ravel() - self.data.y
-        grad = np.asarray(self.data.X.T @ r).ravel() / self.data.n
+        grad = np.asarray(self._xt @ r).ravel() / self.data.n
         return float(r @ r) / (2.0 * self.data.n), grad
 
     def value(self, w) -> float:
@@ -142,7 +166,7 @@ class LeastSquaresLoss:
     def lipschitz(self) -> float:
         """Top eigenvalue of X^T X / n: Lanczos on the matvec v -> X^T (X v) / n,
         so sparse designs stay sparse."""
-        X = self.data.X
+        X, XT = self.data.X, self._xt
         n, p = X.shape
         fro2 = _frobenius_sq(X)
         if fro2 == 0.0:
@@ -150,7 +174,7 @@ class LeastSquaresLoss:
         if p == 1:
             # the Gram matrix is 1x1, and eigsh needs k < p
             return fro2 / n
-        gram = LinearOperator((p, p), matvec=lambda v: X.T @ (X @ v) / n, dtype=float)
+        gram = LinearOperator((p, p), matvec=lambda v: XT @ (X @ v) / n, dtype=float)
         # a fixed generic start: the ones vector can be an eigenvector of X^T X
         v0 = np.random.default_rng(0).standard_normal(p)
         return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
@@ -179,13 +203,14 @@ class LogisticLoss:
         if data.task != "classification":
             raise ValueError("logistic loss needs classification labels")
         self.data = data
+        self._xt = data.X.T
 
     def value_and_grad(self, w) -> tuple[float, np.ndarray]:
         """f(w) and grad f(w) from one set of margins y_i x_i^T w."""
         w = _check_dim(w, self.data.p)
         neg_margins = -(self.data.y * np.asarray(self.data.X @ w).ravel())
         coef = -self.data.y * _sigmoid(neg_margins) / self.data.n
-        return float(np.mean(_softplus(neg_margins))), np.asarray(self.data.X.T @ coef).ravel()
+        return float(np.mean(_softplus(neg_margins))), np.asarray(self._xt @ coef).ravel()
 
     def value(self, w) -> float:
         return self.value_and_grad(w)[0]

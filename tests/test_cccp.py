@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from nonconvex_mm import (
     CappedL1Penalty,
     CccpConfig,
     Dataset,
     DcProblem,
     LeastSquaresLoss,
+    LogisticLoss,
     McpPenalty,
     MmConfig,
     ProblemInstance,
@@ -17,6 +20,7 @@ from nonconvex_mm import (
     certify,
     dc_decompose,
     dc_problem_from_penalty,
+    least_squares_strong_convexity,
     run_cccp,
     run_mm,
     synth_generate,
@@ -32,6 +36,19 @@ def full_rank_ls(seed=0, n=100, p=20):
                          task="regression")
     data, _ = synth_generate(spec)
     return LeastSquaresLoss(data)
+
+
+def count_gradient_calls(loss):
+    """Replace ``loss.gradient`` by a wrapper; returns its call counter."""
+    calls = [0]
+    gradient = loss.gradient
+
+    def counting(w):
+        calls[0] += 1
+        return gradient(w)
+
+    loss.gradient = counting
+    return calls
 
 
 # ----------------------------------------------------------- decomposition
@@ -181,6 +198,82 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
     assert len(evals) == trace.num_steps()
     assert all(e >= it + 1 for e, it in zip(evals, trace.meta["inner_iterations"]))
     assert trace.mu == [None] * len(trace)
+
+
+# ------------------------------------------------------ inner gradient paths
+@pytest.mark.parametrize("sparse", [False, True])
+def test_tall_least_squares_inner_loop_never_calls_loss_gradient(sparse):
+    # p*p <= nnz(X): the inner gradient comes from the cached Gram pair
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(200, 15))
+    if sparse:
+        X = sp.csr_matrix(np.where(rng.random(X.shape) < 0.5, X, 0.0))
+    y = np.asarray(X @ rng.normal(size=15)).ravel() + 0.1 * rng.normal(size=200)
+    loss = LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=(-1.0, 1.0))
+    calls = count_gradient_calls(loss)
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and certify(trace).passed
+    assert calls[0] == 0
+    assert sum(trace.meta["inner_gradient_evals"]) > trace.num_steps()
+
+
+@pytest.mark.parametrize("box", [None, (-0.3, 0.3)])
+@pytest.mark.parametrize("ridge", [0.0, 0.4])
+def test_gram_path_matches_prox_gradient_reference(ridge, box):
+    loss = full_rank_ls(seed=21)
+    prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
+                                   box=box)
+    w = np.random.default_rng(22).uniform(-0.3, 0.3, size=prob.p)
+    g_v = prob.v_grad(w)
+    calls = count_gradient_calls(loss)
+    out, info = cccp_step(w, prob, CccpConfig(inner_tol=1e-12))
+    assert calls[0] == 0 and not info.inexact
+    gradient = loss.gradient
+    ref = prox_gradient_reference(lambda x: gradient(x) + ridge * x - g_v,
+                                  loss.lipschitz + ridge, prob.l1_weight, box,
+                                  np.zeros(prob.p), tol=1e-14)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
+
+
+def _logistic_ridge_problem():
+    spec = SyntheticSpec(n=120, p=10, sparsity=4, noise_sd=0.0, seed=23,
+                         task="classification")
+    loss = LogisticLoss(synth_generate(spec)[0])
+    return loss, dc_problem_from_penalty(loss, McpPenalty(lam=0.05, gamma=3.0),
+                                         ridge=0.5)
+
+
+def _wide_least_squares_ridge_problem():
+    loss = full_rank_ls(seed=24, n=15, p=40)
+    return loss, dc_problem_from_penalty(loss, ScadPenalty(lam=0.1, theta=3.7),
+                                         ridge=0.5, gamma_u=0.5, box=(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("make", [_logistic_ridge_problem,
+                                  _wide_least_squares_ridge_problem])
+def test_design_path_calls_loss_gradient_and_certifies(make):
+    loss, prob = make()
+    calls = count_gradient_calls(loss)
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and certify(trace).passed
+    assert calls[0] == sum(trace.meta["inner_gradient_evals"]) > trace.num_steps()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gamma_u_bitwise_equal_to_the_certificate_on_a_fresh_dataset(sparse):
+    loss = full_rank_ls(seed=25)
+    X, y = loss.data.X, loss.data.y
+    if sparse:
+        X = sp.csr_matrix(X)
+        loss = LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
+    pen = McpPenalty(lam=0.3, gamma=3.0)
+    run_cccp(dc_problem_from_penalty(loss, pen), CccpConfig(max_iter=3))
+    gamma_u = dc_problem_from_penalty(loss, pen).gamma_u
+    fresh = least_squares_strong_convexity(Dataset(X=X, y=y, task="regression"))
+    gram = (X.T @ X) / loss.data.n
+    assert gamma_u == fresh == float(np.linalg.eigvalsh(
+        gram.toarray() if sparse else gram)[0])
 
 
 # --------------------------------------------------------------- outer loop

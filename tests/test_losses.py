@@ -280,6 +280,39 @@ def test_value_and_grad_is_one_evaluation_of_both_formulas(sparse):
     assert (loss.value(w), *loss.gradient(w)) == (f, *g)
 
 
+def test_sparse_gradient_reuses_the_transpose_built_with_the_loss(monkeypatch):
+    rng = np.random.default_rng(12)
+    Xs = sp.random(30, 9, density=0.4, format="csr", random_state=rng)
+    w = rng.normal(size=9)
+    y = rng.normal(size=30)
+    labels = rng.choice([-1.0, 1.0], size=30)
+    losses = [LeastSquaresLoss(Dataset(X=Xs, y=y, task="regression")),
+              LogisticLoss(Dataset(X=Xs, y=labels, task="classification"))]
+    expected = [loss.gradient(w) for loss in losses]
+
+    def no_transpose(self, *args, **kwargs):
+        raise AssertionError("gradient built a new transpose of the design")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", no_transpose)
+    for loss, g in zip(losses, expected):
+        np.testing.assert_array_equal(loss.gradient(w), g)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gram_pair_is_cached_read_only_and_bitwise_the_formula(sparse):
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 6))
+    Xs = sp.csr_matrix(X) if sparse else X
+    d = Dataset(X=Xs, y=rng.normal(size=40), task="regression")
+    G, b = d.gram
+    expected = (Xs.T @ Xs) / 40
+    np.testing.assert_array_equal(G, expected.toarray() if sparse else expected)
+    np.testing.assert_array_equal(b, np.asarray(Xs.T @ d.y).ravel() / 40)
+    assert d.gram[0] is G and d.gram[1] is b
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+
+
 def _make_losses(rng):
     dr = regression(rng.normal(size=(20, 6)), rng.normal(size=20))
     dc = random_classification(rng, 20, 6)
