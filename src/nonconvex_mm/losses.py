@@ -3,8 +3,9 @@
 Two losses are provided:
 
 * ``LeastSquaresLoss`` -- f(w) = ||X w - y||^2 / (2n); the gradient's
-  Lipschitz constant is the top eigenvalue of X^T X / n, found by Lanczos
-  (ARPACK) to machine precision through matvecs only.
+  Lipschitz constant is the top eigenvalue of X^T X / n, read from the
+  data set's Gram spectrum when p*p <= nnz(X), otherwise found by
+  Lanczos (ARPACK) to machine precision through matvecs only.
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
@@ -15,10 +16,14 @@ loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
 its two halves.  Each loss builds the transposed design once, so a
 sparse CSR design does not build a new CSC view on every gradient.
 
-A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n)
-the first time it is asked for.  The strong-convexity certificate reads
-its first half, and the CCCP inner loop uses the pair in place of
-``LeastSquaresLoss.gradient`` when p*p <= nnz(X).
+A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n),
+its spectrum and its top eigenvalue the first time each is asked for.
+``Dataset.gram_pays`` (p*p <= nnz(X)) is the one rule for when the
+p x p Gram matrix is worth forming.  When it holds, one eigen-solve of
+the Gram matrix gives both the curvature bound (top eigenvalue) and the
+strong-convexity modulus (bottom eigenvalue), and the CCCP inner loop
+uses the pair in place of ``LeastSquaresLoss.gradient``.  Otherwise the
+top eigenvalue comes from Lanczos and the Gram matrix is never built.
 """
 
 from __future__ import annotations
@@ -49,8 +54,10 @@ class Dataset:
 
     ``task`` is "regression" (real targets) or "classification" (labels
     exactly in {-1, +1}).  The fields are never reassigned, so the
-    least-squares Gram pair ``gram`` is built once and then shared by
-    every loss and problem made from this data set.
+    least-squares Gram pair ``gram``, its spectrum ``gram_spectrum`` and
+    the top eigenvalue ``gram_top_eigenvalue`` are each computed at most
+    once and then shared by every loss and problem made from this data
+    set.
     """
 
     X: object  # (n, p) ndarray or scipy sparse matrix
@@ -109,6 +116,42 @@ class Dataset:
         b.flags.writeable = False
         return G, b
 
+    @property
+    def gram_pays(self) -> bool:
+        """Whether the p x p Gram matrix is worth forming: p*p <= nnz(X)
+        (p <= n for a dense design).  A Gram matvec then costs no more
+        than the design's two matvecs, and its p*p floats no more than
+        the design."""
+        nnz = self.X.nnz if _is_sparse(self.X) else self.X.size
+        return self.p * self.p <= nnz
+
+    @cached_property
+    def gram_spectrum(self) -> np.ndarray:
+        """All eigenvalues of X^T X / n in ascending order, read-only: one
+        ``eigvalsh`` of ``gram[0]`` on first access."""
+        ev = np.linalg.eigvalsh(self.gram[0])
+        ev.flags.writeable = False
+        return ev
+
+    @cached_property
+    def gram_top_eigenvalue(self) -> float:
+        """Top eigenvalue of X^T X / n, the least-squares curvature bound.
+
+        Read from ``gram_spectrum`` when ``gram_pays``; otherwise Lanczos
+        (ARPACK) on the matvec v -> X^T (X v) / n, so a wide sparse design
+        never forms the Gram matrix.
+        """
+        X, n, p = self.X, self.n, self.p
+        if _frobenius_sq(X) == 0.0:
+            raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
+        if self.gram_pays:
+            return float(self.gram_spectrum[-1])
+        XT = X.T
+        gram = LinearOperator((p, p), matvec=lambda v: XT @ (X @ v) / n, dtype=float)
+        # a fixed generic start: the ones vector can be an eigenvector of X^T X
+        v0 = np.random.default_rng(0).standard_normal(p)
+        return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
 
 def _frobenius_sq(X) -> float:
     """||X||_F^2 as one dot product, without an n x p temporary."""
@@ -121,14 +164,14 @@ def least_squares_strong_convexity(data: Dataset) -> float:
 
     Certifies the strong-convexity modulus of the least-squares loss.
     Raises if the Gram matrix is singular (rank-deficient design).
-    Reads the Gram matrix cached on ``data``.
+    Reads the bottom of the spectrum cached on ``data``, so it shares
+    its one eigen-solve with ``LeastSquaresLoss.lipschitz``.
     """
-    A = data.gram[0]
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(data.gram[0])
     except np.linalg.LinAlgError:
         raise ValueError("design is rank deficient; least-squares loss is not strongly convex")
-    return float(np.linalg.eigvalsh(A)[0])
+    return float(data.gram_spectrum[0])
 
 
 def _check_dim(w: np.ndarray, p: int) -> np.ndarray:
@@ -162,22 +205,11 @@ class LeastSquaresLoss:
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
 
-    @cached_property
+    @property
     def lipschitz(self) -> float:
-        """Top eigenvalue of X^T X / n: Lanczos on the matvec v -> X^T (X v) / n,
-        so sparse designs stay sparse."""
-        X, XT = self.data.X, self._xt
-        n, p = X.shape
-        fro2 = _frobenius_sq(X)
-        if fro2 == 0.0:
-            raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
-        if p == 1:
-            # the Gram matrix is 1x1, and eigsh needs k < p
-            return fro2 / n
-        gram = LinearOperator((p, p), matvec=lambda v: XT @ (X @ v) / n, dtype=float)
-        # a fixed generic start: the ones vector can be an eigenvector of X^T X
-        v0 = np.random.default_rng(0).standard_normal(p)
-        return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        """Top eigenvalue of X^T X / n, cached on the data set
+        (``Dataset.gram_top_eigenvalue``)."""
+        return self.data.gram_top_eigenvalue
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -61,7 +61,9 @@ class SubgradientInterval(NamedTuple):
 
 
 def _check_nonneg(t: np.ndarray) -> None:
-    if np.any(t < 0):
+    # one reduction and no boolean temporary; fmin skips NaN, so a NaN
+    # does not hide a negative entry, and NaN-only or empty input passes
+    if np.fmin.reduce(t, axis=None, initial=0.0) < 0:
         raise ValueError("penalty evaluated at negative argument; pass |w_i|")
 
 

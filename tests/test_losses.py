@@ -13,6 +13,7 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     certify,
+    dc_problem_from_penalty,
     least_squares_strong_convexity,
     make_loss,
     run_mm,
@@ -143,8 +144,11 @@ def sparse_p_much_greater_than_n_design():
     lambda: np.random.default_rng(7).normal(size=(5, 1)),
     lambda: np.random.default_rng(8).normal(size=(1, 5)),
     lambda: np.array([[-3.0]]),
+    # p*p <= nnz(X): the value comes from the data set's Gram spectrum
+    lambda: sp.random(200, 12, density=0.3, format="csr",
+                      random_state=np.random.default_rng(16)),
 ], ids=["negatively-correlated", "rows-orthogonal-to-ones", "clustered-spectrum",
-        "p-1", "n-1", "n-1-p-1"])
+        "p-1", "n-1", "n-1-p-1", "tall-csr"])
 def test_ls_lipschitz_exact_on_hard_designs(design):
     X = design()
     d = Dataset(X=X, y=np.ones(X.shape[0]), task="regression")
@@ -163,6 +167,53 @@ def test_lipschitz_repeatable_bitwise():
     X = sparse_p_much_greater_than_n_design()
     d = Dataset(X=X, y=np.ones(300), task="regression")
     assert len({LeastSquaresLoss(d).lipschitz for _ in range(5)}) == 1
+
+
+def count_eigen_solves(monkeypatch):
+    """Counts of np.linalg.eigvalsh and the Lanczos eigsh that losses runs."""
+    import nonconvex_mm.losses as losses_mod
+    calls = {"eigvalsh": 0, "eigsh": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(losses_mod, "eigsh", counting("eigsh", losses_mod.eigsh))
+    return calls
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_tall_data_set_runs_one_eigen_solve(sparse, monkeypatch):
+    # L_f and gamma_u of every loss and DC problem on one data set come from
+    # one eigvalsh of the cached Gram matrix
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(200, 10))
+    if sparse:
+        X = sp.csr_matrix(np.where(rng.random(X.shape) < 0.5, X, 0.0))
+    d = Dataset(X=X, y=rng.normal(size=200), task="regression")
+    calls = count_eigen_solves(monkeypatch)
+    pen = McpPenalty(lam=0.1, gamma=3.0)
+    losses = [LeastSquaresLoss(d), LeastSquaresLoss(d)]
+    probs = [dc_problem_from_penalty(loss, pen) for loss in losses]
+    lips = [loss.lipschitz for loss in losses]
+    assert calls == {"eigvalsh": 1, "eigsh": 0}
+    assert lips[0] == lips[1] == d.gram_spectrum[-1]
+    assert probs[0].gamma_u == probs[1].gamma_u == d.gram_spectrum[0] > 0
+
+
+def test_wide_sparse_design_takes_lanczos_and_never_builds_the_gram(monkeypatch):
+    # p*p > nnz(X): a p x p Gram would outweigh the design
+    X = sparse_p_much_greater_than_n_design()
+    d = Dataset(X=X, y=np.ones(300), task="regression")
+    assert X.shape[1] ** 2 > X.nnz
+    calls = count_eigen_solves(monkeypatch)
+    lips = [LeastSquaresLoss(d).lipschitz for _ in range(2)]
+    assert calls == {"eigvalsh": 0, "eigsh": 1}
+    assert lips[0] == lips[1]
+    assert "gram" not in d.__dict__ and "gram_spectrum" not in d.__dict__
 
 
 def test_negatively_correlated_design_converges_and_certifies():
@@ -311,6 +362,11 @@ def test_gram_pair_is_cached_read_only_and_bitwise_the_formula(sparse):
     assert d.gram[0] is G and d.gram[1] is b
     with pytest.raises(ValueError):
         G[0, 0] = 1.0
+    ev = d.gram_spectrum
+    np.testing.assert_array_equal(ev, np.linalg.eigvalsh(G))
+    assert d.gram_spectrum is ev
+    with pytest.raises(ValueError):
+        ev[0] = 1.0
 
 
 def _make_losses(rng):

@@ -60,6 +60,11 @@ def test_negative_argument_rejected():
         McpPenalty(lam=1.0, gamma=2.0).value(-0.1)
     with pytest.raises(ValueError):
         ScadPenalty(lam=1.0, theta=3.0).deriv(np.array([0.2, -0.2]))
+    with pytest.raises(ValueError):
+        ScadPenalty(lam=1.0, theta=3.0).deriv(np.array([np.nan, -0.2]))
+    # NaN alone and empty input are not negative, so neither raises
+    assert ScadPenalty(lam=1.0, theta=3.0).deriv(np.array([np.nan])).shape == (1,)
+    assert McpPenalty(lam=1.0, gamma=2.0).value(np.array([])).shape == (0,)
 
 
 # ------------------------------------------------------------ derivatives
