@@ -23,10 +23,11 @@ recorded as such).
 The inner gradient of a least-squares loss is G x - (b + grad v(w)) +
 ridge*x, with the Gram pair (G, b) = (X^T X / n, X^T y / n) cached on
 the data set: p*p flops per evaluation.  That path runs when p*p <=
-nnz(X) (p <= n for a dense design, ``Dataset.gram_pays``); otherwise,
-and for every other loss, each evaluation calls ``loss.gradient``,
-which costs 2*nnz(X).  On the Gram path one eigen-solve of the cached
-Gram matrix gives both L_f and gamma_u.
+nnz(X) (p <= n for a dense design); otherwise, and for every other
+loss, each evaluation calls ``loss.gradient``, which costs 2*nnz(X).
+The strong-convexity certificate of a least-squares loss makes one
+eigen-solve of the cached Gram matrix; an L_f first asked for after it
+is the top of the same spectrum, so no Lanczos solve runs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
 from .mm import IterateTrace, _curvature_search
@@ -227,11 +229,13 @@ def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -
 
 def _inner_gram(loss):
     """The data set's cached (X^T X / n, X^T y / n) when ``loss`` is least
-    squares and ``Dataset.gram_pays`` (p*p <= nnz(X)), the rule that also
-    picks how ``lipschitz`` is computed; None otherwise."""
-    if isinstance(loss, LeastSquaresLoss) and loss.data.gram_pays:
-        return loss.data.gram
-    return None
+    squares and a Gram matvec (p*p flops) costs no more than the design's
+    two matvecs (2*nnz(X) flops); None otherwise."""
+    if not isinstance(loss, LeastSquaresLoss):
+        return None
+    X = loss.data.X
+    nnz = X.nnz if sp.issparse(X) else X.size
+    return loss.data.gram if X.shape[1] ** 2 <= nnz else None
 
 
 def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:

@@ -3,9 +3,10 @@
 Two losses are provided:
 
 * ``LeastSquaresLoss`` -- f(w) = ||X w - y||^2 / (2n); the gradient's
-  Lipschitz constant is the top eigenvalue of X^T X / n, read from the
-  data set's Gram spectrum when p*p <= nnz(X), otherwise found by
-  Lanczos (ARPACK) to machine precision through matvecs only.
+  Lipschitz constant is the top eigenvalue of X^T X / n, found by Lanczos
+  (ARPACK) to machine precision through matvecs only, or read from the
+  data set's Gram spectrum when a strong-convexity certificate has
+  already computed it.
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
@@ -18,12 +19,13 @@ sparse CSR design does not build a new CSC view on every gradient.
 
 A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n),
 its spectrum and its top eigenvalue the first time each is asked for.
-``Dataset.gram_pays`` (p*p <= nnz(X)) is the one rule for when the
-p x p Gram matrix is worth forming.  When it holds, one eigen-solve of
-the Gram matrix gives both the curvature bound (top eigenvalue) and the
-strong-convexity modulus (bottom eigenvalue), and the CCCP inner loop
-uses the pair in place of ``LeastSquaresLoss.gradient``.  Otherwise the
-top eigenvalue comes from Lanczos and the Gram matrix is never built.
+The Gram matrix is formed only where it is needed anyway: by the
+strong-convexity certificate, whose one eigen-solve gives both the
+modulus (bottom eigenvalue) and the curvature bound (top eigenvalue),
+and by the CCCP inner loop, which uses the pair in place of
+``LeastSquaresLoss.gradient`` when p*p <= nnz(X).  A loss that is only
+asked for its curvature (an MM set-up) gets it from Lanczos, which
+costs about 20 matvecs and no p x p memory.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ class Dataset:
         b.flags.writeable = False
         return G, b
 
-    @property
-    def gram_pays(self) -> bool:
-        """Whether the p x p Gram matrix is worth forming: p*p <= nnz(X)
-        (p <= n for a dense design).  A Gram matvec then costs no more
-        than the design's two matvecs, and its p*p floats no more than
-        the design."""
-        nnz = self.X.nnz if _is_sparse(self.X) else self.X.size
-        return self.p * self.p <= nnz
-
     @cached_property
     def gram_spectrum(self) -> np.ndarray:
         """All eigenvalues of X^T X / n in ascending order, read-only: one
@@ -137,15 +130,21 @@ class Dataset:
     def gram_top_eigenvalue(self) -> float:
         """Top eigenvalue of X^T X / n, the least-squares curvature bound.
 
-        Read from ``gram_spectrum`` when ``gram_pays``; otherwise Lanczos
-        (ARPACK) on the matvec v -> X^T (X v) / n, so a wide sparse design
-        never forms the Gram matrix.
+        The top of ``gram_spectrum`` when that is already computed (a
+        strong-convexity certificate formed the Gram matrix); otherwise
+        Lanczos (ARPACK) on the matvec v -> X^T (X v) / n, which never
+        forms it.  Both agree to machine precision; whichever runs first
+        is kept for the life of the data set.
         """
         X, n, p = self.X, self.n, self.p
-        if _frobenius_sq(X) == 0.0:
+        fro2 = _frobenius_sq(X)
+        if fro2 == 0.0:
             raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
-        if self.gram_pays:
+        if "gram_spectrum" in self.__dict__:
             return float(self.gram_spectrum[-1])
+        if p == 1:
+            # the Gram matrix is 1x1, and eigsh needs k < p
+            return fro2 / n
         XT = X.T
         gram = LinearOperator((p, p), matvec=lambda v: XT @ (X @ v) / n, dtype=float)
         # a fixed generic start: the ones vector can be an eigenvector of X^T X
@@ -164,8 +163,8 @@ def least_squares_strong_convexity(data: Dataset) -> float:
 
     Certifies the strong-convexity modulus of the least-squares loss.
     Raises if the Gram matrix is singular (rank-deficient design).
-    Reads the bottom of the spectrum cached on ``data``, so it shares
-    its one eigen-solve with ``LeastSquaresLoss.lipschitz``.
+    Reads the bottom of the spectrum cached on ``data``; a curvature
+    bound asked for afterwards reads the top of the same spectrum.
     """
     try:
         np.linalg.cholesky(data.gram[0])

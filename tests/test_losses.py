@@ -128,6 +128,11 @@ def clustered_spectrum_design(n=60, p=40):
     return U * np.sqrt(n * ev) @ V.T
 
 
+def tall_csr_design():
+    return sp.random(200, 12, density=0.3, format="csr",
+                     random_state=np.random.default_rng(16))
+
+
 def sparse_p_much_greater_than_n_design():
     # 500 power-iteration steps from the ones vector miss 1e-8 relative
     # change here, and the trace bound is 150x above the top eigenvalue
@@ -144,15 +149,31 @@ def sparse_p_much_greater_than_n_design():
     lambda: np.random.default_rng(7).normal(size=(5, 1)),
     lambda: np.random.default_rng(8).normal(size=(1, 5)),
     lambda: np.array([[-3.0]]),
-    # p*p <= nnz(X): the value comes from the data set's Gram spectrum
-    lambda: sp.random(200, 12, density=0.3, format="csr",
-                      random_state=np.random.default_rng(16)),
+    lambda: tall_csr_design(),
+    lambda: clustered_spectrum_design().T,
 ], ids=["negatively-correlated", "rows-orthogonal-to-ones", "clustered-spectrum",
-        "p-1", "n-1", "n-1-p-1", "tall-csr"])
+        "p-1", "n-1", "n-1-p-1", "tall-csr", "clustered-spectrum-wide"])
 def test_ls_lipschitz_exact_on_hard_designs(design):
     X = design()
     d = Dataset(X=X, y=np.ones(X.shape[0]), task="regression")
     assert LeastSquaresLoss(d).lipschitz == pytest.approx(gram_top_eigenvalue(X), rel=1e-12)
+
+
+@pytest.mark.parametrize("design", [
+    lambda: negatively_correlated_design()[0],
+    clustered_spectrum_design,
+    lambda: np.random.default_rng(7).normal(size=(5, 1)),
+    lambda: np.array([[-3.0]]),
+    lambda: tall_csr_design(),
+], ids=["negatively-correlated", "clustered-spectrum", "p-1", "n-1-p-1", "tall-csr"])
+def test_ls_lipschitz_from_certified_spectrum_exact(design):
+    # after the strong-convexity certificate, L_f is the top of its spectrum
+    X = design()
+    d = Dataset(X=X, y=np.ones(X.shape[0]), task="regression")
+    least_squares_strong_convexity(d)
+    lam = LeastSquaresLoss(d).lipschitz
+    assert lam == d.gram_spectrum[-1]
+    assert lam == pytest.approx(gram_top_eigenvalue(X), rel=1e-12)
 
 
 def test_lipschitz_exact_when_power_iteration_stalls_on_sparse_design():
@@ -214,6 +235,25 @@ def test_wide_sparse_design_takes_lanczos_and_never_builds_the_gram(monkeypatch)
     assert calls == {"eigvalsh": 0, "eigsh": 1}
     assert lips[0] == lips[1]
     assert "gram" not in d.__dict__ and "gram_spectrum" not in d.__dict__
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_curvature_alone_takes_lanczos_on_a_tall_design(sparse, monkeypatch):
+    # an MM set-up asks only for L_f: no p x p Gram is formed for it, and a
+    # certificate made afterwards leaves the cached L_f as it was
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(200, 10))
+    if sparse:
+        X = sp.csr_matrix(np.where(rng.random(X.shape) < 0.5, X, 0.0))
+    d = Dataset(X=X, y=rng.normal(size=200), task="regression")
+    calls = count_eigen_solves(monkeypatch)
+    lam = LeastSquaresLoss(d).lipschitz
+    assert calls == {"eigvalsh": 0, "eigsh": 1}
+    assert "gram" not in d.__dict__ and "gram_spectrum" not in d.__dict__
+    dc_problem_from_penalty(LeastSquaresLoss(d), McpPenalty(lam=0.1, gamma=3.0))
+    assert calls == {"eigvalsh": 1, "eigsh": 1}
+    assert LeastSquaresLoss(d).lipschitz == lam
+    assert lam == pytest.approx(d.gram_spectrum[-1], rel=1e-12)
 
 
 def test_negatively_correlated_design_converges_and_certifies():
