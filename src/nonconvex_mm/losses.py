@@ -14,8 +14,12 @@ Both accept a dense ndarray or a scipy CSR design matrix and are
 immutable after construction, so instances can be shared freely across
 concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
 loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
-its two halves.  Each loss builds the transposed design once, so a
-sparse CSR design does not build a new CSC view on every gradient.
+its two halves.  ``extrapolated_gradient`` gives the gradient at an
+extrapolated point y = w + beta (w - w_prev) at the lowest cost: for
+least squares the affine combination of the two gradients already
+known, with no matvec; for logistic loss one ``value_and_grad(y)``.
+Each loss builds the transposed design once, so a sparse CSR design
+does not build a new CSC view on every gradient.
 
 A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n),
 its spectrum and its top eigenvalue the first time each is asked for.
@@ -204,25 +208,20 @@ class LeastSquaresLoss:
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
 
+    def extrapolated_gradient(self, y, beta: float, g, g_prev) -> tuple[np.ndarray, int]:
+        """grad f(y) at y = w + beta (w - w_prev), given g = grad f(w) and
+        g_prev = grad f(w_prev), and the loss evaluations it took.
+
+        The gradient is affine in w, so this is (1 + beta) g - beta g_prev:
+        no matvec, and equal to ``gradient(y)`` up to rounding.
+        """
+        return (1.0 + beta) * g - beta * g_prev, 0
+
     @property
     def lipschitz(self) -> float:
         """Top eigenvalue of X^T X / n, cached on the data set
         (``Dataset.gram_top_eigenvalue``)."""
         return self.data.gram_top_eigenvalue
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    """Stable log(1 + exp(z))."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class LogisticLoss:
@@ -239,15 +238,25 @@ class LogisticLoss:
     def value_and_grad(self, w) -> tuple[float, np.ndarray]:
         """f(w) and grad f(w) from one set of margins y_i x_i^T w."""
         w = _check_dim(w, self.data.p)
-        neg_margins = -(self.data.y * np.asarray(self.data.X @ w).ravel())
-        coef = -self.data.y * _sigmoid(neg_margins) / self.data.n
-        return float(np.mean(_softplus(neg_margins))), np.asarray(self._xt @ coef).ravel()
+        z = -(self.data.y * np.asarray(self.data.X @ w).ravel())
+        # one exp(-|z|) gives both the stable softplus log(1 + exp(z)) and
+        # the sigmoid 1 / (1 + exp(-z)), which never overflow
+        e = np.exp(-np.abs(z))
+        softplus = np.maximum(z, 0.0) + np.log1p(e)
+        sigmoid = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        coef = -self.data.y * sigmoid / self.data.n
+        return float(np.mean(softplus)), np.asarray(self._xt @ coef).ravel()
 
     def value(self, w) -> float:
         return self.value_and_grad(w)[0]
 
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
+
+    def extrapolated_gradient(self, y, beta: float, g, g_prev) -> tuple[np.ndarray, int]:
+        """grad f(y) at y = w + beta (w - w_prev) and the loss evaluations
+        it took: one ``value_and_grad(y)``, as the gradient is not affine."""
+        return self.value_and_grad(y)[1], 1
 
     @cached_property
     def lipschitz(self) -> float:
