@@ -199,6 +199,7 @@ def write_trace(trace: IterateTrace, fmt: str, path) -> None:
             "residual": list(trace.residual),
             "elapsed_sec": list(trace.elapsed_sec),
             "mu": list(trace.mu),
+            "beta": list(trace.beta),
             "converged": bool(trace.converged),
             "stop_reason": meta.get("stop_reason"),
             "final_w": None if trace.final_w is None else list(map(float, trace.final_w)),

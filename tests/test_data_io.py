@@ -267,6 +267,7 @@ def test_json_trace_carries_each_rows_mu(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["mu"] == trace.mu
     assert payload["mu"][0] is None and len(payload["mu"]) == len(payload["iter"])
+    assert payload["beta"] == trace.beta and payload["beta"][0] is None
     csv_path = tmp_path / "run.csv"
     write_trace(trace, "csv", csv_path)
     assert csv_path.read_text().splitlines()[0] == "iter,objective,step_norm,residual,elapsed_sec"

@@ -371,6 +371,31 @@ def test_value_and_grad_is_one_evaluation_of_both_formulas(sparse):
     assert (loss.value(w), *loss.gradient(w)) == (f, *g)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_extrapolated_gradient_is_the_gradient_at_y(sparse):
+    # least squares combines the two known gradients with no evaluation;
+    # logistic loss evaluates once at y
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 12)) * np.logspace(0, 1, 12)
+    Xs = sp.csr_matrix(X) if sparse else X
+    w, w_prev = rng.normal(size=12), rng.normal(size=12)
+    losses = (LeastSquaresLoss(Dataset(X=Xs, y=rng.normal(size=40), task="regression")),
+              LogisticLoss(Dataset(X=Xs, y=rng.choice([-1.0, 1.0], size=40),
+                                   task="classification")))
+    for loss in losses:
+        g, g_prev = loss.gradient(w), loss.gradient(w_prev)
+        for beta in (0.0, 0.3, 0.6, 1.0):
+            y = w + beta * (w - w_prev)
+            g_y, evals = loss.extrapolated_gradient(y, beta, g, g_prev)
+            ref = loss.value_and_grad(y)[1]
+            if loss.kind == "ls":
+                assert evals == 0
+                assert np.linalg.norm(g_y - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                assert evals == 1
+                np.testing.assert_array_equal(g_y, ref)
+
+
 def test_sparse_gradient_reuses_the_transpose_built_with_the_loss(monkeypatch):
     rng = np.random.default_rng(12)
     Xs = sp.random(30, 9, density=0.4, format="csr", random_state=rng)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
@@ -27,6 +28,7 @@ from nonconvex_mm import (
     subgradient_residual,
     synth_generate,
     SyntheticSpec,
+    certify,
 )
 
 from nonconvex_mm.mm import _curvature_search
@@ -354,19 +356,41 @@ _ORACLE_PENALTIES = [("log", {"theta": 1.0}), ("log_eps", {"eps": 0.5}),
                      ("capped_l1", {"theta": 1.0})]
 
 
-def reference_run(prob, scheme, mus, tol):
+class AnchoredLoss:
+    """A loss whose gradient at the anchor y is the given g_y, so the public
+    one-step functions take the step from y that run_mm takes."""
+
+    def __init__(self, loss, y, g_y):
+        self.inner, self.kind, self.data = loss, loss.kind, loss.data
+        self.lipschitz = loss.lipschitz
+        self.y, self.g_y = y, g_y
+
+    def gradient(self, w):
+        return self.g_y if np.array_equal(w, self.y) else self.inner.gradient(w)
+
+
+def reference_run(prob, scheme, mus, tol, betas=None):
     """The MM loop written with the public one-step functions only, taking
-    step k with the surrogate weight mus[k]."""
+    step k with the surrogate weight mus[k] from the anchor
+    y = w + betas[k] (w - w_prev), whose gradient is the loss's
+    ``extrapolated_gradient`` (y = w when betas[k] is 0 or betas is None)."""
     step = step_a if scheme == "a" else step_b
-    w = np.zeros(prob.p)
+    w = w_prev = np.zeros(prob.p)
     rows = [(prob.objective(w), 0.0, kkt_residual(w, prob))]
-    for mu in mus:
-        w_next = step(w, prob, mu)
-        report = subgradient_residual(w_next, w, prob, mu, scheme)
+    for mu, beta in zip(mus, betas or [0.0] * len(mus)):
+        y, anchored = w, prob
+        if beta > 0.0:
+            y = w + beta * (w - w_prev)
+            g_y, _ = prob.loss.extrapolated_gradient(y, beta, prob.loss.gradient(w),
+                                                     prob.loss.gradient(w_prev))
+            anchored = ProblemInstance(loss=AnchoredLoss(prob.loss, y, g_y),
+                                       penalty=prob.penalty)
+        w_next = step(y, anchored, mu)
+        report = subgradient_residual(w_next, y, anchored, mu, scheme)
         delta = w_next - w
         rows.append((prob.objective(w_next), float(np.linalg.norm(delta)), report.B_norm))
         assert report.kkt == kkt_residual(w_next, prob)
-        w = w_next
+        w_prev, w = w, w_next
         if np.max(np.abs(delta)) <= tol:
             break
     return rows, w, kkt_residual(w, prob)
@@ -376,16 +400,19 @@ def reference_run(prob, scheme, mus, tol):
 def test_run_mm_bitwise_equals_reference_loop(kind, shape):
     pen = make_penalty(kind, 0.1, **shape)
     schemes = ("a", "b") if pen.supports_linearization else ("a",)
+    extrapolated = 0
     for (loss_kind, loss), scheme in itertools.product(_oracle_problems(), schemes):
         prob = ProblemInstance(loss=loss, penalty=pen)
         trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=1e-9,
                                       record_iterates=False))
-        assert trace.mu[0] is None
-        rows, w, kkt = reference_run(prob, scheme, trace.mu[1:], 1e-9)
+        assert trace.mu[0] is None and trace.beta[0] is None
+        rows, w, kkt = reference_run(prob, scheme, trace.mu[1:], 1e-9, trace.beta[1:])
         assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows, (
             loss_kind, scheme)
         np.testing.assert_array_equal(trace.final_w, w)
         assert trace.meta["kkt"] == kkt
+        extrapolated += sum(b > 0.0 for b in trace.beta[1:])
+    assert extrapolated > 0
 
 
 # ------------------------------------------------------- curvature search
@@ -413,10 +440,48 @@ def test_every_mu_k_is_capped_and_majorizes(scheme, loss_kind):
     assert mus[0] == mu
     # the curvature search leaves the loose global bound behind
     assert min(mus) < mu
-    for w, w_next, mu_k in zip(trace.iterates, trace.iterates[1:], mus):
-        f_next = prob.loss.value(w_next)
-        q = quad_surrogate_value(w_next, w, mu_k - gamma, prob.loss)
+    assert any(b > 0.0 for b in trace.beta[1:])
+    assert_majorizes_at_anchors(prob, trace)
+
+
+def assert_majorizes_at_anchors(prob, trace):
+    """Each step's Q_f with weight mu_k - gamma majorizes f at the step's
+    output, about its anchor y_k = w_k + beta_k (w_k - w_{k-1})."""
+    gamma, W = trace.meta["gamma"], trace.iterates
+    for k, (mu_k, beta) in enumerate(zip(trace.mu[1:], trace.beta[1:])):
+        y = W[k] + beta * (W[k] - W[k - 1]) if beta > 0.0 else W[k]
+        f_next = prob.loss.value(W[k + 1])
+        q = quad_surrogate_value(W[k + 1], y, mu_k - gamma, prob.loss)
         assert q >= f_next - 1e-12 * (1.0 + abs(f_next))
+
+
+_LINEARIZABLE = [(kind, shape) for kind, shape in _ORACLE_PENALTIES if kind != "capped_l1"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(loss_kind=st.sampled_from(["ls", "logistic"]), scheme=st.sampled_from(["a", "b"]),
+       penalty=st.sampled_from(_LINEARIZABLE), lam=st.floats(-3, 0).map(lambda e: 10.0 ** e),
+       decades=st.floats(0, 2), sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_accelerated_run_is_certified_and_majorizes_at_each_anchor(
+        loss_kind, scheme, penalty, lam, decades, sparse, seed):
+    # column scales over up to 2 decades make the extrapolation overshoot,
+    # so both accepted and rejected extrapolated steps occur
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 10)) * np.logspace(0, decades, 10)
+    w_true = np.where(rng.random(10) < 0.4, rng.normal(size=10), 0.0)
+    margin = X @ w_true + 0.3 * rng.normal(size=40)
+    design = sp.csr_matrix(X) if sparse else X
+    if loss_kind == "ls":
+        loss = LeastSquaresLoss(Dataset(X=design, y=margin, task="regression"))
+    else:
+        loss = LogisticLoss(Dataset(X=design, y=np.where(margin >= 0, 1.0, -1.0),
+                                    task="classification"))
+    kind, shape = penalty
+    prob = ProblemInstance(loss=loss, penalty=make_penalty(kind, lam, **shape))
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=80, tol=1e-10))
+    cert = certify(trace)
+    assert cert.passed, cert.failures
+    assert_majorizes_at_anchors(prob, trace)
 
 
 def test_curvature_search_doubles_back_from_a_tiny_start():
@@ -463,6 +528,56 @@ def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
     assert trace.meta["kkt"] == kkt
 
 
+class ScaledExtrapolation:
+    """A loss whose gradient at an extrapolated point is scaled, so the
+    step from there is wrong by design."""
+
+    def __init__(self, loss, scale):
+        self.inner, self.kind, self.data = loss, loss.kind, loss.data
+        self.lipschitz = loss.lipschitz
+        self.scale = scale
+
+    def value_and_grad(self, w):
+        return self.inner.value_and_grad(w)
+
+    def extrapolated_gradient(self, *args):
+        g_y, evals = self.inner.extrapolated_gradient(*args)
+        return self.scale * g_y, evals
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("scale", [1e3, 0.0], ids=["overshoot", "stall"])
+def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale):
+    # an overshooting step fails the descent check; one that stalls at y
+    # descends but fails the subgradient bound
+    base = logistic_problem()
+    prob = ProblemInstance(loss=ScaledExtrapolation(base.loss, scale), penalty=base.penalty)
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=100, tol=1e-9))
+    steps = trace.num_steps()
+    assert trace.converged and steps > 20
+    assert certify(trace).passed
+    # every try is rejected and restarts the momentum at t = 1, so the step
+    # after it is plain too and the run tries every second step
+    assert trace.meta["extrapolated_steps"] == 0
+    assert trace.meta["restarts"] == steps // 2
+    assert trace.beta[1:] == [0.0] * steps
+    rows, w, kkt = reference_run(base, scheme, trace.mu[1:], 1e-9)
+    assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows
+    np.testing.assert_array_equal(trace.final_w, w)
+
+
+def test_restart_counts_add_up_on_an_accelerated_run():
+    prob = logistic_problem()
+    trace = run_mm(prob, MmConfig(scheme="b", max_iter=500, tol=1e-10))
+    betas = np.asarray(trace.beta[1:])
+    meta = trace.meta
+    assert meta["extrapolated_steps"] == np.count_nonzero(betas) > 0
+    assert meta["restarts"] > 0
+    assert np.all(betas <= 0.6)
+    # one evaluation at y per extrapolation tried, accepted or not
+    assert meta["loss_evals"] >= trace.num_steps() + meta["extrapolated_steps"] + meta["restarts"]
+
+
 @pytest.mark.parametrize("make, field, value, why", [
     (lambda: ls_problem(np.random.default_rng(17), n=60, p=12), "rho", 1.0,
      "majorization is not strict"),
@@ -472,7 +587,8 @@ def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
 def test_warning_without_slack_says_the_step_is_pinned(make, field, value, why):
     prob = make()
     with pytest.warns(UserWarning, match=rf"<= L_f=.*every step is pinned at mu, "
-                                         rf"with no curvature search; .*{why}"):
+                                         rf"with no curvature search; no extrapolation "
+                                         rf"is tried; .*{why}"):
         run_mm(prob, MmConfig(scheme="a", max_iter=3, **{field: value}))
 
 
@@ -495,6 +611,11 @@ class CountingLoss:
     def gradient(self, w):
         self.calls["gradient"] += 1
         return self.inner.gradient(w)
+
+    def extrapolated_gradient(self, *args):
+        # the wrapped loss's formula run on this object, so that an
+        # evaluation it makes is counted
+        return type(self.inner).extrapolated_gradient(self, *args)
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])
