@@ -482,6 +482,11 @@ def test_accelerated_run_is_certified_and_majorizes_at_each_anchor(
     cert = certify(trace)
     assert cert.passed, cert.failures
     assert_majorizes_at_anchors(prob, trace)
+    # momentum is tried only where f does not ascend along it
+    W = trace.iterates
+    for k, beta in enumerate(trace.beta[1:]):
+        if beta > 0.0:
+            assert float(loss.gradient(W[k]) @ (W[k] - W[k - 1])) <= 0.0
 
 
 def test_curvature_search_doubles_back_from_a_tiny_start():
@@ -556,8 +561,8 @@ def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale):
     steps = trace.num_steps()
     assert trace.converged and steps > 20
     assert certify(trace).passed
-    # every try is rejected and restarts the momentum at t = 1, so the step
-    # after it is plain too and the run tries every second step
+    # every try is skipped or rejected and restarts the momentum at t = 1,
+    # so the step after it is plain too and the run tries every second step
     assert trace.meta["extrapolated_steps"] == 0
     assert trace.meta["restarts"] == steps // 2
     assert trace.beta[1:] == [0.0] * steps
@@ -574,8 +579,8 @@ def test_restart_counts_add_up_on_an_accelerated_run():
     assert meta["extrapolated_steps"] == np.count_nonzero(betas) > 0
     assert meta["restarts"] > 0
     assert np.all(betas <= 0.6)
-    # one evaluation at y per extrapolation tried, accepted or not
-    assert meta["loss_evals"] >= trace.num_steps() + meta["extrapolated_steps"] + meta["restarts"]
+    # an accepted extrapolated step also evaluated the loss at y
+    assert meta["loss_evals"] >= trace.num_steps() + meta["extrapolated_steps"]
 
 
 @pytest.mark.parametrize("make, field, value, why", [
