@@ -1,7 +1,10 @@
 """Dataset ingestion, synthetic problem generation, trace serialization.
 
 The libsvm text format is ``label idx:val idx:val ...`` with 1-based,
-strictly increasing indices per line; ``#`` starts a comment.  Synthetic
+strictly increasing indices per line and finite numbers; ``#`` starts a
+comment.  The reader tokenizes the whole file in one pass and checks the
+format on whole arrays; a line loop runs only to name the first offending
+line of a malformed file.  Synthetic
 problems use the counter-based Philox generator so identical specs are
 bitwise reproducible, including across processes and parallel sweeps.
 
@@ -14,7 +17,9 @@ configuration echo.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,62 +101,138 @@ def _normalize_labels(raw: np.ndarray, path: str) -> np.ndarray:
     )
 
 
+# CSR column indices are int32, so a 1-based index may be at most 2**31 - 1
+_MAX_INDEX = int(np.iinfo(np.int32).max)
+
+
 def read_libsvm(path, task: str = "classification", force_p: int | None = None) -> Dataset:
     """Parse a libsvm text file into a CSR-backed Dataset.
 
     ``p`` is the maximum feature index seen unless ``force_p`` pins it
     (for train/test consistency).
+
+    One tokenizing pass: each line is split once into its label and its
+    feature text; the feature tokens of all lines are joined, ``:`` is
+    turned into a space, and the result is split once.  The indices and
+    the values are then converted by one ``np.array`` each (Python's own
+    ``int``/``float`` parsing, so the numbers are those of a token-by-token
+    read), and the row offsets are the cumulative per-row token counts.
+    The format rules are checked on whole arrays: one ``:`` per token,
+    indices in [1, 2**31 - 1] and strictly increasing within each row,
+    finite labels and values.  Only when a check fails or a conversion
+    raises does a line loop run, to raise a ``LibsvmFormatError`` naming
+    the first offending line.
     """
-    labels: list[float] = []
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                labels.append(float(tokens[0]))
-            except ValueError:
-                raise LibsvmFormatError(f"{path}:{lineno}: bad label {tokens[0]!r}")
-            prev = 0
-            for tok in tokens[1:]:
-                try:
-                    idx_str, val_str = tok.split(":", 1)
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError:
-                    raise LibsvmFormatError(f"{path}:{lineno}: bad feature token {tok!r}")
-                if idx < 1:
-                    raise LibsvmFormatError(f"{path}:{lineno}: index {idx} is not 1-based")
-                if idx <= prev:
-                    raise LibsvmFormatError(
-                        f"{path}:{lineno}: indices must be strictly increasing "
-                        f"({idx} after {prev})"
-                    )
-                prev = idx
-                indices.append(idx - 1)
-                values.append(val)
-            max_index = max(max_index, prev)
-            indptr.append(len(indices))
-    if not labels:
+        text = fh.read()
+    # per data line: its number, its label token and its feature text; three
+    # lists rather than a list of tuples, whose memory CPython keeps on its
+    # tuple free list after the call
+    linenos, label_toks, feat_texts = [], [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.partition("#")[0].strip().split(None, 1)
+        if parts:
+            linenos.append(lineno)
+            label_toks.append(parts[0])
+            feat_texts.append(parts[1] if len(parts) == 2 else "")
+    if not linenos:
         raise LibsvmFormatError(f"{path}: no samples")
+    try:
+        labels = np.array(label_toks, dtype=float)
+        pieces = _index_value_pieces(" ".join(f for f in feat_texts if f))
+        idx = np.array(pieces[0::2], dtype=np.int64)
+        values = np.array(pieces[1::2], dtype=float)
+    except (ValueError, OverflowError):
+        _locate_error(path, linenos, label_toks, feat_texts)
+    indptr = np.zeros(len(linenos) + 1, dtype=np.int64)
+    np.cumsum([f.count(":") for f in feat_texts], out=indptr[1:])
+    increasing = np.diff(idx) > 0
+    starts = indptr[1:-1]
+    increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+    if not (np.all(increasing) and np.all(idx >= 1) and np.all(idx <= _MAX_INDEX)
+            and np.all(np.isfinite(values)) and np.all(np.isfinite(labels))):
+        _locate_error(path, linenos, label_toks, feat_texts)
+    max_index = int(idx.max()) if idx.size else 0
     p = force_p if force_p is not None else max_index
     if p < max_index:
         raise LibsvmFormatError(f"{path}: feature index {max_index} exceeds forced p={p}")
     if p < 1:
         raise LibsvmFormatError(f"{path}: no features present")
-    X = sp.csr_matrix(
-        (np.asarray(values), np.asarray(indices, dtype=np.int32), np.asarray(indptr)),
-        shape=(len(labels), p),
-    )
-    y = np.asarray(labels)
+    X = sp.csr_matrix((values, (idx - 1).astype(np.int32), indptr), shape=(len(linenos), p))
+    y = labels
     if task == "classification":
         y = _normalize_labels(y, str(path))
     return Dataset(X=X, y=y, task=task)
+
+
+def _index_value_pieces(feats: str) -> list[str]:
+    """The feature tokens of ``feats`` split into [index, value, index, ...].
+
+    Raises ``ValueError`` unless every token holds exactly one ':'.
+    Printable ASCII text has no whitespace but ' ', and one ':' per token
+    then leaves no room for a double space, so such text is split as it
+    is; other text is first re-joined by single spaces.
+    """
+    if not feats:
+        return []
+    b = np.frombuffer(feats.encode("utf-8"), dtype=np.uint8)
+    if not (b.min() >= ord(" ") and b.max() <= ord("~") and _one_colon_per_token(b)):
+        feats = " ".join(feats.split())
+        if not _one_colon_per_token(np.frombuffer(feats.encode("utf-8"), dtype=np.uint8)):
+            raise ValueError("a feature token without exactly one ':'")
+    return feats.replace(":", " ").split(" ")
+
+
+def _one_colon_per_token(b: np.ndarray) -> bool:
+    """Whether every token of the space-joined UTF-8 bytes ``b`` has one ':'.
+
+    That holds exactly when the separators alternate ':', ' ', ':', ...,
+    ':', i.e. each space lies between two consecutive colons.  ':' and ' '
+    never occur inside a multi-byte UTF-8 sequence.
+    """
+    colons = np.flatnonzero(b == ord(":"))
+    spaces = np.flatnonzero(b == ord(" "))
+    return (colons.size == spaces.size + 1 and bool(np.all(colons[:-1] < spaces))
+            and bool(np.all(spaces < colons[1:])))
+
+
+def _locate_error(path, linenos, label_toks, feat_texts) -> NoReturn:
+    """Raise the ``LibsvmFormatError`` of the first offending line.
+
+    Runs only after a whole-array check of ``read_libsvm`` failed, and
+    walks the data lines token by token in file order.
+    """
+    for lineno, label, feats in zip(linenos, label_toks, feat_texts):
+        try:
+            value = float(label)
+        except ValueError:
+            raise LibsvmFormatError(f"{path}:{lineno}: bad label {label!r}")
+        if not math.isfinite(value):
+            raise LibsvmFormatError(f"{path}:{lineno}: non-finite label {label!r}")
+        prev = 0
+        for tok in feats.split():
+            try:
+                idx_str, val_str = tok.split(":", 1)
+                idx = int(idx_str)
+                val = float(val_str)
+            except ValueError:
+                raise LibsvmFormatError(f"{path}:{lineno}: bad feature token {tok!r}")
+            if idx < 1:
+                raise LibsvmFormatError(f"{path}:{lineno}: index {idx} is not 1-based")
+            if idx > _MAX_INDEX:
+                raise LibsvmFormatError(
+                    f"{path}:{lineno}: index {idx} exceeds the largest supported "
+                    f"index {_MAX_INDEX}"
+                )
+            if idx <= prev:
+                raise LibsvmFormatError(
+                    f"{path}:{lineno}: indices must be strictly increasing "
+                    f"({idx} after {prev})"
+                )
+            if not math.isfinite(val):
+                raise LibsvmFormatError(f"{path}:{lineno}: non-finite value in {tok!r}")
+            prev = idx
+    raise AssertionError(f"{path}: the array checks failed but no line is at fault")
 
 
 def _fmt(x: float) -> str:

@@ -10,6 +10,7 @@ bug cannot hide on both sides of an assertion.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def zeta_reference(kind: str, t, **params):
@@ -214,6 +215,71 @@ def prox_gradient_reference(grad, lipschitz: float, l1: float, box, x0: np.ndarr
             return x_new
         x = x_new
     return x
+
+
+def read_libsvm_lines(path, task: str = "classification", force_p=None):
+    """Token-by-token libsvm reader: the package's former line loop.
+
+    Returns (X as CSR, y).  Raises ``ValueError`` with the message the
+    package's ``LibsvmFormatError`` carries for the same fault; it has no
+    check for non-finite numbers or for indices beyond int32.
+    """
+    labels, indptr, indices, values = [], [0], [], []
+    max_index = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            try:
+                labels.append(float(tokens[0]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad label {tokens[0]!r}")
+            prev = 0
+            for tok in tokens[1:]:
+                try:
+                    idx_str, val_str = tok.split(":", 1)
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
+                if idx < 1:
+                    raise ValueError(f"{path}:{lineno}: index {idx} is not 1-based")
+                if idx <= prev:
+                    raise ValueError(
+                        f"{path}:{lineno}: indices must be strictly increasing "
+                        f"({idx} after {prev})"
+                    )
+                prev = idx
+                indices.append(idx - 1)
+                values.append(val)
+            max_index = max(max_index, prev)
+            indptr.append(len(indices))
+    if not labels:
+        raise ValueError(f"{path}: no samples")
+    p = force_p if force_p is not None else max_index
+    if p < max_index:
+        raise ValueError(f"{path}: feature index {max_index} exceeds forced p={p}")
+    if p < 1:
+        raise ValueError(f"{path}: no features present")
+    X = sp.csr_matrix(
+        (np.asarray(values), np.asarray(indices, dtype=np.int32), np.asarray(indptr)),
+        shape=(len(labels), p),
+    )
+    y = np.asarray(labels)
+    if task == "classification":
+        seen = set(np.unique(y))
+        if seen <= {-1.0, 1.0}:
+            pass
+        elif seen <= {0.0, 1.0}:
+            y = np.where(y == 0.0, -1.0, 1.0)
+        else:
+            raise ValueError(
+                f"{path}: classification labels must be in {{-1,+1}} or {{0,1}}, "
+                f"got {sorted(seen)}"
+            )
+    return X, y
 
 
 def read_csv_columns(path):

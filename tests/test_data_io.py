@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import nonconvex_mm.data_io as data_io
 
 from nonconvex_mm import (
     Dataset,
@@ -24,7 +28,7 @@ from nonconvex_mm import (
     write_trace,
 )
 
-from helpers import read_csv_columns
+from helpers import read_csv_columns, read_libsvm_lines
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny.libsvm")
 
@@ -147,6 +151,186 @@ def test_libsvm_round_trip_sparse(tmp_path):
     back = read_libsvm(path)
     np.testing.assert_array_equal(back.X.toarray(), X.toarray())
     np.testing.assert_array_equal(back.y, data.y)
+
+
+def test_index_beyond_int32_rejected_with_line_number(tmp_path):
+    path = tmp_path / "huge.libsvm"
+    path.write_text("+1 1:1.0\n-1 3000000000:1.0\n")
+    with pytest.raises(LibsvmFormatError,
+                       match=r"huge\.libsvm:2: index 3000000000 exceeds the largest supported"):
+        read_libsvm(path)
+    # beyond int64 the vectorized conversion overflows; the line is still named
+    path.write_text("+1 1:1.0\n-1 1:1.0\n+1 99999999999999999999:1.0\n")
+    with pytest.raises(LibsvmFormatError, match=r":3: index 99999999999999999999 exceeds"):
+        read_libsvm(path)
+    path.write_text(f"+1 {2**31 - 1}:1.0\n")
+    assert read_libsvm(path).p == 2**31 - 1
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1 1:1.0\nnan 1:2.0\n", r":2: non-finite label 'nan'"),
+    ("1 1:1.0\n-inf 1:2.0\n", r":2: non-finite label '-inf'"),
+    ("1 1:1.0\n2 1:1.0 2:inf\n", r":2: non-finite value in '2:inf'"),
+    ("1 1:nan\n", r":1: non-finite value in '1:nan'"),
+    ("# head\n1 1:1.0\n\n2 3:1e999\n", r":4: non-finite value in '3:1e999'"),
+], ids=["nan-label", "inf-label", "inf-value", "nan-value", "overflowing-value"])
+def test_non_finite_number_rejected_with_line_number(tmp_path, text, match):
+    path = tmp_path / "nonfinite.libsvm"
+    path.write_text(text)
+    for task in ("regression", "classification"):
+        with pytest.raises(LibsvmFormatError, match=match):
+            read_libsvm(path, task=task)
+
+
+@pytest.mark.parametrize("line, token", [
+    ("+1 1:2:3 4", "1:2:3"),   # one token with two ':' beside one with none
+    ("+1 3: 4:5", "3:"),
+    ("+1 :3 4:5", ":3"),
+    ("+1 2:1 7", "7"),
+])
+def test_token_without_exactly_one_colon_is_located_not_misread(tmp_path, line, token):
+    path = tmp_path / "colons.libsvm"
+    path.write_text(f"-1 1:1.0\n{line}\n")
+    with pytest.raises(LibsvmFormatError, match=f":2: bad feature token '{token}'"):
+        read_libsvm(path)
+
+
+def _never_locate(*args):
+    raise AssertionError("a well-formed file entered the error-locating loop")
+
+
+def test_well_formed_files_never_enter_the_error_loop(tmp_path):
+    paths = [FIXTURE]
+    text = "# header\r\n+1 1:0.5 3:2.0 # tail\r\n-1\r\n\r\n  +1\t2:1e-300   4:-0  \r\n-1 1:5"
+    paths.append(tmp_path / "mixed.libsvm")
+    paths[-1].write_bytes(text.encode())
+    spec = SyntheticSpec(n=30, p=40, sparsity=5, noise_sd=0.1, seed=4, task="regression")
+    data, _ = synth_generate(spec)
+    X = np.asarray(data.X)
+    X[np.abs(X) < 1.0] = 0.0
+    paths.append(tmp_path / "sparse.libsvm")
+    write_libsvm(Dataset(X=sp.csr_matrix(X), y=data.y, task="regression"), paths[-1])
+    with mock.patch.object(data_io, "_locate_error", _never_locate):
+        for path in paths:
+            read_libsvm(path, task="regression", force_p=100)
+
+
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t "])
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.6e}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+0.5", "-0", "0", "5e-324", "1E-300", "-2.5e+10", ".5", "7."]),
+)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """(file text, task, force_p, lines of data rows) for a well-formed file
+    with empty and label-only rows, comments, blank lines and mixed line
+    endings; force_p may leave trailing all-zero columns."""
+    task = draw(st.sampled_from(["regression", "classification"]))
+    if task == "classification":
+        label_set = draw(st.sampled_from([["+1", "-1"], ["1", "-1"], ["0", "1"]]))
+        labels = st.sampled_from(label_set)
+    else:
+        labels = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+                           st.integers(-5, 5).map(str))
+    p_used = draw(st.integers(1, 12))
+    lines, data_lines = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", "   ", "# a comment", "  # 1:2 3:4"])))
+        cols = sorted(draw(st.sets(st.integers(1, p_used), max_size=p_used)))
+        tokens = [draw(labels)] + [f"{j}:{draw(_VALUES)}" for j in cols]
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for tok in tokens:
+            line += tok + draw(_SEPARATORS)
+        line = line[:-1] + draw(st.sampled_from(["", " ", " # note 9:9"]))
+        data_lines.append(len(lines))
+        lines.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    force_p = draw(st.one_of(st.none(), st.integers(p_used, p_used + 5)))
+    return text, task, force_p, data_lines
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=libsvm_texts())
+def test_reader_bitwise_equal_to_the_line_loop(tmp_path, case):
+    text, task, force_p, _ = case
+    path = tmp_path / "case.libsvm"
+    path.write_bytes(text.encode())
+    try:
+        X, y = read_libsvm_lines(path, task=task, force_p=force_p)
+    except ValueError as err:
+        # e.g. "no features present" when every row is label-only
+        with pytest.raises(LibsvmFormatError) as caught:
+            read_libsvm(path, task=task, force_p=force_p)
+        assert str(caught.value) == str(err)
+        return
+    with mock.patch.object(data_io, "_locate_error", _never_locate):
+        data = read_libsvm(path, task=task, force_p=force_p)
+    assert data.X.shape == X.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(data.X, name), getattr(X, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert data.y.dtype == y.dtype and data.y.tobytes() == y.tobytes()
+
+
+# kind -> (injected token or None for a replaced label, whether the line loop
+# reports the same message)
+_FAULTS = {
+    "bad-label": ("abc", True),
+    "colon-label": ("1:2", True),
+    "nan-label": ("nan", False),
+    "inf-label": ("-inf", False),
+    "word": ("x", True),
+    "two-colons": ("5:1:2", True),
+    "empty-index": (":5", True),
+    "empty-value": ("5:", True),
+    "float-index": ("1.5:2", True),
+    "bad-value": ("{j}:abc", True),
+    "zero-index": ("0:1", True),
+    "negative-index": ("-3:1", True),
+    "repeated-index": ("{last}:1", True),
+    "nan-value": ("{j}:nan", False),
+    "inf-value": ("{j}:1e999", False),
+    "int32-index": ("3000000000:1", False),
+    "int64-index": ("99999999999999999999:1", False),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=libsvm_texts(), data=st.data())
+def test_one_malformed_token_is_reported_on_its_line(tmp_path, case, data):
+    text, task, force_p, data_lines = case
+    kind = data.draw(st.sampled_from(sorted(_FAULTS)))
+    token, same_message = _FAULTS[kind]
+    ending = "\r\n" if "\r\n" in text else "\n"
+    lines = text.split(ending)
+    at = data.draw(st.sampled_from(data_lines))
+    line, hash_, comment = lines[at].partition("#")
+    tokens = line.split()
+    last = int(tokens[-1].split(":")[0]) if len(tokens) > 1 else 0
+    if kind.endswith("label"):
+        tokens[0] = token
+    else:
+        tokens.append(token.format(j=last + 1, last=last))
+    lines[at] = " ".join(tokens) + " " + hash_ + comment
+    path = tmp_path / "bad.libsvm"
+    path.write_bytes(ending.join(lines).encode())
+    # the injected index last + 1 may pass p by one; that is not the fault tested
+    force_p = None if force_p is None else force_p + 1
+    with pytest.raises(LibsvmFormatError) as caught:
+        read_libsvm(path, task=task, force_p=force_p)
+    assert str(caught.value).startswith(f"{path}:{at + 1}: ")
+    if same_message:
+        with pytest.raises(ValueError) as expected:
+            read_libsvm_lines(path, task=task, force_p=force_p)
+        assert str(caught.value) == str(expected.value)
 
 
 # --------------------------------------------------------------- synthetic
