@@ -4,9 +4,10 @@ Two losses are provided:
 
 * ``LeastSquaresLoss`` -- f(w) = ||X w - y||^2 / (2n); the gradient's
   Lipschitz constant is the top eigenvalue of X^T X / n, found by Lanczos
-  (ARPACK) to machine precision through matvecs only, or read from the
-  data set's Gram spectrum when a strong-convexity certificate has
-  already computed it.
+  (ARPACK) to machine precision through matvecs only, on the smaller of
+  the two Gram sides (X X^T / n has the same top eigenvalue, and is the
+  smaller one when n < p), or read from the data set's Gram spectrum
+  when a strong-convexity certificate has already computed it.
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
@@ -29,7 +30,8 @@ modulus (bottom eigenvalue) and the curvature bound (top eigenvalue),
 and by the CCCP inner loop, which uses the pair in place of
 ``LeastSquaresLoss.gradient`` when p*p <= nnz(X).  A loss that is only
 asked for its curvature (an MM set-up) gets it from Lanczos, which
-costs about 20 matvecs and no p x p memory.
+costs about 20 matvec pairs, vectors of length min(n, p) and no p x p
+memory.
 """
 
 from __future__ import annotations
@@ -136,9 +138,14 @@ class Dataset:
 
         The top of ``gram_spectrum`` when that is already computed (a
         strong-convexity certificate formed the Gram matrix); otherwise
-        Lanczos (ARPACK) on the matvec v -> X^T (X v) / n, which never
-        forms it.  Both agree to machine precision; whichever runs first
-        is kept for the life of the data set.
+        Lanczos (ARPACK) on the smaller Gram side, which is never formed:
+        X^T X / n and X X^T / n share their nonzero eigenvalues, so with
+        m = min(n, p) it runs on v -> X^T (X v) / n in R^p when p <= n and
+        on v -> X (X^T v) / n in R^n when n < p.  Either way one iteration
+        costs one matvec with X and one with X^T, and ARPACK keeps vectors
+        of length m.  When m == 1 the one eigenvalue is ||X||_F^2 / n.
+        All paths agree to machine precision; whichever runs first is kept
+        for the life of the data set.
         """
         X, n, p = self.X, self.n, self.p
         fro2 = _frobenius_sq(X)
@@ -146,13 +153,15 @@ class Dataset:
             raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
         if "gram_spectrum" in self.__dict__:
             return float(self.gram_spectrum[-1])
-        if p == 1:
-            # the Gram matrix is 1x1, and eigsh needs k < p
+        m = min(n, p)
+        if m == 1:
+            # the smaller Gram matrix is 1x1, and eigsh needs k < m
             return fro2 / n
-        XT = X.T
-        gram = LinearOperator((p, p), matvec=lambda v: XT @ (X @ v) / n, dtype=float)
-        # a fixed generic start: the ones vector can be an eigenvector of X^T X
-        v0 = np.random.default_rng(0).standard_normal(p)
+        # outer @ (inner @ v) / n is X^T X v / n when p <= n, X X^T v / n else
+        outer, inner = (X.T, X) if p <= n else (X, X.T)
+        gram = LinearOperator((m, m), matvec=lambda v: outer @ (inner @ v) / n, dtype=float)
+        # a fixed generic start: the ones vector can be an eigenvector of the Gram
+        v0 = np.random.default_rng(0).standard_normal(m)
         return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from nonconvex_mm import (
     Dataset,
@@ -235,6 +236,34 @@ def test_wide_sparse_design_takes_lanczos_and_never_builds_the_gram(monkeypatch)
     assert calls == {"eigvalsh": 0, "eigsh": 1}
     assert lips[0] == lips[1]
     assert "gram" not in d.__dict__ and "gram_spectrum" not in d.__dict__
+
+
+@pytest.mark.parametrize("design", [
+    lambda: np.random.default_rng(19).normal(size=(40, 7)),
+    lambda: np.random.default_rng(20).normal(size=(7, 40)),
+    lambda: np.random.default_rng(21).normal(size=(9, 9)),
+    tall_csr_design,
+    sparse_p_much_greater_than_n_design,
+], ids=["tall", "wide", "square", "tall-csr", "wide-csr"])
+def test_lanczos_runs_on_the_smaller_gram_side(design, monkeypatch):
+    # X^T X / n and X X^T / n share their top eigenvalue; ARPACK is given
+    # the min(n, p) x min(n, p) one
+    import nonconvex_mm.losses as losses_mod
+    X = design()
+    shapes = []
+
+    def recording(A, *args, **kwargs):
+        shapes.append(A.shape)
+        v = np.random.default_rng(0).standard_normal(A.shape[1])
+        assert A.matvec(v).shape == (A.shape[0],)
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(losses_mod, "eigsh", recording)
+    d = Dataset(X=X, y=np.ones(X.shape[0]), task="regression")
+    lam = LeastSquaresLoss(d).lipschitz
+    m = min(X.shape)
+    assert shapes == [(m, m)]
+    assert lam == pytest.approx(gram_top_eigenvalue(X), rel=1e-12)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
