@@ -112,36 +112,35 @@ def read_libsvm(path, task: str = "classification", force_p: int | None = None) 
     (for train/test consistency).
 
     One tokenizing pass: each line is split once into its label and its
-    feature text; the feature tokens of all lines are joined, ``:`` is
-    turned into a space, and the result is split once.  The indices and
-    the values are then converted by one ``np.array`` each (Python's own
-    ``int``/``float`` parsing, so the numbers are those of a token-by-token
-    read), and the row offsets are the cumulative per-row token counts.
+    feature text; the feature tokens of a block of lines are joined, ``:``
+    is turned into a space, and the result is split once.  The indices
+    and the values of the block are then converted by one ``np.array``
+    each (Python's own ``int``/``float`` parsing, so the numbers are those
+    of a token-by-token read), and the row offsets are the cumulative
+    per-row token counts.
+
     The format rules are checked on whole arrays: one ``:`` per token,
     indices in [1, 2**31 - 1] and strictly increasing within each row,
     finite labels and values.  Only when a check fails or a conversion
     raises does a line loop run, to raise a ``LibsvmFormatError`` naming
     the first offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     # per data line: its number, its label token and its feature text; three
     # lists rather than a list of tuples, whose memory CPython keeps on its
     # tuple free list after the call
     linenos, label_toks, feat_texts = [], [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        parts = line.partition("#")[0].strip().split(None, 1)
-        if parts:
-            linenos.append(lineno)
-            label_toks.append(parts[0])
-            feat_texts.append(parts[1] if len(parts) == 2 else "")
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.partition("#")[0].strip().split(None, 1)
+            if parts:
+                linenos.append(lineno)
+                label_toks.append(parts[0])
+                feat_texts.append(parts[1] if len(parts) == 2 else "")
     if not linenos:
         raise LibsvmFormatError(f"{path}: no samples")
     try:
         labels = np.array(label_toks, dtype=float)
-        pieces = _index_value_pieces(" ".join(f for f in feat_texts if f))
-        idx = np.array(pieces[0::2], dtype=np.int64)
-        values = np.array(pieces[1::2], dtype=float)
+        idx, values = _parse_features(feat_texts)
     except (ValueError, OverflowError):
         _locate_error(path, linenos, label_toks, feat_texts)
     indptr = np.zeros(len(linenos) + 1, dtype=np.int64)
@@ -163,6 +162,31 @@ def read_libsvm(path, task: str = "classification", force_p: int | None = None) 
     if task == "classification":
         y = _normalize_labels(y, str(path))
     return Dataset(X=X, y=y, task=task)
+
+
+# feature text is converted per block of rows of about this many characters,
+# so only one block's index and value strings (several bytes of Python
+# objects per byte of text) are alive at once
+_BLOCK_CHARS = 1 << 16
+
+
+def _parse_features(feat_texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (int64) and values (float) of all feature tokens in file order.
+
+    Rows are joined and split in blocks of about ``_BLOCK_CHARS``
+    characters, each converted by one ``np.array`` per kind.  Raises
+    ``ValueError`` or ``OverflowError`` where a token does not parse.
+    """
+    idx_blocks, val_blocks = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    start, chars = 0, 0
+    for stop, feats in enumerate(feat_texts, start=1):
+        chars += len(feats)
+        if chars >= _BLOCK_CHARS or stop == len(feat_texts):
+            pieces = _index_value_pieces(" ".join(f for f in feat_texts[start:stop] if f))
+            idx_blocks.append(np.array(pieces[0::2], dtype=np.int64))
+            val_blocks.append(np.array(pieces[1::2], dtype=float))
+            start, chars = stop, 0
+    return np.concatenate(idx_blocks), np.concatenate(val_blocks)
 
 
 def _index_value_pieces(feats: str) -> list[str]:

@@ -255,10 +255,14 @@ def libsvm_texts(draw):
     return text, task, force_p, data_lines
 
 
+# characters per conversion block: one row per block, a few rows, all rows
+_BLOCK_SIZES = st.sampled_from([1, 40, data_io._BLOCK_CHARS])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=libsvm_texts())
-def test_reader_bitwise_equal_to_the_line_loop(tmp_path, case):
+@given(case=libsvm_texts(), block=_BLOCK_SIZES)
+def test_reader_bitwise_equal_to_the_line_loop(tmp_path, case, block):
     text, task, force_p, _ = case
     path = tmp_path / "case.libsvm"
     path.write_bytes(text.encode())
@@ -270,7 +274,8 @@ def test_reader_bitwise_equal_to_the_line_loop(tmp_path, case):
             read_libsvm(path, task=task, force_p=force_p)
         assert str(caught.value) == str(err)
         return
-    with mock.patch.object(data_io, "_locate_error", _never_locate):
+    with mock.patch.object(data_io, "_locate_error", _never_locate), \
+            mock.patch.object(data_io, "_BLOCK_CHARS", block):
         data = read_libsvm(path, task=task, force_p=force_p)
     assert data.X.shape == X.shape
     for name in ("data", "indices", "indptr"):
@@ -304,8 +309,8 @@ _FAULTS = {
 
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=libsvm_texts(), data=st.data())
-def test_one_malformed_token_is_reported_on_its_line(tmp_path, case, data):
+@given(case=libsvm_texts(), block=_BLOCK_SIZES, data=st.data())
+def test_one_malformed_token_is_reported_on_its_line(tmp_path, case, block, data):
     text, task, force_p, data_lines = case
     kind = data.draw(st.sampled_from(sorted(_FAULTS)))
     token, same_message = _FAULTS[kind]
@@ -324,7 +329,8 @@ def test_one_malformed_token_is_reported_on_its_line(tmp_path, case, data):
     path.write_bytes(ending.join(lines).encode())
     # the injected index last + 1 may pass p by one; that is not the fault tested
     force_p = None if force_p is None else force_p + 1
-    with pytest.raises(LibsvmFormatError) as caught:
+    with pytest.raises(LibsvmFormatError) as caught, \
+            mock.patch.object(data_io, "_BLOCK_CHARS", block):
         read_libsvm(path, task=task, force_p=force_p)
     assert str(caught.value).startswith(f"{path}:{at + 1}: ")
     if same_message:
