@@ -115,10 +115,13 @@ class Dataset:
         floats kept for the life of the data set.
         """
         X = self.X
-        G = (X.T @ X) / self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = (X.T @ X) / self.n
         if _is_sparse(G):
             G = G.toarray()
         G = np.asarray(G)
+        if not np.isfinite(G).all():
+            raise _scale_error(X, overflow=True)
         b = np.asarray(X.T @ self.y).ravel() / self.n
         G.flags.writeable = False
         b.flags.writeable = False
@@ -149,8 +152,6 @@ class Dataset:
         """
         X, n, p = self.X, self.n, self.p
         fro2 = _frobenius_sq(X)
-        if fro2 == 0.0:
-            raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
         if "gram_spectrum" in self.__dict__:
             return float(self.gram_spectrum[-1])
         m = min(n, p)
@@ -166,9 +167,36 @@ class Dataset:
 
 
 def _frobenius_sq(X) -> float:
-    """||X||_F^2 as one dot product, without an n x p temporary."""
-    x = X.data if _is_sparse(X) else X.ravel(order="K")
-    return float(x @ x)
+    """||X||_F^2 as one dot product, without an n x p temporary.
+
+    Raises a ValueError when it is 0 or not finite: the design is all
+    zero, or its scale is so small or so large that the sum of squares
+    underflows or overflows in double precision.
+    """
+    x = _entries(X)
+    with np.errstate(over="ignore"):
+        fro2 = float(x @ x)
+    if 0.0 < fro2 < np.inf:
+        return fro2
+    if not np.any(x):
+        raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
+    raise _scale_error(X, overflow=bool(fro2))
+
+
+def _entries(X) -> np.ndarray:
+    """The stored entries of X as a flat view, without a copy."""
+    return X.data if _is_sparse(X) else X.ravel(order="K")
+
+
+def _scale_error(X, overflow: bool) -> ValueError:
+    """The error for a nonzero design whose sums of squares overflow or
+    underflow in double precision; it names the largest entry magnitude."""
+    top = float(np.max(np.abs(_entries(X))))
+    what = "overflow" if overflow else "underflow to 0"
+    return ValueError(
+        f"design matrix scale out of range: its largest entry magnitude {top:.3g} "
+        f"makes sums of squares of its entries {what} in double precision; rescale X"
+    )
 
 
 def least_squares_strong_convexity(data: Dataset) -> float:
@@ -182,6 +210,9 @@ def least_squares_strong_convexity(data: Dataset) -> float:
     try:
         np.linalg.cholesky(data.gram[0])
     except np.linalg.LinAlgError:
+        # a nonzero design whose squares underflow has an all-zero Gram
+        # matrix; _frobenius_sq names that scale instead
+        _frobenius_sq(data.X)
         raise ValueError("design is rank deficient; least-squares loss is not strongly convex")
     return float(data.gram_spectrum[0])
 
@@ -269,10 +300,7 @@ class LogisticLoss:
 
     @cached_property
     def lipschitz(self) -> float:
-        fro2 = _frobenius_sq(self.data.X)
-        if fro2 == 0.0:
-            raise ValueError("all-zero design matrix: curvature constant degenerates to 0")
-        return fro2 / (4.0 * self.data.n)
+        return _frobenius_sq(self.data.X) / (4.0 * self.data.n)
 
 
 _LOSSES = {"ls": LeastSquaresLoss, "logistic": LogisticLoss}

@@ -67,6 +67,22 @@ def _check_nonneg(t: np.ndarray) -> None:
         raise ValueError("penalty evaluated at negative argument; pass |w_i|")
 
 
+def _check_finite_constants(pen, param: str, constants) -> None:
+    """Reject a shape whose constants are not finite: ``constants()`` returns
+    the parameters and the scale and curvature values the solvers use, and
+    ``param`` names the shape parameter the error reports."""
+    try:
+        finite = all(map(math.isfinite, constants()))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{type(pen).__name__}: {param}={getattr(pen, param)!r} with lam={pen.lam!r} "
+            "is out of range: both parameters, the penalty's scale and the Lipschitz "
+            "constant of its derivative must all be finite in double precision"
+        )
+
+
 def _as_float_array(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     return arr, arr.ndim == 0
@@ -180,6 +196,11 @@ def _keep_above(a: np.ndarray, thr: float, shift: float, cap: float) -> np.ndarr
     return w
 
 
+# 1/b from which the log prox factors t = a + 1/b out of its square root,
+# as t*t would overflow (tiny theta, huge eps)
+_LOG_PROX_FACTORED_FROM = 1e150
+
+
 def _log_prox_magnitude(a: np.ndarray, alpha: float, c: float, b: float) -> np.ndarray:
     """Prox magnitude of zeta(t) = c * log(1 + b*t).
 
@@ -193,14 +214,26 @@ def _log_prox_magnitude(a: np.ndarray, alpha: float, c: float, b: float) -> np.n
     """
     ac = alpha * c
     t = a + 1.0 / b
-    s = np.multiply(t, t)
-    s -= 4.0 * ac
-    # the discriminant is negative only below the double-root point, where
-    # the selection below keeps 0
-    np.maximum(s, 0.0, out=s)
-    np.sqrt(s, out=s)
-    s += t
-    r = np.divide(2.0 * ac, s, out=t)
+    if 1.0 / b < _LOG_PROX_FACTORED_FROM:
+        s = np.multiply(t, t)
+        s -= 4.0 * ac
+        # the discriminant is negative only below the double-root point,
+        # where the selection below keeps 0
+        np.maximum(s, 0.0, out=s)
+        np.sqrt(s, out=s)
+        s += t
+        r = np.divide(2.0 * ac, s, out=t)
+    else:
+        # t*t would overflow; with t factored out of the square root the
+        # root is a - q / (1 + sqrt(1 - 2q/t)), q = 2*alpha*c / t
+        q = np.divide(2.0 * ac, t)
+        s = np.divide(q, t)
+        s *= -2.0
+        s += 1.0
+        np.maximum(s, 0.0, out=s)
+        np.sqrt(s, out=s)
+        s += 1.0
+        r = np.divide(q, s, out=t)
     np.subtract(a, r, out=r)
     np.maximum(r, 0.0, out=r)
     descend = a > ac * b
@@ -230,13 +263,17 @@ class LogPenalty(Penalty):
             raise ValueError("lam must be positive")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
+        _check_finite_constants(
+            self, "theta",
+            lambda: (self.lam, self.theta, self._scale, self.deriv_lipschitz()))
 
     def params(self) -> dict:
         return {"lam": self.lam, "theta": self.theta}
 
     @property
     def _scale(self) -> float:
-        return self.lam / math.log(self.theta + 1.0)
+        # log1p: log(theta + 1.0) is 0 for theta below half an ulp of 1
+        return self.lam / math.log1p(self.theta)
 
     def _value(self, t):
         return self._scale * np.log1p(self.theta * t)
@@ -270,6 +307,8 @@ class LogEpsilonPenalty(Penalty):
             raise ValueError("lam must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        _check_finite_constants(
+            self, "eps", lambda: (self.lam, self.eps, self.deriv_lipschitz()))
 
     def params(self) -> dict:
         return {"lam": self.lam, "eps": self.eps}
@@ -281,7 +320,10 @@ class LogEpsilonPenalty(Penalty):
         return self.lam / (t + self.eps)
 
     def deriv_lipschitz(self) -> float:
-        return self.lam / self.eps**2
+        # a float eps**2 raises OverflowError from about eps = 1.3e154 up
+        if self.eps < 1e154:
+            return self.lam / self.eps**2
+        return self.lam / self.eps / self.eps
 
     def _prox_magnitude(self, a, alpha):
         return _log_prox_magnitude(a, alpha, self.lam, 1.0 / self.eps)

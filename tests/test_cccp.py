@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
@@ -38,16 +39,18 @@ def full_rank_ls(seed=0, n=100, p=20):
     return LeastSquaresLoss(data)
 
 
-def count_gradient_calls(loss):
-    """Replace ``loss.gradient`` by a wrapper; returns its call counter."""
+def count_calls(loss, name):
+    """Replace the loss method ``name`` by a wrapper; returns its call counter.
+    A ``value_and_grad`` wrapper also counts the calls ``value`` and
+    ``gradient`` make through it."""
     calls = [0]
-    gradient = loss.gradient
+    method = getattr(loss, name)
 
     def counting(w):
         calls[0] += 1
-        return gradient(w)
+        return method(w)
 
-    loss.gradient = counting
+    setattr(loss, name, counting)
     return calls
 
 
@@ -200,6 +203,92 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
     assert trace.mu == [None] * len(trace)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
+       kappa=st.floats(0.0, 3.0), stretch=st.floats(1.0, 20.0),
+       box=st.sampled_from(["none", "finite", "half", "pinned"]))
+def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box):
+    # s(x) = x^T G x / 2 - c^T x with G PSD; the prox step from x with any
+    # L >= gamma_u gives B = grad s(x+) - grad s(x) - L (x+ - x), a member of
+    # the subproblem's subdifferential at x+, so ||B|| bounds the residual
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(rng.integers(1, 2 * p + 1), p))
+    G = A.T @ A / A.shape[0]
+    c = rng.normal(size=p)
+    ev = np.linalg.eigvalsh(G)
+    # L from gamma_u (floored at 1e-3) up to 11 times the top eigenvalue
+    L = max(ev[0], 1e-3) * stretch if stretch < 10.0 else ev[-1] * (stretch - 9.0)
+    lo = rng.uniform(-2.0, 0.5, size=p)
+    bounds = {"none": None,
+              "finite": (lo, lo + rng.uniform(0.0, 2.0, size=p)),
+              "half": (lo, np.full(p, np.inf)),
+              "pinned": (lo, lo.copy())}[box]
+    x = rng.normal(size=p)
+    if bounds is not None:
+        x = np.clip(x, *bounds)
+    g = G @ x - c
+    x_next = cccp_module._prox_l1_box(x - g / L, kappa / L, bounds)
+    g_next = G @ x_next - c
+    cert = float(np.linalg.norm(g_next - g - L * (x_next - x)))
+    resid = cccp_module._subproblem_residual(x_next, g_next, kappa, bounds)
+    scale = kappa + np.linalg.norm(g) + np.linalg.norm(g_next) + L * (
+        np.linalg.norm(x) + np.linalg.norm(x_next))
+    assert resid <= cert + 1e-12 * scale
+
+
+def _inner_stop_problem(ridge):
+    loss = full_rank_ls(seed=26)
+    return dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), ridge=ridge,
+                                   box=(-0.4, 0.4))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("inner_max_iter", [1, 3, 10_000])
+def test_inner_solve_reports_the_exact_residual_and_gradient(ridge, inner_max_iter):
+    prob = _inner_stop_problem(ridge)
+    loss = prob.loss
+    w = np.random.default_rng(27).uniform(-0.4, 0.4, size=prob.p)
+    cfg = CccpConfig(inner_tol=1e-11, inner_max_iter=inner_max_iter)
+    out, info = cccp_step(w, prob, cfg)
+    grad_s = loss.gradient(out) + ridge * out - prob.v_grad(w)
+    np.testing.assert_allclose(info.smooth_grad, grad_s, rtol=0, atol=1e-13)
+    exact = cccp_module._subproblem_residual(out, info.smooth_grad, prob.l1_weight,
+                                             prob.box)
+    assert info.residual == exact
+    assert info.inexact == (exact > cfg.inner_tol)
+    if inner_max_iter == 10_000:
+        assert not info.inexact and info.residual <= cfg.inner_tol
+    else:
+        assert info.iterations == inner_max_iter and info.inexact
+
+
+def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch):
+    prob = _inner_stop_problem(0.0)
+    w = np.random.default_rng(28).uniform(-0.4, 0.4, size=prob.p)
+    search, exact = cccp_module._curvature_search, cccp_module._subproblem_residual
+    certs, residuals = [], []
+
+    def recording_search(trial, x, g, *args):
+        out = search(trial, x, g, *args)
+        L, (x_next, g_next) = out[0], out[1][:2]
+        certs.append(float(np.linalg.norm(g_next - g - L * (x_next - x))))
+        return out
+
+    def recording_residual(*args):
+        residuals.append(exact(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(cccp_module, "_curvature_search", recording_search)
+    monkeypatch.setattr(cccp_module, "_subproblem_residual", recording_residual)
+    tol = 1e-11
+    _, info = cccp_step(w, prob, CccpConfig(inner_tol=tol))
+    first = next(k for k, c in enumerate(certs, start=1) if c <= tol)
+    assert info.iterations == first == len(certs) > 1
+    # the exact residual ran at the start point and to confirm the stop
+    assert len(residuals) == 2 and residuals[0] > tol
+    assert residuals[1] == info.residual <= certs[-1]
+
+
 # ------------------------------------------------------ inner gradient paths
 @pytest.mark.parametrize("sparse", [False, True])
 def test_tall_least_squares_inner_loop_never_calls_loss_gradient(sparse):
@@ -211,7 +300,7 @@ def test_tall_least_squares_inner_loop_never_calls_loss_gradient(sparse):
     y = np.asarray(X @ rng.normal(size=15)).ravel() + 0.1 * rng.normal(size=200)
     loss = LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
     prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=(-1.0, 1.0))
-    calls = count_gradient_calls(loss)
+    calls = count_calls(loss, "gradient")
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     assert trace.converged and certify(trace).passed
     assert calls[0] == 0
@@ -226,7 +315,7 @@ def test_gram_path_matches_prox_gradient_reference(ridge, box):
                                    box=box)
     w = np.random.default_rng(22).uniform(-0.3, 0.3, size=prob.p)
     g_v = prob.v_grad(w)
-    calls = count_gradient_calls(loss)
+    calls = count_calls(loss, "gradient")
     out, info = cccp_step(w, prob, CccpConfig(inner_tol=1e-12))
     assert calls[0] == 0 and not info.inexact
     gradient = loss.gradient
@@ -254,7 +343,7 @@ def _wide_least_squares_ridge_problem():
                                   _wide_least_squares_ridge_problem])
 def test_design_path_calls_loss_gradient_and_certifies(make):
     loss, prob = make()
-    calls = count_gradient_calls(loss)
+    calls = count_calls(loss, "gradient")
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     assert trace.converged and certify(trace).passed
     assert calls[0] == sum(trace.meta["inner_gradient_evals"]) > trace.num_steps()
@@ -277,6 +366,45 @@ def test_gamma_u_bitwise_equal_to_the_certificate_on_a_fresh_dataset(sparse):
 
 
 # --------------------------------------------------------------- outer loop
+def _tall_boxed_problem():
+    loss = full_rank_ls(seed=29)
+    return loss, dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0),
+                                         box=(-0.3, 0.3))
+
+
+def _tall_ridge_problem():
+    loss = full_rank_ls(seed=30, n=80, p=12)
+    return loss, dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7),
+                                         ridge=0.4)
+
+
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
+                                  _wide_least_squares_ridge_problem,
+                                  _logistic_ridge_problem])
+def test_objective_column_matches_the_objective_at_every_iterate(make):
+    _, prob = make()
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and certify(trace).passed and trace.num_steps() > 5
+    for F, w in zip(trace.objective, trace.iterates):
+        assert abs(F - prob.objective(w)) <= 1e-12 * max(1.0, abs(F))
+
+
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
+                                  _wide_least_squares_ridge_problem])
+def test_least_squares_run_evaluates_the_loss_once_outside_the_inner_loop(make):
+    loss, prob = make()
+    evals = count_calls(loss, "value_and_grad")
+    values = count_calls(loss, "value")
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and trace.num_steps() > 5
+    assert values[0] == 0
+    # the Gram path makes no loss evaluation in the inner loop; the design
+    # path makes one per inner gradient
+    inner = 0 if cccp_module._inner_gram(loss) is not None else sum(
+        trace.meta["inner_gradient_evals"])
+    assert evals[0] == 1 + inner
+
+
 def test_pure_convex_case_matches_reference_solver():
     loss = full_rank_ls(seed=3, n=60, p=10)
     kappa = 0.3

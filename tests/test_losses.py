@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -301,6 +302,32 @@ def test_zero_design_rejected():
     dc = classification(np.zeros((3, 2)), [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         LogisticLoss(dc).lipschitz
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("scale, what", [(1e-200, "underflow to 0"), (1e200, "overflow")])
+@pytest.mark.parametrize("ask", ["ls_lipschitz", "logistic_lipschitz", "cccp_setup"])
+def test_design_at_extreme_scale_rejected_with_its_scale(capfd, sparse, scale, what, ask):
+    # 1e-200 once read as an all-zero design; at 1e200 Lanczos raised an
+    # ArpackError after LAPACK printed to stderr, and the logistic bound was inf
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(50, 20))
+    X[0, 0] = 4.0
+    X = X * scale
+    X = sp.csr_matrix(X) if sparse else X
+    if ask == "logistic_lipschitz":
+        loss = LogisticLoss(Dataset(X=X, y=rng.choice([-1.0, 1.0], size=50),
+                                    task="classification"))
+    else:
+        loss = LeastSquaresLoss(Dataset(X=X, y=rng.normal(size=50), task="regression"))
+    message = f"design matrix scale out of range: its largest entry magnitude {4.0 * scale:.3g}"
+    with pytest.raises(ValueError, match=re.escape(message) + f".*{what}"):
+        if ask == "cccp_setup":
+            dc_problem_from_penalty(loss, McpPenalty(lam=0.2, gamma=3.0))
+        else:
+            loss.lipschitz
+    assert capfd.readouterr().err == ""
 
 
 def test_strong_convexity_modulus_matches_eigensolver():

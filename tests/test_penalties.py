@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,13 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
+    Dataset,
+    LeastSquaresLoss,
     LogEpsilonPenalty,
     LogPenalty,
     McpPenalty,
+    MmConfig,
+    ProblemInstance,
     ScadPenalty,
     UnsupportedPenaltyError,
+    certify,
     make_penalty,
+    run_mm,
 )
+from nonconvex_mm import penalties as penalties_module
 
 from helpers import prox_enumeration, prox_grid_oracle, prox_piece_changes, zeta_reference
 
@@ -384,3 +392,54 @@ def test_parameter_validation():
         LogEpsilonPenalty(lam=1.0, eps=0.0)
     with pytest.raises(ValueError):
         CappedL1Penalty(lam=1.0, theta=-1.0)
+
+
+# ------------------------------------------------------------ extreme shapes
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, param, value", [
+    (LogPenalty, "theta", 5e-324),          # lam / log1p(theta) overflows
+    (LogPenalty, "theta", 1e200),           # the curvature scale * theta**2 overflows
+    (LogPenalty, "theta", math.inf),
+    (LogPenalty, "theta", math.nan),
+    (LogEpsilonPenalty, "eps", 1e-300),     # lam / eps**2 divides by zero
+    (LogEpsilonPenalty, "eps", 5e-324),
+    (LogEpsilonPenalty, "eps", math.inf),
+])
+def test_log_shapes_with_nonfinite_constants_rejected(capfd, make, param, value):
+    message = f"{make.__name__}: {param}={value!r} with lam=0.3 is out of range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(lam=0.3, **{param: value})
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
+    # log(theta + 1.0) is 0 here; log1p keeps the normalizer, and the prox
+    # factors its root so that (1/theta)**2 does not overflow
+    pen = LogPenalty(lam=0.3, theta=1e-300)
+    t = np.array([0.0, 0.5, 2.0])
+    np.testing.assert_allclose(pen.value(t), 0.3 * t, rtol=1e-15)
+    assert pen.deriv(0.0) == pytest.approx(0.3, rel=1e-15)
+    u = np.array([0.1, -0.2, 1.0, -5.0, np.inf, np.nan])
+    np.testing.assert_allclose(pen.prox(u, 2.0),
+                               np.sign(u) * np.maximum(np.abs(u) - 0.6, 0.0), rtol=1e-15)
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(40, 6))
+    data = Dataset(X=X, y=X @ np.array([1.0, -1.0, 0, 0, 0, 0]) + 0.1 * rng.normal(size=40),
+                   task="regression")
+    prob = ProblemInstance(loss=LeastSquaresLoss(data), penalty=pen)
+    for scheme in ("a", "b"):
+        trace = run_mm(prob, MmConfig(scheme=scheme, tol=1e-10))
+        assert trace.converged and certify(trace).passed
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pen", [LogPenalty(lam=0.7, theta=2.0), LogPenalty(lam=0.3, theta=40.0),
+                                 LogEpsilonPenalty(lam=0.7, eps=0.4)])
+def test_log_prox_factored_root_matches_the_plain_one(monkeypatch, pen):
+    u = np.linspace(-6.0, 6.0, 2001)
+    expected = {alpha: pen.prox(u, alpha) for alpha in (0.05, 1.0, 7.0)}
+    monkeypatch.setattr(penalties_module, "_LOG_PROX_FACTORED_FROM", 0.0)
+    for alpha, want in expected.items():
+        np.testing.assert_allclose(pen.prox(u, alpha), want, rtol=1e-12, atol=1e-14)
