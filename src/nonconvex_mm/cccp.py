@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
-from .mm import IterateTrace, _curvature_search
+from .mm import IterateTrace, _curvature_search, _soft_threshold
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -232,17 +232,6 @@ class InnerSolveInfo:
     smooth_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _prox_l1_box(z: np.ndarray, thresh: float, box) -> np.ndarray:
-    out = np.abs(z)
-    out -= thresh
-    np.maximum(out, 0.0, out=out)
-    np.copysign(out, z, out=out)
-    if box is not None:
-        np.maximum(out, box[0], out=out)
-        np.minimum(out, box[1], out=out)
-    return out
-
-
 def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
     """Exact distance from 0 to the subdifferential of the convex subproblem.
 
@@ -313,7 +302,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         return out
 
     def trial(L):
-        x_next = _prox_l1_box(x - g / L, prob.l1_weight / L, prob.box)
+        x_next = _soft_threshold(x - g / L, prob.l1_weight / L, prob.box)
         return x_next, grad_s(x_next)
 
     x = prob.project(w.copy())

@@ -196,18 +196,15 @@ def _cmd_bench(args) -> int:
 
     if note:
         print(note)
+    print(f"{'scheme':<6} {'steps':>7} {'loss evals':>10} {'final kkt':>12}")
+    for s, t in by.items():
+        print(f"{s:<6} {t.num_steps():>7} {t.meta['loss_evals']:>10} {t.meta['kkt']:>12.6g}")
     if tb is not None:
         gap = abs(ta.final_objective - tb.final_objective)
         # reference optimum for error-vs-time plots: best of the two schemes
         ref = min(ta.final_objective, tb.final_objective)
-        per_a = ta.elapsed_sec[-1] / max(ta.num_steps(), 1)
-        per_b = tb.elapsed_sec[-1] / max(tb.num_steps(), 1)
-        ratio = per_b / per_a if per_a > 0 else float("nan")
         print(f"reference F* (best run): {ref:.12g}")
         print(f"|F_a - F_b|            : {gap:.6g}")
-        print(f"time per iteration (a) : {per_a:.3e} s")
-        print(f"time per iteration (b) : {per_b:.3e} s")
-        print(f"per-iteration ratio b/a: {ratio:.3f}")
     else:
         print(f"final objective (a): {ta.final_objective:.12g}")
     return 0 if all(t.converged for t in traces) else 2

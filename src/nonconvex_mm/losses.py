@@ -15,12 +15,10 @@ Both accept a dense ndarray or a scipy CSR design matrix and are
 immutable after construction, so instances can be shared freely across
 concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
 loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
-its two halves.  ``extrapolated_gradient`` gives the gradient at an
-extrapolated point y = w + beta (w - w_prev) at the lowest cost: for
-least squares the affine combination of the two gradients already
-known, with no matvec; for logistic loss one ``value_and_grad(y)``.
-Each loss builds the transposed design once, so a sparse CSR design
-does not build a new CSC view on every gradient.
+its two halves, and the solvers need nothing else of a loss (the
+gradient at an extrapolated MM anchor is formed in ``run_mm``).  Each
+loss builds the transposed design once, so a sparse CSR design does
+not build a new CSC view on every gradient.
 
 A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n),
 its spectrum and its top eigenvalue the first time each is asked for.
@@ -248,15 +246,6 @@ class LeastSquaresLoss:
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
 
-    def extrapolated_gradient(self, y, beta: float, g, g_prev) -> tuple[np.ndarray, int]:
-        """grad f(y) at y = w + beta (w - w_prev), given g = grad f(w) and
-        g_prev = grad f(w_prev), and the loss evaluations it took.
-
-        The gradient is affine in w, so this is (1 + beta) g - beta g_prev:
-        no matvec, and equal to ``gradient(y)`` up to rounding.
-        """
-        return (1.0 + beta) * g - beta * g_prev, 0
-
     @property
     def lipschitz(self) -> float:
         """Top eigenvalue of X^T X / n, cached on the data set
@@ -292,11 +281,6 @@ class LogisticLoss:
 
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
-
-    def extrapolated_gradient(self, y, beta: float, g, g_prev) -> tuple[np.ndarray, int]:
-        """grad f(y) at y = w + beta (w - w_prev) and the loss evaluations
-        it took: one ``value_and_grad(y)``, as the gradient is not affine."""
-        return self.value_and_grad(y)[1], 1
 
     @cached_property
     def lipschitz(self) -> float:

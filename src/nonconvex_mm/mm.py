@@ -32,16 +32,23 @@ pinned at L_f and every step uses mu.
 
 With slack, each step first tries the same curvature-searched step from
 the extrapolated anchor y = w + beta_k (w - w_prev) in place of w, with
-grad f(y) and, for scheme "b", the weights zeta'(|y|).  beta_k follows
-FISTA's t-sequence, capped at 0.6.  The step's output z is accepted
-only if it keeps both guarantees of a plain step, checked exactly:
+the gradient g_y = (1 + beta_k) grad f(w) - beta_k grad f(w_prev) and,
+for scheme "b", the weights zeta'(|y|).  g_y is grad f(y) for least
+squares, whose gradient is affine, and an estimate of it for logistic
+loss.  beta_k follows FISTA's t-sequence, capped at 0.6.  The step's
+output z is accepted only if it keeps both guarantees of a plain step,
+checked exactly:
 
     F(z) <= F(w) - (gamma/2) ||z - w||^2,
     ||B_y(z)|| <= (mu + L_f + L_zeta) ||z - w||,
 
-where B_y(z) is grad f(z) plus the optimality term of the step from y,
-a member of the subdifferential of F at z.  Otherwise the momentum
-restarts (t = 1) and the plain step from w is taken.  This is the
+where B_y(z) is grad f(z) plus the optimality term of the step from y.
+Whatever g_y is, the prox step z = prox(y - g_y / mu_k) puts
+mu_k (y - z) - g_y in the subdifferential of r at z, so B_y(z) is a
+member of the subdifferential of F at z.  Only the curvature test at y
+stops certifying majorization where g_y is not exact, and the safeguard
+does not rely on it.  A rejected try restarts the momentum (t = 1) and
+the plain step from w is taken.  This is the
 monotone accelerated proximal gradient safeguard (Li & Lin, 2015); the
 checked descent and subgradient bound are what the KL convergence
 argument needs, so every row passes ``certify`` as a plain step does.
@@ -56,11 +63,10 @@ gives F(w+) for the trace and grad f(w+), which checks the curvature,
 certifies the step and is carried into the next one (with zeta'(|w+|)
 for scheme "b").  So a trial costs one ``X @ w``, one ``X.T @ r`` and,
 for scheme "a", one prox; an accepted step adds one ``reg_value`` and
-at most one ``penalty.deriv``.  An extrapolated try adds
-``loss.extrapolated_gradient``: no evaluation for least squares, whose
-gradient at y is the affine combination of the last two, one for
-logistic loss.  The step certificate is built from these, and the
-exact KKT residual only at the first and last iterate.
+at most one ``penalty.deriv``.  An extrapolated try adds no evaluation
+at y: g_y combines the two gradients already carried, for every loss.
+The step certificate is built from these, and the exact KKT residual
+only at the first and last iterate.
 """
 
 from __future__ import annotations
@@ -231,6 +237,19 @@ def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
         )
 
 
+def _soft_threshold(z: np.ndarray, thresh, box=None) -> np.ndarray:
+    """sign(z) max(|z| - thresh, 0), then clamped to box = (lo, hi) when
+    given: the exact prox of thresh * |.|_1 plus the box indicator."""
+    out = np.abs(z)
+    out -= thresh
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, z, out=out)
+    if box is not None:
+        np.maximum(out, box[0], out=out)
+        np.minimum(out, box[1], out=out)
+    return out
+
+
 def _mm_update(w: np.ndarray, g: np.ndarray, mu: float, penalty: Penalty,
                omega: np.ndarray | None) -> np.ndarray:
     """Minimizer of Q_f(. | w) + r, or of Q_f(. | w) + Q_r(. | w) when the
@@ -239,10 +258,7 @@ def _mm_update(w: np.ndarray, g: np.ndarray, mu: float, penalty: Penalty,
     np.subtract(w, z, out=z)
     if omega is None:
         return penalty.prox(z, 1.0 / mu)
-    out = np.abs(z)
-    out -= omega / mu
-    np.maximum(out, 0.0, out=out)
-    return np.copysign(out, z, out=out)
+    return _soft_threshold(z, omega / mu)
 
 
 def step_a(w, prob: ProblemInstance, mu: float) -> np.ndarray:
@@ -302,10 +318,15 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
 # sqrt(1 + 4 t_k^2)) / 2.  The convergence theory of extrapolated proximal
 # gradient needs sup beta_k < 1.  The value is measured, not derived: at
 # 0.5 the rate fit of the MCP run in acceptance criterion 8 reads sublinear
-# (its tail reaches the roundoff floor), and from 0.7 up the logistic-dense
-# benchmark pool takes 9% more loss evaluations for 2% fewer on
-# sparse-ls-prox.
+# (its tail reaches the roundoff floor), and at 0.7 the logistic-dense
+# benchmark pool takes 12% more loss evaluations (3567 against 3185) for 2%
+# fewer on sparse-ls-prox (4118 against 4194).
 _BETA_MAX = 0.6
+
+
+def _gradient_at_y(beta: float, g: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
+    """The gradient an extrapolated try uses at y = w + beta (w - w_prev)."""
+    return (1.0 + beta) * g - beta * g_prev
 
 
 def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
@@ -337,7 +358,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     step).  ``trace.meta`` records why the run stopped
     (``stop_reason``), the guarantee ``certify`` checks, ``kkt`` at the
     final iterate, ``loss_evals`` (the loss evaluations of the curvature
-    searches and at extrapolated points), ``extrapolated_steps`` (the
+    searches, one per trial), ``extrapolated_steps`` (the
     accepted ones) and ``restarts`` (the momentum resets: rejected tries
     and those skipped by the gradient restart).
 
@@ -420,8 +441,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             # tried (see the module docstring)
             if float(g @ m) <= 0.0:
                 y = w + beta * m
-                g_y, evals = loss.extrapolated_gradient(y, beta, g, g_prev)
-                loss_evals += evals
+                g_y = _gradient_at_y(beta, g, g_prev)
                 omega_y = pen.deriv(np.abs(y)) if linearize else None
                 z, g_z, f_z, mu_k, l_next = mm_step(y, g_y, omega_y)
                 delta = z - w

@@ -196,8 +196,8 @@ def _keep_above(a: np.ndarray, thr: float, shift: float, cap: float) -> np.ndarr
     return w
 
 
-# 1/b from which the log prox factors t = a + 1/b out of its square root,
-# as t*t would overflow (tiny theta, huge eps)
+# t = a + 1/b from which the log prox factors t out of its square root, as
+# t*t would overflow (huge |u|, tiny theta, huge eps)
 _LOG_PROX_FACTORED_FROM = 1e150
 
 
@@ -214,26 +214,31 @@ def _log_prox_magnitude(a: np.ndarray, alpha: float, c: float, b: float) -> np.n
     """
     ac = alpha * c
     t = a + 1.0 / b
-    if 1.0 / b < _LOG_PROX_FACTORED_FROM:
-        s = np.multiply(t, t)
-        s -= 4.0 * ac
-        # the discriminant is negative only below the double-root point,
-        # where the selection below keeps 0
-        np.maximum(s, 0.0, out=s)
-        np.sqrt(s, out=s)
-        s += t
-        r = np.divide(2.0 * ac, s, out=t)
-    else:
+    big = np.flatnonzero(t >= _LOG_PROX_FACTORED_FROM)
+    if big.size:
         # t*t would overflow; with t factored out of the square root the
         # root is a - q / (1 + sqrt(1 - 2q/t)), q = 2*alpha*c / t
-        q = np.divide(2.0 * ac, t)
-        s = np.divide(q, t)
+        tb = t[big]
+        q = np.divide(2.0 * ac, tb)
+        s = np.divide(q, tb)
         s *= -2.0
         s += 1.0
         np.maximum(s, 0.0, out=s)
         np.sqrt(s, out=s)
         s += 1.0
-        r = np.divide(q, s, out=t)
+        r_big = np.divide(q, s, out=tb)
+        # a stand-in whose square is finite; its result is overwritten
+        t[big] = 1.0
+    s = np.multiply(t, t)
+    s -= 4.0 * ac
+    # the discriminant is negative only below the double-root point,
+    # where the selection below keeps 0
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    s += t
+    r = np.divide(2.0 * ac, s, out=t)
+    if big.size:
+        r[big] = r_big
     np.subtract(a, r, out=r)
     np.maximum(r, 0.0, out=r)
     descend = a > ac * b

@@ -227,7 +227,7 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
     if bounds is not None:
         x = np.clip(x, *bounds)
     g = G @ x - c
-    x_next = cccp_module._prox_l1_box(x - g / L, kappa / L, bounds)
+    x_next = cccp_module._soft_threshold(x - g / L, kappa / L, bounds)
     g_next = G @ x_next - c
     cert = float(np.linalg.norm(g_next - g - L * (x_next - x)))
     resid = cccp_module._subproblem_residual(x_next, g_next, kappa, bounds)

@@ -142,7 +142,17 @@ def test_bench_schemes_agree(tmp_path, capsys):
     fb = float(rows[-1][3])
     assert abs(fa - fb) <= 1e-4 * (1.0 + abs(fa))
     assert "|F_a - F_b|" in out
-    assert "per-iteration ratio b/a" in out
+    # each scheme's steps, loss evaluations and final certified residual,
+    # and no time per iteration
+    assert "time per iteration" not in out
+    lines = out.splitlines()
+    assert lines[0].split() == ["scheme", "steps", "loss", "evals", "final", "kkt"]
+    for scheme, line in zip("ab", lines[1:3]):
+        name, steps, evals, kkt = line.split()
+        assert name == scheme
+        assert 0 < int(steps) <= int(evals)
+        assert 0.0 <= float(kkt) < 1e-4
+    assert len(rows) == max(int(line.split()[1]) for line in lines[1:3]) + 1
 
 
 def test_bench_capped_l1_runs_scheme_a_only(tmp_path, capsys):

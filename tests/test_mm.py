@@ -31,6 +31,7 @@ from nonconvex_mm import (
     certify,
 )
 
+from nonconvex_mm import mm as mm_module
 from nonconvex_mm.mm import _curvature_search
 
 from helpers import soft_threshold_bisect
@@ -372,8 +373,9 @@ class AnchoredLoss:
 def reference_run(prob, scheme, mus, tol, betas=None):
     """The MM loop written with the public one-step functions only, taking
     step k with the surrogate weight mus[k] from the anchor
-    y = w + betas[k] (w - w_prev), whose gradient is the loss's
-    ``extrapolated_gradient`` (y = w when betas[k] is 0 or betas is None)."""
+    y = w + betas[k] (w - w_prev) with the gradient
+    (1 + betas[k]) grad f(w) - betas[k] grad f(w_prev) there (y = w when
+    betas[k] is 0 or betas is None)."""
     step = step_a if scheme == "a" else step_b
     w = w_prev = np.zeros(prob.p)
     rows = [(prob.objective(w), 0.0, kkt_residual(w, prob))]
@@ -381,8 +383,7 @@ def reference_run(prob, scheme, mus, tol, betas=None):
         y, anchored = w, prob
         if beta > 0.0:
             y = w + beta * (w - w_prev)
-            g_y, _ = prob.loss.extrapolated_gradient(y, beta, prob.loss.gradient(w),
-                                                     prob.loss.gradient(w_prev))
+            g_y = (1.0 + beta) * prob.loss.gradient(w) - beta * prob.loss.gradient(w_prev)
             anchored = ProblemInstance(loss=AnchoredLoss(prob.loss, y, g_y),
                                        penalty=prob.penalty)
         w_next = step(y, anchored, mu)
@@ -416,20 +417,21 @@ def test_run_mm_bitwise_equals_reference_loop(kind, shape):
 
 
 # ------------------------------------------------------- curvature search
+def spread_ls_problem():
+    # column scales over 1.5 decades: the curvature along one step says
+    # little about the next, so an unchecked start would not majorize
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 12)) * np.logspace(0, 1.5, 12)
+    y = X @ np.where(rng.random(12) < 0.4, rng.normal(size=12), 0.0)
+    y += 0.3 * rng.normal(size=60)
+    return ProblemInstance(loss=LeastSquaresLoss(Dataset(X=X, y=y, task="regression")),
+                           penalty=McpPenalty(lam=0.05, gamma=2.5))
+
+
 @pytest.mark.parametrize("scheme", ["a", "b"])
 @pytest.mark.parametrize("loss_kind", ["ls", "logistic"])
 def test_every_mu_k_is_capped_and_majorizes(scheme, loss_kind):
-    if loss_kind == "ls":
-        # column scales over 1.5 decades: the curvature along one step says
-        # little about the next, so an unchecked start would not majorize
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 12)) * np.logspace(0, 1.5, 12)
-        y = X @ np.where(rng.random(12) < 0.4, rng.normal(size=12), 0.0)
-        y += 0.3 * rng.normal(size=60)
-        prob = ProblemInstance(loss=LeastSquaresLoss(Dataset(X=X, y=y, task="regression")),
-                               penalty=McpPenalty(lam=0.05, gamma=2.5))
-    else:
-        prob = logistic_problem()
+    prob = spread_ls_problem() if loss_kind == "ls" else logistic_problem()
     trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=500, tol=1e-10))
     mu, gamma = trace.meta["mu"], trace.meta["gamma"]
     assert gamma == mu - trace.meta["lipschitz"] > 0
@@ -533,31 +535,16 @@ def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
     assert trace.meta["kkt"] == kkt
 
 
-class ScaledExtrapolation:
-    """A loss whose gradient at an extrapolated point is scaled, so the
-    step from there is wrong by design."""
-
-    def __init__(self, loss, scale):
-        self.inner, self.kind, self.data = loss, loss.kind, loss.data
-        self.lipschitz = loss.lipschitz
-        self.scale = scale
-
-    def value_and_grad(self, w):
-        return self.inner.value_and_grad(w)
-
-    def extrapolated_gradient(self, *args):
-        g_y, evals = self.inner.extrapolated_gradient(*args)
-        return self.scale * g_y, evals
-
-
 @pytest.mark.parametrize("scheme", ["a", "b"])
 @pytest.mark.parametrize("scale", [1e3, 0.0], ids=["overshoot", "stall"])
-def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale):
+def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale, monkeypatch):
+    # the gradient at y scaled so the step from there is wrong by design:
     # an overshooting step fails the descent check; one that stalls at y
     # descends but fails the subgradient bound
     base = logistic_problem()
-    prob = ProblemInstance(loss=ScaledExtrapolation(base.loss, scale), penalty=base.penalty)
-    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=100, tol=1e-9))
+    affine = mm_module._gradient_at_y
+    monkeypatch.setattr(mm_module, "_gradient_at_y", lambda *args: scale * affine(*args))
+    trace = run_mm(base, MmConfig(scheme=scheme, max_iter=100, tol=1e-9))
     steps = trace.num_steps()
     assert trace.converged and steps > 20
     assert certify(trace).passed
@@ -571,16 +558,70 @@ def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale):
     np.testing.assert_array_equal(trace.final_w, w)
 
 
-def test_restart_counts_add_up_on_an_accelerated_run():
-    prob = logistic_problem()
+def test_restart_counts_add_up_on_an_accelerated_run(monkeypatch):
+    base = logistic_problem()
+    loss = CountingLoss(base.loss)
+    prob = ProblemInstance(loss=loss, penalty=base.penalty)
+    trials = 0
+    search = mm_module._curvature_search
+
+    def counted_search(trial, *args):
+        def counted(L):
+            nonlocal trials
+            trials += 1
+            return trial(L)
+        return search(counted, *args)
+    monkeypatch.setattr(mm_module, "_curvature_search", counted_search)
     trace = run_mm(prob, MmConfig(scheme="b", max_iter=500, tol=1e-10))
     betas = np.asarray(trace.beta[1:])
     meta = trace.meta
     assert meta["extrapolated_steps"] == np.count_nonzero(betas) > 0
     assert meta["restarts"] > 0
     assert np.all(betas <= 0.6)
-    # an accepted extrapolated step also evaluated the loss at y
-    assert meta["loss_evals"] >= trace.num_steps() + meta["extrapolated_steps"]
+    # the gradient at y costs no evaluation: past the start, every one is
+    # a trial of a curvature search
+    assert meta["loss_evals"] == trials >= trace.num_steps()
+    assert loss.calls == {"value_and_grad": trials + 1}
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gradient_at_y_is_exact_for_least_squares(sparse):
+    # the least-squares gradient is affine in w, so the one expression
+    # run_mm uses at y = w + beta (w - w_prev) is grad f(y) up to rounding
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 12)) * np.logspace(0, 1, 12)
+    loss = LeastSquaresLoss(Dataset(X=sp.csr_matrix(X) if sparse else X,
+                                    y=rng.normal(size=40), task="regression"))
+    w, w_prev = rng.normal(size=12), rng.normal(size=12)
+    g, g_prev = loss.gradient(w), loss.gradient(w_prev)
+    for beta in (0.0, 0.3, 0.6, 1.0):
+        ref = loss.gradient(w + beta * (w - w_prev))
+        g_y = mm_module._gradient_at_y(beta, g, g_prev)
+        assert np.linalg.norm(g_y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("loss_kind", ["ls", "logistic"])
+@pytest.mark.parametrize("noise", [0.0, 0.5], ids=["affine", "perturbed"])
+def test_every_row_residual_certifies_the_kkt_distance(scheme, loss_kind, noise,
+                                                       monkeypatch):
+    # for any gradient g_y at y, B_y(z) = grad f(z) + mu_k (y - z) - g_y is
+    # in the subdifferential of F at z, so the residual each row records
+    # bounds the exact KKT distance there; a perturbed g_y checks "any"
+    prob = spread_ls_problem() if loss_kind == "ls" else logistic_problem()
+    if noise:
+        rng = np.random.default_rng(20)
+        affine = mm_module._gradient_at_y
+
+        def perturbed(*args):
+            g_y = affine(*args)
+            return g_y * (1.0 + noise * rng.standard_normal(g_y.shape))
+        monkeypatch.setattr(mm_module, "_gradient_at_y", perturbed)
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=300, tol=1e-10))
+    assert trace.meta["extrapolated_steps"] > 0
+    assert certify(trace).passed
+    for w, res in zip(trace.iterates, trace.residual):
+        assert kkt_residual(w, prob) <= res * (1.0 + 1e-9) + 1e-15
 
 
 @pytest.mark.parametrize("make, field, value, why", [
@@ -616,11 +657,6 @@ class CountingLoss:
     def gradient(self, w):
         self.calls["gradient"] += 1
         return self.inner.gradient(w)
-
-    def extrapolated_gradient(self, *args):
-        # the wrapped loss's formula run on this object, so that an
-        # evaluation it makes is counted
-        return type(self.inner).extrapolated_gradient(self, *args)
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])

@@ -434,6 +434,19 @@ def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("pen", [LogPenalty(lam=0.3, theta=2.0),
+                                 LogEpsilonPenalty(lam=0.3, eps=0.5)])
+def test_log_prox_of_a_huge_input_does_not_overflow(pen):
+    # t = |u| + 1/b is factored out of the root per coordinate, so a huge
+    # |u| next to ordinary ones neither squares t into an overflow (a
+    # RuntimeWarning, an error under the tests' warning filter) nor moves
+    # the others
+    u = np.array([1e160, 1.0, -1e300, 3.0])
+    out = pen.prox(u, 1.0)
+    np.testing.assert_array_equal(out[[0, 2]], u[[0, 2]])
+    np.testing.assert_array_equal(out[[1, 3]], pen.prox(u[[1, 3]], 1.0))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("pen", [LogPenalty(lam=0.7, theta=2.0), LogPenalty(lam=0.3, theta=40.0),
                                  LogEpsilonPenalty(lam=0.7, eps=0.4)])
