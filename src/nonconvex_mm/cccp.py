@@ -27,8 +27,8 @@ smooth part of the subproblem, the step x -> x+ with curvature L_k gives
 
 a member of the subproblem's subdifferential at x+ (box normal cone
 included), so ||B|| bounds the exact first-order residual from above
-(the composite gradient mapping of Nesterov, 2013).  It costs four
-p-length operations on vectors the step already has.  The exact
+(the composite gradient mapping of Nesterov, 2013).  It is the scheme
+"a" step certificate of ``run_mm``, built by the same kernel.  The exact
 residual runs only at the start point, to confirm a stop on ||B|| <=
 inner_tol, and at the budget, so the residual an inner solve reports is
 always the exact one.
@@ -58,13 +58,13 @@ is the top of the same spectrum, so no Lanczos solve runs.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from .diagnostics import _interval_distance, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
 from .mm import IterateTrace, _curvature_search, _soft_threshold
 from .penalties import Penalty, UnsupportedPenaltyError
@@ -233,22 +233,17 @@ class InnerSolveInfo:
 
 
 def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
-    """Exact distance from 0 to the subdifferential of the convex subproblem.
+    """Exact distance from 0 to grad_s + kappa * d|x| + N_box(x).
 
-    Per coordinate it is max(0, grad_s + lo, -(grad_s + hi)), where
-    [lo, hi] is kappa times the subdifferential of |x_i|; a coordinate at
-    its lower (upper) box bound drops the first (second) term.
+    [lo, hi] is kappa times the subdifferential of |x_i|; the normal cone
+    of a coordinate at its lower (upper) box bound makes lo (hi) infinite.
     """
-    below = np.where(x > 0, kappa, -kappa)
-    below += grad_s
-    above = np.where(x < 0, kappa, -kappa)
-    above -= grad_s
+    lo = np.where(x > 0, kappa, -kappa)
+    hi = np.where(x < 0, -kappa, kappa)
     if box is not None:
-        below[x <= box[0]] = 0.0
-        above[x >= box[1]] = 0.0
-    np.maximum(below, above, out=below)
-    np.maximum(below, 0.0, out=below)
-    return math.sqrt(below @ below)
+        lo[x <= box[0]] = -np.inf
+        hi[x >= box[1]] = np.inf
+    return _interval_distance(grad_s, lo, hi)
 
 
 def _inner_gram(loss):
@@ -313,13 +308,9 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     while resid > cfg.inner_tol and it < cfg.inner_max_iter:
         it += 1
         L_step, (x_next, g_next), L = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
-        # -B = L_step (x+ - x) - (grad s(x+) - grad s(x))
-        cert = x_next - x
-        cert *= L_step
-        cert -= g_next
-        cert += g
+        _, B = _step_subgradient(x_next, x_next - x, g_next, g, L_step, None)
         x, g = x_next, g_next
-        if math.sqrt(cert @ cert) <= cfg.inner_tol or it == cfg.inner_max_iter:
+        if _norm(B) <= cfg.inner_tol or it == cfg.inner_max_iter:
             resid = _subproblem_residual(x, g, prob.l1_weight, prob.box)
     return x, InnerSolveInfo(resid, it, resid > cfg.inner_tol, evals, g)
 
@@ -328,16 +319,21 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     """Outer CCCP loop; the trace's residual column holds the
     linearization-gap certificate ||grad v(w^(k-1)) - grad v(w^(k))||.
     ``trace.meta`` records the guarantee ``certify`` checks, the
-    ``stop_reason`` ("tol" or "budget") and, per inner solve, its
+    ``stop_reason`` ("tol" or "budget"), ``kkt`` (the exact residual of
+    the DC objective at the final iterate) and, per inner solve, its
     residual, steps and gradient evaluations.
 
     For least squares the objective column comes from one
     ``value_and_grad`` at the start point, carried forward by the exact
     quadratic identity of the module docstring with the gradient each
     inner solve returns; other losses evaluate ``prob.objective`` at
-    every iterate.
+    every iterate.  ``kkt`` evaluates nothing: the last inner solve's
+    gradient plus the last linearization gap is the DC objective's smooth
+    gradient at the final iterate.
     """
     w = np.zeros(prob.p) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
+    if w.shape[0] != prob.p:
+        raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
     w = prob.project(w)
     trace = IterateTrace(iterates=[])
     trace.meta = {
@@ -387,9 +383,9 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         else:
             f_next = prob.objective(w_next)
         g_v_next = prob.v_grad(w_next)
-        cert = float(np.linalg.norm(g_v - g_v_next))
-        trace.append(k + 1, f_next, float(np.linalg.norm(delta)),
-                     cert, time.perf_counter() - t0, w_next)
+        gap = g_v - g_v_next
+        trace.append(k + 1, f_next, _norm(delta), _norm(gap), time.perf_counter() - t0,
+                     w_next)
         w, g_v = w_next, g_v_next
         if np.max(np.abs(delta), initial=0.0) <= cfg.tol:
             trace.converged = True
@@ -397,4 +393,6 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
 
     trace.final_w = w
     trace.meta["stop_reason"] = "tol" if trace.converged else "budget"
+    trace.meta["kkt"] = _subproblem_residual(w, info.smooth_grad + gap, prob.l1_weight,
+                                             prob.box)
     return trace

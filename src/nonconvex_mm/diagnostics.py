@@ -12,10 +12,15 @@ Everything here is a computable certificate:
   finite / linear / sublinear, mirroring the KL-exponent regimes;
 * ``certify`` checks a whole trace against the guarantee its solver
   recorded in ``trace.meta``.
+
+``run_mm`` and ``cccp`` build their certificates from the same kernels:
+``_step_subgradient`` (one step's subdifferential member),
+``_interval_distance`` (the exact residual) and ``_norm``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +62,28 @@ class ResidualReport:
     kkt: float
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-d array: bit for bit ``np.linalg.norm(x)``
+    (the same BLAS dot) where that is finite.  ``np.vdot`` overflows to inf
+    without a warning, and only then is x rescaled by its largest entry."""
+    n = math.sqrt(np.vdot(x, x))
+    if n == math.inf:
+        scale = float(np.max(np.abs(x)))
+        if scale < math.inf:
+            y = x / scale
+            n = scale * math.sqrt(np.vdot(y, y))
+    return n
+
+
+def _interval_distance(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Distance from 0 to g + [lo, hi] componentwise; an infinite bound (a
+    normal cone) drops its term."""
+    return _norm(np.maximum(0.0, np.maximum(g + lo, -(g + hi))))
+
+
 def _kkt_distance(w: np.ndarray, g: np.ndarray, penalty) -> float:
     """Distance from 0 to g + the subdifferential of r at w."""
-    lo, hi = penalty.subdiff_interval(w)
-    dist = np.maximum(0.0, np.maximum(g + lo, -(g + hi)))
-    return float(np.linalg.norm(dist))
+    return _interval_distance(g, *penalty.subdiff_interval(w))
 
 
 def kkt_residual(w, prob) -> float:
@@ -77,16 +99,18 @@ def kkt_residual(w, prob) -> float:
 
 def _step_subgradient(w_next: np.ndarray, delta: np.ndarray, g_next: np.ndarray,
                       g: np.ndarray, mu: float,
-                      d: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(b, B) of the step w -> w_next = w + delta, given both gradients of f.
+                      d: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """(b, B) of the step w -> w_next = w + delta with curvature mu, given
+    the smooth part's gradients g at w and g_next at w_next.
 
     ``d`` is zeta'(|w|) - zeta'(|w_next|) for scheme "b" and None for
-    scheme "a", where b = 0 and B = A.
+    scheme "a" and the CCCP inner step, where b is None and B = A.
     """
-    # grad Q_f(w_next | w) = grad f(w) + mu * (w_next - w)
-    A = g_next - g - mu * delta
+    # grad Q(w_next | w) = g + mu * (w_next - w)
+    A = g_next - g
+    A -= mu * delta
     if d is None:
-        return np.zeros_like(A), A
+        return None, A
     b = np.sign(w_next) * d
     zero = w_next == 0.0
     if np.any(zero):
@@ -119,7 +143,7 @@ def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualRep
     pen = prob.penalty
     g_next = prob.loss.gradient(w_next)
     lf = prob.loss.lipschitz
-    step = float(np.linalg.norm(delta))
+    step = _norm(delta)
 
     if scheme == "a":
         d = None
@@ -132,8 +156,8 @@ def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualRep
     b, B = _step_subgradient(w_next, delta, g_next, prob.loss.gradient(w), mu, d)
 
     return ResidualReport(
-        b_vector=b,
-        B_norm=float(np.linalg.norm(B)),
+        b_vector=np.zeros_like(B) if b is None else b,
+        B_norm=_norm(B),
         bound=float(bound),
         kkt=_kkt_distance(w_next, g_next, pen),
     )

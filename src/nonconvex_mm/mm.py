@@ -65,8 +65,9 @@ for scheme "b").  So a trial costs one ``X @ w``, one ``X.T @ r`` and,
 for scheme "a", one prox; an accepted step adds one ``reg_value`` and
 at most one ``penalty.deriv``.  An extrapolated try adds no evaluation
 at y: g_y combines the two gradients already carried, for every loss.
-The step certificate is built from these, and the exact KKT residual
-only at the first and last iterate.
+The step certificate is built from these by the kernels of
+``diagnostics``, and the exact KKT residual only at the first and last
+iterate.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ import numpy as np
 
 # kkt_residual and subgradient_residual are not called here, but stay
 # importable from this module: perfbench/tracer.py patches them on it
-from .diagnostics import (_kkt_distance, _step_subgradient, kkt_residual,  # noqa: F401
-                          subgradient_residual)
+from .diagnostics import (_kkt_distance, _norm, _step_subgradient,  # noqa: F401
+                          kkt_residual, subgradient_residual)
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -428,7 +429,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         omega_z = pen.deriv(np.abs(z)) if linearize else None
         _, B = _step_subgradient(z, d, g_z, g_x, mu_k,
                                  None if omega_x is None else omega_x - omega_z)
-        return omega_z, float(np.linalg.norm(B))
+        return omega_z, _norm(B)
 
     stop_reason = "budget"
     for k in range(config.max_iter):
@@ -445,7 +446,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
                 omega_y = pen.deriv(np.abs(y)) if linearize else None
                 z, g_z, f_z, mu_k, l_next = mm_step(y, g_y, omega_y)
                 delta = z - w
-                step = float(np.linalg.norm(delta))
+                step = _norm(delta)
                 # the safeguard: the descent and the subgradient bound of a
                 # plain step, checked exactly; a non-finite F(z) fails the first
                 if f_z <= f_curr - 0.5 * gamma * step * step:
@@ -463,7 +464,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
                 stop_reason = "nonfinite"
                 break
             delta = z - w
-            step = float(np.linalg.norm(delta))
+            step = _norm(delta)
             omega_z, res = certificate(z, delta, g_z, g, omega, mu_k)
         trace.append(k + 1, f_z, step, res, time.perf_counter() - t0, z, mu_k, beta)
         w_prev, g_prev = w, g

@@ -31,7 +31,7 @@ Thresholding Algorithm for Non-convex Regularized Optimization Problems"
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -89,10 +89,19 @@ def _as_float_array(t) -> tuple[np.ndarray, bool]:
 
 
 class Penalty:
-    """Base class: scalar penalty with value, derivative, and exact prox."""
+    """Base class: scalar penalty with value, derivative, and exact prox.
+
+    Subclasses are frozen dataclasses whose fields are ``lam`` and the
+    shape parameters, each required positive.
+    """
 
     kind = "base"
     lam: float
+
+    def __post_init__(self):
+        for name, value in self.params().items():
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
 
     # --- subclass surface -------------------------------------------------
     def _value(self, t: np.ndarray) -> np.ndarray:
@@ -108,10 +117,11 @@ class Penalty:
         """
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
     # --- shared implementation --------------------------------------------
+    def params(self) -> dict:
+        """The dataclass fields: ``lam`` and the shape parameters."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def supports_linearization(self) -> bool:
         """Whether the derivative exists and is Lipschitz on [0, inf)."""
@@ -264,16 +274,10 @@ class LogPenalty(Penalty):
     kind = "log"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        super().__post_init__()
         _check_finite_constants(
             self, "theta",
             lambda: (self.lam, self.theta, self._scale, self.deriv_lipschitz()))
-
-    def params(self) -> dict:
-        return {"lam": self.lam, "theta": self.theta}
 
     @property
     def _scale(self) -> float:
@@ -308,15 +312,9 @@ class LogEpsilonPenalty(Penalty):
     kind = "log_eps"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        super().__post_init__()
         _check_finite_constants(
             self, "eps", lambda: (self.lam, self.eps, self.deriv_lipschitz()))
-
-    def params(self) -> dict:
-        return {"lam": self.lam, "eps": self.eps}
 
     def _value(self, t):
         return self.lam * np.log1p(t / self.eps)
@@ -343,17 +341,16 @@ class ScadPenalty(Penalty):
     kind = "scad"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
         if self.theta <= 2:
             raise ValueError("SCAD requires theta > 2")
-
-    def params(self) -> dict:
-        return {"lam": self.lam, "theta": self.theta}
+        super().__post_init__()
 
     def _value(self, t):
         lam, th = self.lam, self.theta
-        mid = -(t * t - 2.0 * th * lam * t + lam * lam) / (2.0 * (th - 1.0))
+        # the middle piece is selected only up to theta*lam; clipping there
+        # keeps its square finite at any t
+        tm = np.minimum(t, th * lam)
+        mid = -(tm * tm - 2.0 * th * lam * tm + lam * lam) / (2.0 * (th - 1.0))
         flat = (th + 1.0) * lam * lam / 2.0
         return np.where(t <= lam, lam * t, np.where(t <= th * lam, mid, flat))
 
@@ -396,15 +393,6 @@ class McpPenalty(Penalty):
     gamma: float
     kind = "mcp"
 
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    def params(self) -> dict:
-        return {"lam": self.lam, "gamma": self.gamma}
-
     def _value(self, t):
         lam, g = self.lam, self.gamma
         return np.where(t < lam * g, lam * t - t * t / (2.0 * g), lam * lam * g / 2.0)
@@ -437,15 +425,6 @@ class CappedL1Penalty(Penalty):
     lam: float
     theta: float
     kind = "capped_l1"
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-    def params(self) -> dict:
-        return {"lam": self.lam, "theta": self.theta}
 
     @property
     def supports_linearization(self) -> bool:
@@ -487,13 +466,8 @@ class CappedL1Penalty(Penalty):
         return _keep_above(a, thr, alpha * lam, th)
 
 
-_KINDS = {
-    "log": LogPenalty,
-    "log_eps": LogEpsilonPenalty,
-    "scad": ScadPenalty,
-    "mcp": McpPenalty,
-    "capped_l1": CappedL1Penalty,
-}
+_KINDS = {cls.kind: cls for cls in
+          (LogPenalty, LogEpsilonPenalty, ScadPenalty, McpPenalty, CappedL1Penalty)}
 
 
 def make_penalty(kind: str, lam: float, **shape) -> Penalty:

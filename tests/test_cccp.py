@@ -405,6 +405,31 @@ def test_least_squares_run_evaluates_the_loss_once_outside_the_inner_loop(make):
     assert evals[0] == 1 + inner
 
 
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
+                                  _wide_least_squares_ridge_problem,
+                                  _logistic_ridge_problem])
+@pytest.mark.parametrize("max_iter", [1, 300])
+def test_run_records_the_exact_kkt_residual_at_its_final_iterate(make, max_iter):
+    loss, prob = make()
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=max_iter))
+    w = trace.final_w
+    grad = loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
+    kkt = trace.meta["kkt"]
+    assert abs(kkt - cccp_module._subproblem_residual(w, grad, prob.l1_weight,
+                                                      prob.box)) <= 1e-12
+    # the last inner residual plus the last linearization gap bounds it
+    assert kkt <= trace.meta["inner_residuals"][-1] + trace.residual[-1] + 1e-15
+    assert certify(trace).kkt == kkt
+
+
+@pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
+def test_start_point_of_the_wrong_length_is_refused(box):
+    loss = full_rank_ls(seed=31, n=40, p=10)
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=box)
+    with pytest.raises(ValueError, match="^w0 has length 11, expected 10$"):
+        run_cccp(prob, CccpConfig(), w0=np.zeros(11))
+
+
 def test_pure_convex_case_matches_reference_solver():
     loss = full_rank_ls(seed=3, n=60, p=10)
     kappa = 0.3

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from nonconvex_mm import (
     subgradient_residual,
     synth_generate,
 )
+from nonconvex_mm.diagnostics import _norm
 
 
 def logistic_problem(lam=0.2, eps=1.0, seed=42):
@@ -182,6 +184,40 @@ def test_kkt_capped_l1_interval_hull_at_kink():
     d0 = np.maximum(0.0, np.maximum(g[0] + 0.0, -(g[0] + 0.5)))
     d1 = max(0.0, abs(g[1]) - 0.5)
     assert kkt_residual(w, prob) == pytest.approx(float(np.hypot(d0, d1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e300])
+def test_norm_is_numpy_norm_where_finite_and_rescaled_past_overflow(scale):
+    x = np.random.default_rng(7).normal(size=50) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = _norm(x)
+    if scale <= 1.0:
+        assert n == float(np.linalg.norm(x))
+    else:
+        assert n == pytest.approx(scale * float(np.linalg.norm(x / scale)), rel=1e-14)
+    assert _norm(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(_norm(np.array([np.nan, 1e200])))
+
+
+def test_certificates_stay_finite_where_the_sum_of_squares_overflows():
+    # rows from 1e100 to 1e114 and targets near 1e114: the gradient's
+    # entries near 1e227 square past double range, its norm does not
+    rng = np.random.default_rng(3)
+    n, p = 12, 5
+    X = rng.normal(size=(n, p)) * np.logspace(100, 114, n)[:, None]
+    y = rng.normal(size=n) * 1e114
+    prob = ProblemInstance(loss=LeastSquaresLoss(Dataset(X=X, y=y, task="regression")),
+                           penalty=make_penalty("scad", 0.1, theta=3.7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_mm(prob, MmConfig(max_iter=5, record_iterates=False))
+        kkt = kkt_residual(trace.final_w, prob)
+    # at w = 0 the residual is || |X^T y / n| - lam ||, lam negligible here
+    g0 = X.T @ (y / 1e114) / n
+    assert trace.residual[0] == pytest.approx(1e114 * float(np.linalg.norm(g0)), rel=1e-12)
+    assert np.all(np.isfinite(trace.residual)) and np.all(np.isfinite(trace.step_norm))
+    assert trace.meta["kkt"] == kkt and np.isfinite(kkt)
 
 
 # ------------------------------------------------------------ finite length

@@ -340,6 +340,15 @@ def test_prox_matches_enumeration_oracle(kind, data):
 
 
 # ------------------------------------------------------------ reg / interval
+def test_scad_value_far_past_the_flat_point_does_not_overflow():
+    # the middle piece squares its argument; it is not selected past
+    # theta*lam, so its argument is clipped there
+    pen = ScadPenalty(lam=0.7, theta=3.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pen.reg_value(np.array([1e160, -1e300])) == 2 * (4.5 * 0.7 * 0.7 / 2.0)
+
+
 def test_reg_value_examples():
     pen = McpPenalty(lam=1.0, gamma=2.0)
     assert pen.reg_value(np.zeros(4)) == 0.0
@@ -392,6 +401,30 @@ def test_parameter_validation():
         LogEpsilonPenalty(lam=1.0, eps=0.0)
     with pytest.raises(ValueError):
         CappedL1Penalty(lam=1.0, theta=-1.0)
+
+
+@pytest.mark.parametrize("make, kwargs, message", [
+    (LogPenalty, {"lam": 0.0, "theta": 1.0}, "lam must be positive"),
+    (LogPenalty, {"lam": 1.0, "theta": -1.0}, "theta must be positive"),
+    (LogEpsilonPenalty, {"lam": -1.0, "eps": 1.0}, "lam must be positive"),
+    (LogEpsilonPenalty, {"lam": 1.0, "eps": 0.0}, "eps must be positive"),
+    (ScadPenalty, {"lam": 0.0, "theta": 3.7}, "lam must be positive"),
+    (ScadPenalty, {"lam": 1.0, "theta": 2.0}, "SCAD requires theta > 2"),
+    (ScadPenalty, {"lam": 1.0, "theta": -1.0}, "SCAD requires theta > 2"),
+    (McpPenalty, {"lam": -0.5, "gamma": 2.0}, "lam must be positive"),
+    (McpPenalty, {"lam": 1.0, "gamma": 0.0}, "gamma must be positive"),
+    (CappedL1Penalty, {"lam": 0.0, "theta": 1.0}, "lam must be positive"),
+    (CappedL1Penalty, {"lam": 1.0, "theta": -1.0}, "theta must be positive"),
+])
+def test_each_invalid_parameter_is_named_in_its_error(make, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(**kwargs)
+
+
+@pytest.mark.parametrize("kind,pen,params", ALL)
+def test_params_are_the_fields_and_rebuild_the_penalty(kind, pen, params):
+    assert pen.kind == kind and pen.params() == params
+    assert make_penalty(kind, **params) == pen
 
 
 # ------------------------------------------------------------ extreme shapes
