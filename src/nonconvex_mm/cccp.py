@@ -30,8 +30,8 @@ included), so ||B|| bounds the exact first-order residual from above
 (the composite gradient mapping of Nesterov, 2013).  It is the scheme
 "a" step certificate of ``run_mm``, built by the same kernel.  The exact
 residual runs only at the start point, to confirm a stop on ||B|| <=
-inner_tol, and at the budget, so the residual an inner solve reports is
-always the exact one.
+inner_tol or a face-solve candidate (below), and at the budget, so the
+residual an inner solve reports is always the exact one.
 
 For least squares the outer objective is carried, not re-evaluated: one
 ``value_and_grad`` at the start point gives f(w_0) and grad f(w_0), and
@@ -54,6 +54,24 @@ loss, each evaluation calls ``loss.gradient``, which costs 2*nnz(X).
 The strong-convexity certificate of a least-squares loss makes one
 eigen-solve of the cached Gram matrix; an L_f first asked for after it
 is the top of the same spectrum, so no Lanczos solve runs.
+
+On the Gram path the subproblem is a quadratic plus kappa*|.|_1 and the
+box, and proximal gradient identifies its active face (the signs of the
+coordinates and which of them sit at a bound) in finitely many steps
+(Hare & Lewis, 2004).  On that face the subproblem is one linear system.
+So the inner loop also tries a face solve: at the start point, and after
+each step that leaves the face of the previous step unchanged.  With F
+the free coordinates (nonzero and strictly inside the box) it solves
+
+    (G_FF + ridge*I) x_F = b'_F - kappa*sign(x_F) - G_FN x_N,
+
+b' = b + grad v(w), by a Cholesky factorization (G + ridge*I is positive
+definite, since gamma_u > 0 is certified), and keeps every other
+coordinate at 0 or at its bound.  The candidate is returned only if it
+keeps the face's signs, stays in the box and its exact residual, from
+one Gram matvec, is at most inner_tol; otherwise proximal gradient goes
+on from where it was.  The candidate depends on the face alone, so a
+face that missed is not tried again until the iterates leave it.
 """
 
 from __future__ import annotations
@@ -63,6 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
@@ -223,12 +242,16 @@ class CccpConfig:
 class InnerSolveInfo:
     """How an inner solve ended.  ``residual`` is the exact first-order
     residual of the subproblem at the returned point, and ``smooth_grad``
-    the gradient of its smooth part there."""
+    the gradient of its smooth part there.  ``iterations`` counts the
+    proximal-gradient steps; ``face_tries`` the face solves tried and
+    ``face_accepted`` (0 or 1) whether the returned point is one."""
 
     residual: float
     iterations: int
     inexact: bool
     gradient_evals: int
+    face_tries: int = 0
+    face_accepted: int = 0
     smooth_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -257,8 +280,46 @@ def _inner_gram(loss):
     return loss.data.gram if X.shape[1] ** 2 <= nnz else None
 
 
+def _face(x: np.ndarray, box) -> np.ndarray:
+    """The face of x: sign(x_i), or 2 (3) for a coordinate at its lower
+    (upper) box bound."""
+    face = np.sign(x)
+    if box is not None:
+        face[x <= box[0]] = 2.0
+        face[x >= box[1]] = 3.0
+    return face
+
+
+def _face_solve(G: np.ndarray, ridge: float, kappa: float, x: np.ndarray,
+                g: np.ndarray, face: np.ndarray, free: np.ndarray, box):
+    """Minimizer of the subproblem on the face of x, or None when it
+    leaves that face.
+
+    The free coordinates F move by the Newton step of the face's
+    quadratic, -(G_FF + ridge*I)^{-1} (g_F + kappa*sign(x_F)) with g the
+    smooth gradient at x, which is the module docstring's system written
+    from x; the others stay.  The step is one Cholesky solve (LAPACK
+    ``posv``); a block that is not positive definite counts as a miss.
+    """
+    A = G[free][:, free]
+    if ridge:
+        A.flat[::free.size + 1] += ridge
+    _, d, info = dposv(A, g[free] + kappa * face[free])
+    if info != 0:
+        return None
+    x_free = x[free] - d
+    lo, hi = (-np.inf, np.inf) if box is None else (box[0][free], box[1][free])
+    if not (np.array_equal(np.sign(x_free), face[free]) and np.isfinite(x_free).all()
+            and np.all(x_free >= lo) and np.all(x_free <= hi)):
+        return None
+    out = x.copy()
+    out[free] = x_free
+    return out
+
+
 def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:
-    """Solve the linearized convex subproblem at w by proximal gradient.
+    """Solve the linearized convex subproblem at w by proximal gradient,
+    ended on the Gram path by a certified face solve.
 
     The smooth part s is f + ridge minus the linearization of v; the prox
     part kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold
@@ -275,15 +336,19 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     For least squares with p*p <= nnz(X) the smooth gradient is
     G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
     and ``loss.gradient`` is never called; otherwise every evaluation
-    calls ``loss.gradient``.
+    calls ``loss.gradient``.  On that Gram path a face solve (see the
+    module docstring) is tried at the start point and after each step
+    whose face equals the previous one's, unless that face already
+    missed; the loop also stops once the exact residual of a face
+    candidate, one more Gram matvec, is at most ``cfg.inner_tol``.
     """
     w = np.asarray(w, dtype=float).ravel()
     g_v = prob.v_grad(w)
-    ridge = prob.ridge
+    ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     lip = prob.loss.lipschitz + ridge
     gram = _inner_gram(prob.loss)
     b = None if gram is None else gram[1] + g_v
-    evals = 0
+    evals = tries = accepted = 0
 
     def grad_s(x):
         nonlocal evals
@@ -297,22 +362,51 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         return out
 
     def trial(L):
-        x_next = _soft_threshold(x - g / L, prob.l1_weight / L, prob.box)
+        x_next = _soft_threshold(x - g / L, kappa / L, box)
         return x_next, grad_s(x_next)
+
+    def try_face():
+        """(x, g, residual) of the face solve from x when it is certified,
+        else of x itself; a face with no free coordinate has no solve."""
+        nonlocal tries, accepted
+        free = np.flatnonzero(np.abs(face) == 1.0)
+        if free.size:
+            tries += 1
+            x_face = _face_solve(gram[0], ridge, kappa, x, g, face, free, box)
+            if x_face is not None:
+                g_face = grad_s(x_face)
+                r = _subproblem_residual(x_face, g_face, kappa, box)
+                if r <= tol:
+                    accepted = 1
+                    return x_face, g_face, r
+        return x, g, resid
 
     x = prob.project(w.copy())
     g = grad_s(x)
-    resid = _subproblem_residual(x, g, prob.l1_weight, prob.box)
+    resid = _subproblem_residual(x, g, kappa, box)
+    faces = gram is not None and resid > tol
+    if faces:
+        face = _face(x, box)
+        x, g, resid = try_face()
+        tried = True
     L = lip
     it = 0
-    while resid > cfg.inner_tol and it < cfg.inner_max_iter:
+    while resid > tol and it < cfg.inner_max_iter:
         it += 1
         L_step, (x_next, g_next), L = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
         _, B = _step_subgradient(x_next, x_next - x, g_next, g, L_step, None)
         x, g = x_next, g_next
-        if _norm(B) <= cfg.inner_tol or it == cfg.inner_max_iter:
-            resid = _subproblem_residual(x, g, prob.l1_weight, prob.box)
-    return x, InnerSolveInfo(resid, it, resid > cfg.inner_tol, evals, g)
+        if _norm(B) <= tol or it == cfg.inner_max_iter:
+            resid = _subproblem_residual(x, g, kappa, box)
+        if faces and resid > tol:
+            face_next = _face(x, box)
+            # the candidate depends on the face alone: one try per face
+            if not np.array_equal(face_next, face):
+                face, tried = face_next, False
+            elif not tried:
+                x, g, resid = try_face()
+                tried = True
+    return x, InnerSolveInfo(resid, it, resid > tol, evals, tries, accepted, g)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
@@ -321,7 +415,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     ``trace.meta`` records the guarantee ``certify`` checks, the
     ``stop_reason`` ("tol" or "budget"), ``kkt`` (the exact residual of
     the DC objective at the final iterate) and, per inner solve, its
-    residual, steps and gradient evaluations.
+    residual, proximal-gradient steps, gradient evaluations, face solves
+    tried and whether a face solve ended it.
 
     For least squares the objective column comes from one
     ``value_and_grad`` at the start point, carried forward by the exact
@@ -346,6 +441,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "inner_residuals": [],
         "inner_iterations": [],
         "inner_gradient_evals": [],
+        "inner_face_tries": [],
+        "inner_face_accepted": [],
         "any_inexact": False,
         # the guarantee certify() checks; an inexact inner solve may give
         # back up to 2 * inner_tol * ||Delta|| of the descent
@@ -370,6 +467,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         trace.meta["inner_residuals"].append(info.residual)
         trace.meta["inner_iterations"].append(info.iterations)
         trace.meta["inner_gradient_evals"].append(info.gradient_evals)
+        trace.meta["inner_face_tries"].append(info.face_tries)
+        trace.meta["inner_face_accepted"].append(info.face_accepted)
         trace.meta["any_inexact"] = trace.meta["any_inexact"] or info.inexact
         delta = w_next - w
         if carry:

@@ -128,8 +128,10 @@ class Dataset:
     @cached_property
     def gram_spectrum(self) -> np.ndarray:
         """All eigenvalues of X^T X / n in ascending order, read-only: one
-        ``eigvalsh`` of ``gram[0]`` on first access."""
+        ``eigvalsh`` of ``gram[0]`` on first access.  A top eigenvalue
+        below the normal range raises the design-scale error."""
         ev = np.linalg.eigvalsh(self.gram[0])
+        _curvature(float(ev[-1]), self.X)
         ev.flags.writeable = False
         return ev
 
@@ -149,19 +151,23 @@ class Dataset:
         for the life of the data set.
         """
         X, n, p = self.X, self.n, self.p
-        fro2 = _frobenius_sq(X)
+        # fro2 / n bounds the top eigenvalue from above; below the normal
+        # range the Lanczos matvecs underflow (ARPACK then finds its start
+        # vector zero)
+        fro2_n = _curvature(_frobenius_sq(X) / n, X)
         if "gram_spectrum" in self.__dict__:
             return float(self.gram_spectrum[-1])
         m = min(n, p)
         if m == 1:
             # the smaller Gram matrix is 1x1, and eigsh needs k < m
-            return fro2 / n
+            return fro2_n
         # outer @ (inner @ v) / n is X^T X v / n when p <= n, X X^T v / n else
         outer, inner = (X.T, X) if p <= n else (X, X.T)
         gram = LinearOperator((m, m), matvec=lambda v: outer @ (inner @ v) / n, dtype=float)
         # a fixed generic start: the ones vector can be an eigenvector of the Gram
         v0 = np.random.default_rng(0).standard_normal(m)
-        return float(eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        return _curvature(float(eigsh(gram, k=1, which="LA", v0=v0,
+                                      return_eigenvectors=False)[0]), X)
 
 
 def _frobenius_sq(X) -> float:
@@ -181,6 +187,21 @@ def _frobenius_sq(X) -> float:
     raise _scale_error(X, overflow=bool(fro2))
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _curvature(c: float, X) -> float:
+    """A curvature constant c of the design X, when c is a normal double.
+
+    One below ``np.finfo(float).tiny`` (subnormal or 0) has lost its
+    relative precision to underflow: a step 1/c or a weight rho*c built
+    from it is wrong, so this raises the design-scale error instead.
+    """
+    if c >= _TINY:
+        return c
+    raise _scale_error(X, overflow=False)
+
+
 def _entries(X) -> np.ndarray:
     """The stored entries of X as a flat view, without a copy."""
     return X.data if _is_sparse(X) else X.ravel(order="K")
@@ -190,7 +211,7 @@ def _scale_error(X, overflow: bool) -> ValueError:
     """The error for a nonzero design whose sums of squares overflow or
     underflow in double precision; it names the largest entry magnitude."""
     top = float(np.max(np.abs(_entries(X))))
-    what = "overflow" if overflow else "underflow to 0"
+    what = "overflow" if overflow else "underflow to 0 or below the normal range"
     return ValueError(
         f"design matrix scale out of range: its largest entry magnitude {top:.3g} "
         f"makes sums of squares of its entries {what} in double precision; rescale X"
@@ -208,9 +229,9 @@ def least_squares_strong_convexity(data: Dataset) -> float:
     try:
         np.linalg.cholesky(data.gram[0])
     except np.linalg.LinAlgError:
-        # a nonzero design whose squares underflow has an all-zero Gram
-        # matrix; _frobenius_sq names that scale instead
-        _frobenius_sq(data.X)
+        # a nonzero design whose squares underflow has an all-zero or
+        # subnormal Gram matrix; the scale error names that instead
+        _curvature(_frobenius_sq(data.X) / data.n, data.X)
         raise ValueError("design is rank deficient; least-squares loss is not strongly convex")
     return float(data.gram_spectrum[0])
 
@@ -284,7 +305,7 @@ class LogisticLoss:
 
     @cached_property
     def lipschitz(self) -> float:
-        return _frobenius_sq(self.data.X) / (4.0 * self.data.n)
+        return _curvature(_frobenius_sq(self.data.X) / (4.0 * self.data.n), self.data.X)
 
 
 _LOSSES = {"ls": LeastSquaresLoss, "logistic": LogisticLoss}

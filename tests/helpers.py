@@ -7,6 +7,7 @@ touching the package's own minimization or derivative code paths, so a
 bug cannot hide on both sides of an assertion.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -215,6 +216,51 @@ def prox_gradient_reference(grad, lipschitz: float, l1: float, box, x0: np.ndarr
             return x_new
         x = x_new
     return x
+
+
+def qp_face_enumeration(Q: np.ndarray, c: np.ndarray, kappa: float, box=None) -> np.ndarray:
+    """Exact minimizer of x^T Q x / 2 - c^T x + kappa*|x|_1 over the box,
+    for a positive definite Q and p <= 5, by enumerating faces.
+
+    Every coordinate is either fixed (at 0 when the box holds 0, or at a
+    finite bound) or free with a sign; each of these up to 5^p faces is
+    solved as a linear system, and a solution that keeps its signs and
+    stays in the box is a candidate.  The candidate with the least
+    objective is returned.  ``box`` is None or (lo, hi) arrays.
+    """
+    Q, c = np.asarray(Q, dtype=float), np.asarray(c, dtype=float)
+    p = c.shape[0]
+    if p > 5:
+        raise ValueError("face enumeration is for p <= 5")
+    lo, hi = (np.full(p, -np.inf), np.full(p, np.inf)) if box is None else box
+    options = []
+    for i in range(p):
+        opts = [("free", 1.0), ("free", -1.0)]
+        if lo[i] <= 0.0 <= hi[i]:
+            opts.append(("fixed", 0.0))
+        opts += [("fixed", b) for b in {lo[i], hi[i]} if np.isfinite(b)]
+        options.append(opts)
+
+    def objective(x):
+        return 0.5 * x @ Q @ x - c @ x + kappa * np.sum(np.abs(x))
+
+    best, best_x = np.inf, None
+    for pattern in itertools.product(*options):
+        x = np.array([v if kind == "fixed" else 0.0 for kind, v in pattern])
+        free = np.array([kind == "free" for kind, _ in pattern])
+        if free.any():
+            s = x.copy()
+            s[free] = [v for kind, v in pattern if kind == "free"]
+            rhs = c[free] - kappa * s[free] - Q[np.ix_(free, ~free)] @ x[~free]
+            x[free] = np.linalg.solve(Q[np.ix_(free, free)], rhs)
+            if np.any(np.sign(x[free]) != s[free]):
+                continue
+        if np.any(x < lo) or np.any(x > hi):
+            continue
+        val = objective(x)
+        if val < best:
+            best, best_x = val, x
+    return best_x
 
 
 def read_libsvm_lines(path, task: str = "classification", force_p=None):

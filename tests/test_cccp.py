@@ -29,7 +29,7 @@ from nonconvex_mm import (
 
 from nonconvex_mm import cccp as cccp_module
 
-from helpers import prox_gradient_reference, zeta_reference
+from helpers import prox_gradient_reference, qp_face_enumeration, zeta_reference
 
 
 def full_rank_ls(seed=0, n=100, p=20):
@@ -176,31 +176,62 @@ def test_cccp_step_1d_grid_oracle():
     assert abs(out[0] - grid[int(np.argmin(objs))]) <= 1e-3
 
 
+def short_sparse_ls(seed=0, n=60, p=20):
+    """A full-rank CSR least-squares loss with p*p > nnz(X), so the inner
+    loop calls ``loss.gradient`` and runs proximal gradient to the end."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, p, density=0.3, random_state=seed, data_rvs=rng.standard_normal,
+                  format="csr")
+    y = np.asarray(X @ rng.normal(size=p)).ravel() + 0.3 * rng.normal(size=n)
+    return LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
+
+
 @pytest.mark.parametrize("ridge", [0.0, 0.4])
 def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
-    loss = full_rank_ls(seed=12)
-    prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
-                                   box=(-1.0, 1.0))
-    search = cccp_module._curvature_search
-    accepted = []
+    # on the Gram path a face solve ends the inner solves after a few
+    # steps; on the design path proximal gradient runs to the end, and
+    # there the search leaves the cap
+    search, face_solve = cccp_module._curvature_search, cccp_module._face_solve
+    accepted, trials, candidates = [], [0], [0]
 
-    def recording(*args):
-        out = search(*args)
+    def recording(trial, *args):
+        def counting(L):
+            trials[0] += 1
+            return trial(L)
+
+        out = search(counting, *args)
         accepted.append(out[0])
         return out
 
+    def recording_face(*args):
+        out = face_solve(*args)
+        candidates[0] += out is not None
+        return out
+
     monkeypatch.setattr(cccp_module, "_curvature_search", recording)
-    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
-    assert trace.converged and certify(trace).passed
-    cap = loss.lipschitz + ridge
-    assert len(accepted) == sum(trace.meta["inner_iterations"]) > 0
-    assert all(prob.gamma_u <= L <= cap for L in accepted)
-    assert min(accepted) < cap
-    # one gradient per trial of the search plus one at each inner start
-    evals = trace.meta["inner_gradient_evals"]
-    assert len(evals) == trace.num_steps()
-    assert all(e >= it + 1 for e, it in zip(evals, trace.meta["inner_iterations"]))
-    assert trace.mu == [None] * len(trace)
+    monkeypatch.setattr(cccp_module, "_face_solve", recording_face)
+    for loss in (full_rank_ls(seed=12), short_sparse_ls(seed=12)):
+        gram_path = cccp_module._inner_gram(loss) is not None
+        prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
+                                       box=(-1.0, 1.0))
+        accepted.clear()
+        trials[0] = candidates[0] = 0
+        trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+        assert trace.converged and certify(trace).passed
+        cap = loss.lipschitz + ridge
+        assert len(accepted) == sum(trace.meta["inner_iterations"]) > 0
+        assert all(prob.gamma_u <= L <= cap for L in accepted)
+        # one gradient per trial of the search, one at each inner start and
+        # one per face candidate whose exact residual is checked
+        evals = trace.meta["inner_gradient_evals"]
+        assert len(evals) == trace.num_steps()
+        assert sum(evals) == trials[0] + trace.num_steps() + candidates[0]
+        assert trace.mu == [None] * len(trace)
+        if gram_path:
+            assert sum(trace.meta["inner_face_accepted"]) > 0
+        else:
+            assert min(accepted) < cap
+            assert candidates[0] == sum(trace.meta["inner_face_tries"]) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -236,6 +267,69 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
     assert resid <= cert + 1e-12 * scale
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5), lam=st.floats(0.01, 1.0),
+       ridge=st.sampled_from([0.0, 0.3]),
+       box=st.sampled_from(["none", "finite", "half", "pinned"]))
+def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, box):
+    # a dense design with n >= p takes the Gram path, where a face solve
+    # may end the inner solve; its output is the subproblem's minimizer
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p + 1, 3 * p + 2))
+    loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(n, p)),
+                                    y=2.0 * rng.normal(size=n), task="regression"))
+    lo = rng.uniform(-2.0, 0.5, size=p)
+    bounds = {"none": None,
+              "finite": (lo, lo + rng.uniform(0.0, 2.0, size=p)),
+              "half": (lo, np.full(p, np.inf)),
+              "pinned": (lo, lo.copy())}[box]
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=lam, theta=3.7), ridge=ridge,
+                                   box=bounds)
+    assert cccp_module._inner_gram(loss) is not None
+    # a start point with zeros and coordinates at bounds starts on a face
+    # that may be wrong, so its face solve can stay on it and still miss
+    w = rng.uniform(-2.0, 2.0, size=p)
+    w[rng.random(p) < 0.3] = 0.0
+    w = prob.project(w)
+    cfg = CccpConfig(inner_tol=1e-10)
+    out, info = cccp_step(w, prob, cfg)
+    G, b = loss.data.gram
+    Q = G + ridge * np.eye(p)
+    c = b + prob.v_grad(w)
+    x_star = qp_face_enumeration(Q, c, prob.l1_weight, prob.box)
+    exact = cccp_module._subproblem_residual(out, info.smooth_grad, prob.l1_weight,
+                                             prob.box)
+    assert info.residual == exact <= cfg.inner_tol and not info.inexact
+    scale = np.linalg.norm(Q, 2) * np.linalg.norm(x_star) + np.linalg.norm(c) + prob.l1_weight
+    np.testing.assert_allclose(info.smooth_grad, Q @ out - c, rtol=0, atol=1e-13 * scale)
+    # strong convexity: ||x - x*|| <= dist(0, subdifferential at x) / gamma_u
+    assert np.linalg.norm(out - x_star) <= (cfg.inner_tol + 1e-12 * scale) / prob.gamma_u
+    assert info.face_accepted <= min(info.face_tries, 1)
+
+
+@pytest.mark.parametrize("g00, c0, ridge, box, expected", [
+    (1.0, 2.0, 0.0, None, 1.5),                 # the face minimizer c0 - kappa
+    (1.0, 2.0, 1.0, None, 0.75),                # (c0 - kappa) / (1 + ridge)
+    (1.0, 0.3, 0.0, None, None),                # c0 - kappa < 0 leaves the face
+    (1.0, 2.0, 0.0, (-1.0, 1.0), None),         # leaves the box
+    (1.0, 1.2, 0.0, (-1.0, 1.0), 0.7),
+    (0.0, 2.0, 0.0, None, None),                # the free block is not positive definite
+])
+def test_face_solve_returns_the_face_minimizer_or_none(g00, c0, ridge, box, expected):
+    # s(x) = x^T G x / 2 - c^T x + ridge |x|^2 / 2 with kappa = 0.5 on the
+    # face (+, 0): x_0 is free and positive, x_1 stays at 0
+    G = np.array([[g00, 0.5], [0.5, 2.0]])
+    c = np.array([c0, 3.0])
+    x = np.array([0.9, 0.0])
+    g = G @ x + ridge * x - c
+    bounds = None if box is None else (np.full(2, box[0]), np.full(2, box[1]))
+    out = cccp_module._face_solve(G, ridge, 0.5, x, g, np.sign(x), np.array([0]), bounds)
+    if expected is None:
+        assert out is None
+    else:
+        np.testing.assert_allclose(out, [expected, 0.0], rtol=0, atol=1e-15)
+
+
 def _inner_stop_problem(ridge):
     loss = full_rank_ls(seed=26)
     return dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), ridge=ridge,
@@ -263,30 +357,60 @@ def test_inner_solve_reports_the_exact_residual_and_gradient(ridge, inner_max_it
 
 
 def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch):
-    prob = _inner_stop_problem(0.0)
-    w = np.random.default_rng(28).uniform(-0.4, 0.4, size=prob.p)
+    # the loop stops at the first step whose ||B|| passes or whose face
+    # solve is confirmed; the exact residual runs at the start, to confirm
+    # a stop or a face candidate, and at the budget
     search, exact = cccp_module._curvature_search, cccp_module._subproblem_residual
-    certs, residuals = [], []
+    face_solve = cccp_module._face_solve
+    events = []
 
     def recording_search(trial, x, g, *args):
         out = search(trial, x, g, *args)
         L, (x_next, g_next) = out[0], out[1][:2]
-        certs.append(float(np.linalg.norm(g_next - g - L * (x_next - x))))
+        events.append(("cert", float(np.linalg.norm(g_next - g - L * (x_next - x)))))
         return out
 
     def recording_residual(*args):
-        residuals.append(exact(*args))
-        return residuals[-1]
+        events.append(("residual", exact(*args)))
+        return events[-1][1]
+
+    def recording_face(*args):
+        out = face_solve(*args)
+        events.append(("candidate", out is not None))
+        return out
 
     monkeypatch.setattr(cccp_module, "_curvature_search", recording_search)
     monkeypatch.setattr(cccp_module, "_subproblem_residual", recording_residual)
+    monkeypatch.setattr(cccp_module, "_face_solve", recording_face)
     tol = 1e-11
-    _, info = cccp_step(w, prob, CccpConfig(inner_tol=tol))
-    first = next(k for k, c in enumerate(certs, start=1) if c <= tol)
-    assert info.iterations == first == len(certs) > 1
-    # the exact residual ran at the start point and to confirm the stop
-    assert len(residuals) == 2 and residuals[0] > tol
-    assert residuals[1] == info.residual <= certs[-1]
+    gram_prob = _inner_stop_problem(0.0)
+    design_prob = dc_problem_from_penalty(short_sparse_ls(seed=26),
+                                          ScadPenalty(lam=0.2, theta=3.7), box=(-0.4, 0.4))
+    ends = []
+    for prob in (gram_prob, design_prob):
+        events.clear()
+        w = np.random.default_rng(28).uniform(-0.4, 0.4, size=prob.p)
+        _, info = cccp_step(w, prob, CccpConfig(inner_tol=tol))
+        certs = [v for kind, v in events if kind == "cert"]
+        residuals = [v for kind, v in events if kind == "residual"]
+        assert info.iterations == len(certs) > 1
+        assert info.face_tries == sum(kind == "candidate" for kind, _ in events)
+        assert events[0][0] == "residual" and events[0][1] > tol
+        for before, (kind, _) in zip(events, events[1:]):
+            if kind == "residual":
+                assert before == ("candidate", True) or (before[0] == "cert"
+                                                         and before[1] <= tol)
+        # every exact residual but the last missed; the last one stopped it
+        assert all(c > tol for c in certs[:-1])
+        assert all(r > tol for r in residuals[:-1])
+        assert residuals[-1] == info.residual <= tol
+        if info.face_accepted:
+            assert events[-2] == ("candidate", True)
+        else:
+            assert residuals[-1] <= certs[-1] <= tol
+        ends.append((info.face_tries, info.face_accepted))
+    # the Gram path ended on a face solve; the design path tries none
+    assert ends[0][1] == 1 and ends[1] == (0, 0)
 
 
 # ------------------------------------------------------ inner gradient paths
@@ -420,6 +544,23 @@ def test_run_records_the_exact_kkt_residual_at_its_final_iterate(make, max_iter)
     # the last inner residual plus the last linearization gap bounds it
     assert kkt <= trace.meta["inner_residuals"][-1] + trace.residual[-1] + 1e-15
     assert certify(trace).kkt == kkt
+
+
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
+                                  _wide_least_squares_ridge_problem,
+                                  _logistic_ridge_problem])
+def test_run_records_the_face_solves_of_every_inner_solve(make):
+    loss, prob = make()
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    meta = trace.meta
+    tries, accepted = meta["inner_face_tries"], meta["inner_face_accepted"]
+    assert len(tries) == len(accepted) == len(meta["inner_iterations"]) == trace.num_steps()
+    assert all(a in (0, 1) and a <= t for t, a in zip(tries, accepted))
+    if cccp_module._inner_gram(loss) is None:
+        # other losses and p*p > nnz(X) designs run proximal gradient only
+        assert sum(tries) == 0
+    else:
+        assert sum(accepted) > 0
 
 
 @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])

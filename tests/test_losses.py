@@ -306,11 +306,14 @@ def test_zero_design_rejected():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sparse", [False, True])
-@pytest.mark.parametrize("scale, what", [(1e-200, "underflow to 0"), (1e200, "overflow")])
+@pytest.mark.parametrize("scale, what", [(1e-200, "underflow to 0"), (1e200, "overflow"),
+                                         (1e-162, "underflow")])
 @pytest.mark.parametrize("ask", ["ls_lipschitz", "logistic_lipschitz", "cccp_setup"])
 def test_design_at_extreme_scale_rejected_with_its_scale(capfd, sparse, scale, what, ask):
     # 1e-200 once read as an all-zero design; at 1e200 Lanczos raised an
-    # ArpackError after LAPACK printed to stderr, and the logistic bound was inf
+    # ArpackError after LAPACK printed to stderr, and the logistic bound was
+    # inf.  At 1e-162 the sums of squares are subnormal: Lanczos found its
+    # start vector zero, and the logistic bound was 5e-324
     rng = np.random.default_rng(14)
     X = rng.normal(size=(50, 20))
     X[0, 0] = 4.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonconvex_mm import (
     CccpConfig,
@@ -50,6 +50,17 @@ def _clear(call) -> None:
     assert len(trace) >= 1 and trace.meta["stop_reason"] in ("tol", "budget", "nonfinite")
 
 
+# a design near 1e-162 has subnormal sums of squares: least squares raised
+# ARPACK's "Starting vector is zero", and logistic loss ran with
+# L_f = 5e-324 and warned that mu <= L_f
+@example(rows=(-162.0, -162.0), cols=(0.0, 0.0), target=0.0, sparse=False,
+         loss_kind="ls", seed=0)
+@example(rows=(-162.0, -162.0), cols=(0.0, 0.0), target=0.0, sparse=True,
+         loss_kind="ls", seed=1)
+@example(rows=(-162.0, -162.0), cols=(0.0, 0.0), target=0.0, sparse=False,
+         loss_kind="logistic", seed=2)
+@example(rows=(-161.0, -163.0), cols=(0.0, -1.0), target=0.0, sparse=True,
+         loss_kind="logistic", seed=3)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rows=st.tuples(_DECADES, _DECADES), cols=st.tuples(_DECADES, _DECADES),
        target=_DECADES, sparse=st.booleans(), loss_kind=st.sampled_from(["ls", "logistic"]),
