@@ -2,11 +2,13 @@
 
 The libsvm text format is ``label idx:val idx:val ...`` with 1-based,
 strictly increasing indices per line and finite numbers; ``#`` starts a
-comment.  The reader tokenizes the whole file in one pass and checks the
-format on whole arrays; a line loop runs only to name the first offending
-line of a malformed file.  Synthetic
-problems use the counter-based Philox generator so identical specs are
-bitwise reproducible, including across processes and parallel sweeps.
+comment.  The reader reads every number with numpy's C text parser
+(``np.loadtxt``), the labels in one call and the feature tokens in
+another, and checks the format on whole arrays; a line loop, reading with
+the same parser, runs only to name the first offending line of a
+malformed file.  Synthetic problems use the counter-based Philox
+generator so identical specs are bitwise reproducible, including across
+processes and parallel sweeps.
 
 Traces serialize to CSV with the fixed column set
 ``iter,objective,step_norm,residual,elapsed_sec`` (floats in shortest
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -111,19 +115,18 @@ def read_libsvm(path, task: str = "classification", force_p: int | None = None) 
     ``p`` is the maximum feature index seen unless ``force_p`` pins it
     (for train/test consistency).
 
-    One tokenizing pass: each line is split once into its label and its
-    feature text; the feature tokens of a block of lines are joined, ``:``
-    is turned into a space, and the result is split once.  The indices
-    and the values of the block are then converted by one ``np.array``
-    each (Python's own ``int``/``float`` parsing, so the numbers are those
-    of a token-by-token read), and the row offsets are the cumulative
-    per-row token counts.
+    Each line is split once into its label and its feature text.  Every
+    number is then read by numpy's C text reader (``np.loadtxt``): the
+    labels in one call, and all feature tokens in another, one token per
+    row, split at ``:`` into an int64 index and a float value, so a token
+    without exactly one ``:`` fails on its column count.  The row offsets
+    are the cumulative per-row token counts.
 
-    The format rules are checked on whole arrays: one ``:`` per token,
-    indices in [1, 2**31 - 1] and strictly increasing within each row,
-    finite labels and values.  Only when a check fails or a conversion
-    raises does a line loop run, to raise a ``LibsvmFormatError`` naming
-    the first offending line.
+    The format rules are checked on whole arrays: indices in
+    [1, 2**31 - 1] and strictly increasing within each row, finite labels
+    and values.  Only when a check fails or a token does not parse does a
+    line loop run, with the same reader, to raise a ``LibsvmFormatError``
+    naming the first offending line.
     """
     # per data line: its number, its label token and its feature text; three
     # lists rather than a list of tuples, whose memory CPython keeps on its
@@ -139,10 +142,16 @@ def read_libsvm(path, task: str = "classification", force_p: int | None = None) 
     if not linenos:
         raise LibsvmFormatError(f"{path}: no samples")
     try:
-        labels = np.array(label_toks, dtype=float)
-        idx, values = _parse_features(feat_texts)
-    except (ValueError, OverflowError):
+        labels = _load(label_toks, float)
+        # np.loadtxt warns on input without rows, so a file of label-only
+        # rows skips the call
+        pairs = (_load((tok for feats in feat_texts for tok in feats.split()), _PAIR)
+                 if any(feat_texts) else np.empty(0, dtype=_PAIR))
+    except ValueError:
         _locate_error(path, linenos, label_toks, feat_texts)
+    # a field of the structured array is a strided view that keeps all of it
+    # alive, and csr_matrix would keep the view
+    idx, values = pairs["index"], np.ascontiguousarray(pairs["value"])
     indptr = np.zeros(len(linenos) + 1, dtype=np.int64)
     np.cumsum([f.count(":") for f in feat_texts], out=indptr[1:])
     increasing = np.diff(idx) > 0
@@ -164,97 +173,82 @@ def read_libsvm(path, task: str = "classification", force_p: int | None = None) 
     return Dataset(X=X, y=y, task=task)
 
 
-# feature text is converted per block of rows of about this many characters,
-# so only one block's index and value strings (several bytes of Python
-# objects per byte of text) are alive at once
-_BLOCK_CHARS = 1 << 16
+# one feature token ``index:value``
+_PAIR = np.dtype([("index", np.int64), ("value", float)])
 
 
-def _parse_features(feat_texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (int64) and values (float) of all feature tokens in file order.
+def _load(tokens, dtype) -> np.ndarray:
+    """One row per token, read by ``np.loadtxt``; ``ValueError`` where a
+    token does not parse.
 
-    Rows are joined and split in blocks of about ``_BLOCK_CHARS``
-    characters, each converted by one ``np.array`` per kind.  Raises
-    ``ValueError`` or ``OverflowError`` where a token does not parse.
+    numpy from 1.23, until that deprecation expired, read a float such as
+    ``1.5`` into an integer field as 1 with a ``DeprecationWarning``; that
+    warning raises here too.
     """
-    idx_blocks, val_blocks = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    start, chars = 0, 0
-    for stop, feats in enumerate(feat_texts, start=1):
-        chars += len(feats)
-        if chars >= _BLOCK_CHARS or stop == len(feat_texts):
-            pieces = _index_value_pieces(" ".join(f for f in feat_texts[start:stop] if f))
-            idx_blocks.append(np.array(pieces[0::2], dtype=np.int64))
-            val_blocks.append(np.array(pieces[1::2], dtype=float))
-            start, chars = stop, 0
-    return np.concatenate(idx_blocks), np.concatenate(val_blocks)
+    delimiter = ":" if dtype is _PAIR else None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        try:
+            return np.loadtxt(tokens, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+        except DeprecationWarning as warning:
+            raise ValueError(str(warning)) from None
 
 
-def _index_value_pieces(feats: str) -> list[str]:
-    """The feature tokens of ``feats`` split into [index, value, index, ...].
+# numpy's grammar of an integer field
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
-    Raises ``ValueError`` unless every token holds exactly one ':'.
-    Printable ASCII text has no whitespace but ' ', and one ':' per token
-    then leaves no room for a double space, so such text is split as it
-    is; other text is first re-joined by single spaces.
+
+def _feature(where: str, tok: str) -> tuple[int, float]:
+    """(index, value) of one feature token, or its bad-token error.
+
+    An index too wide for int64 is returned as a Python int, for the
+    range checks to name; its value is read with index 0 in its place.
     """
-    if not feats:
-        return []
-    b = np.frombuffer(feats.encode("utf-8"), dtype=np.uint8)
-    if not (b.min() >= ord(" ") and b.max() <= ord("~") and _one_colon_per_token(b)):
-        feats = " ".join(feats.split())
-        if not _one_colon_per_token(np.frombuffer(feats.encode("utf-8"), dtype=np.uint8)):
-            raise ValueError("a feature token without exactly one ':'")
-    return feats.replace(":", " ").split(" ")
-
-
-def _one_colon_per_token(b: np.ndarray) -> bool:
-    """Whether every token of the space-joined UTF-8 bytes ``b`` has one ':'.
-
-    That holds exactly when the separators alternate ':', ' ', ':', ...,
-    ':', i.e. each space lies between two consecutive colons.  ':' and ' '
-    never occur inside a multi-byte UTF-8 sequence.
-    """
-    colons = np.flatnonzero(b == ord(":"))
-    spaces = np.flatnonzero(b == ord(" "))
-    return (colons.size == spaces.size + 1 and bool(np.all(colons[:-1] < spaces))
-            and bool(np.all(spaces < colons[1:])))
+    idx_str, _, val_str = tok.partition(":")
+    wide = bool(_INTEGER.fullmatch(idx_str)) and not _INT64.min <= int(idx_str) <= _INT64.max
+    try:
+        idx, val = _load(["0:" + val_str if wide else tok], _PAIR).item(0)
+    except ValueError:
+        raise LibsvmFormatError(f"{where}: bad feature token {tok!r}") from None
+    return (int(idx_str) if wide else idx), val
 
 
 def _locate_error(path, linenos, label_toks, feat_texts) -> NoReturn:
     """Raise the ``LibsvmFormatError`` of the first offending line.
 
-    Runs only after a whole-array check of ``read_libsvm`` failed, and
-    walks the data lines token by token in file order.
+    Runs only after the parse or a whole-array check of ``read_libsvm``
+    failed, and walks the data lines token by token in file order.  A
+    line's tokens are read in one call, and one at a time only when that
+    call fails.
     """
     for lineno, label, feats in zip(linenos, label_toks, feat_texts):
+        where = f"{path}:{lineno}"
         try:
-            value = float(label)
+            value = _load([label], float).item(0)
         except ValueError:
-            raise LibsvmFormatError(f"{path}:{lineno}: bad label {label!r}")
+            raise LibsvmFormatError(f"{where}: bad label {label!r}") from None
         if not math.isfinite(value):
-            raise LibsvmFormatError(f"{path}:{lineno}: non-finite label {label!r}")
+            raise LibsvmFormatError(f"{where}: non-finite label {label!r}")
+        toks = feats.split()
+        try:
+            pairs = _load(toks, _PAIR).tolist() if toks else []
+        except ValueError:
+            pairs = (_feature(where, tok) for tok in toks)
         prev = 0
-        for tok in feats.split():
-            try:
-                idx_str, val_str = tok.split(":", 1)
-                idx = int(idx_str)
-                val = float(val_str)
-            except ValueError:
-                raise LibsvmFormatError(f"{path}:{lineno}: bad feature token {tok!r}")
+        for tok, (idx, val) in zip(toks, pairs):
             if idx < 1:
-                raise LibsvmFormatError(f"{path}:{lineno}: index {idx} is not 1-based")
+                raise LibsvmFormatError(f"{where}: index {idx} is not 1-based")
             if idx > _MAX_INDEX:
                 raise LibsvmFormatError(
-                    f"{path}:{lineno}: index {idx} exceeds the largest supported "
-                    f"index {_MAX_INDEX}"
+                    f"{where}: index {idx} exceeds the largest supported index {_MAX_INDEX}"
                 )
             if idx <= prev:
                 raise LibsvmFormatError(
-                    f"{path}:{lineno}: indices must be strictly increasing "
-                    f"({idx} after {prev})"
+                    f"{where}: indices must be strictly increasing ({idx} after {prev})"
                 )
             if not math.isfinite(val):
-                raise LibsvmFormatError(f"{path}:{lineno}: non-finite value in {tok!r}")
+                raise LibsvmFormatError(f"{where}: non-finite value in {tok!r}")
             prev = idx
     raise AssertionError(f"{path}: the array checks failed but no line is at fault")
 
@@ -265,21 +259,15 @@ def _fmt(x: float) -> str:
 
 def write_libsvm(data: Dataset, path) -> None:
     """Write a Dataset in libsvm text form (zeros dropped, exact decimals)."""
-    X = data.X
-    dense = not sp.issparse(X)
+    X = sp.csr_matrix(data.X)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(data.n):
             if data.task == "classification":
                 label = "+1" if data.y[i] > 0 else "-1"
             else:
                 label = _fmt(data.y[i])
-            if dense:
-                row = X[i]
-                cols = np.nonzero(row)[0]
-                feats = ((j + 1, row[j]) for j in cols)
-            else:
-                start, end = X.indptr[i], X.indptr[i + 1]
-                feats = ((X.indices[k] + 1, X.data[k]) for k in range(start, end))
+            start, end = X.indptr[i], X.indptr[i + 1]
+            feats = ((X.indices[k] + 1, X.data[k]) for k in range(start, end))
             parts = [label] + [f"{j}:{_fmt(v)}" for j, v in feats]
             fh.write(" ".join(parts) + "\n")
 

@@ -34,6 +34,7 @@ memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,13 +162,19 @@ class Dataset:
         if m == 1:
             # the smaller Gram matrix is 1x1, and eigsh needs k < m
             return fro2_n
-        # outer @ (inner @ v) / n is X^T X v / n when p <= n, X X^T v / n else
+        # outer @ (inner @ v) / n is X^T X v / n when p <= n, X X^T v / n else.
+        # Lanczos runs on s times it, with s the power of two that brings
+        # fro2 / n into [0.5, 1): ARPACK's convergence test is absolute below
+        # about 3.7e-11, and matvecs near the underflow threshold lose digits.
+        # Multiplying and dividing by s are exact
+        s = math.ldexp(1.0, -math.frexp(fro2_n)[1])
         outer, inner = (X.T, X) if p <= n else (X, X.T)
-        gram = LinearOperator((m, m), matvec=lambda v: outer @ (inner @ v) / n, dtype=float)
+        gram = LinearOperator((m, m), matvec=lambda v: outer @ ((inner @ v) * s) / n,
+                              dtype=float)
         # a fixed generic start: the ones vector can be an eigenvector of the Gram
         v0 = np.random.default_rng(0).standard_normal(m)
         return _curvature(float(eigsh(gram, k=1, which="LA", v0=v0,
-                                      return_eigenvectors=False)[0]), X)
+                                      return_eigenvectors=False)[0]) / s, X)
 
 
 def _frobenius_sq(X) -> float:

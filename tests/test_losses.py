@@ -186,6 +186,25 @@ def test_lipschitz_exact_when_power_iteration_stalls_on_sparse_design():
     assert float(X.multiply(X).sum()) / 300 > 100 * lam
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("scale", [1e-12, 1e-14, "tiny"])
+def test_lanczos_exact_at_small_design_scales(sparse, scale):
+    # ARPACK's convergence test is absolute for small eigenvalues: at 1e-12
+    # and 1e-14 the top eigenvalue read 1e-8 and 4e-6 low, and a Gram matrix
+    # of 1.5 * tiny * I read up to 13 * tiny
+    if scale == "tiny":
+        Q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(50, 20)))
+        tiny = np.finfo(float).tiny
+        X, expected = Q * np.sqrt(1.5 * tiny * 50), 1.5 * tiny
+    else:
+        X = np.random.default_rng(0).normal(size=(247, 196)) * scale
+        expected = gram_top_eigenvalue(X)
+    d = Dataset(X=sp.csr_matrix(X) if sparse else X, y=np.zeros(X.shape[0]), task="regression")
+    # approx's default absolute tolerance 1e-12 would pass any value here
+    assert d.gram_top_eigenvalue == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert "gram_spectrum" not in d.__dict__
+
+
 def test_lipschitz_repeatable_bitwise():
     X = sparse_p_much_greater_than_n_design()
     d = Dataset(X=X, y=np.ones(300), task="regression")
