@@ -85,7 +85,7 @@ from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
-from .mm import IterateTrace, _curvature_search, _soft_threshold
+from .mm import IterateTrace, SparseIterates, _curvature_search, _soft_threshold
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -430,7 +430,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     if w.shape[0] != prob.p:
         raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
     w = prob.project(w)
-    trace = IterateTrace(iterates=[])
+    trace = IterateTrace(iterates=SparseIterates())
     trace.meta = {
         "solver": "cccp",
         "gamma_u": prob.gamma_u,

@@ -111,12 +111,16 @@ def _step_subgradient(w_next: np.ndarray, delta: np.ndarray, g_next: np.ndarray,
     A -= mu * delta
     if d is None:
         return None, A
-    b = np.sign(w_next) * d
-    zero = w_next == 0.0
-    if np.any(zero):
-        dz = d[zero]
-        c = np.divide(A[zero], dz, out=np.zeros_like(dz), where=dz != 0.0)
-        b[zero] = np.clip(c, -1.0, 1.0) * dz
+    b = np.sign(w_next)
+    b *= d
+    # at a zero coordinate sgn(0) is free in [-1, 1]: take A_i / d_i clipped
+    # there; where d_i is 0, b_i = sgn(0) * d_i is already 0
+    free = w_next == 0.0
+    free &= d != 0.0
+    np.divide(A, d, out=b, where=free)
+    np.maximum(b, -1.0, out=b, where=free)
+    np.minimum(b, 1.0, out=b, where=free)
+    np.multiply(b, d, out=b, where=free)
     return b, A - b
 
 
@@ -214,7 +218,8 @@ def rate_fit(trace, min_points: int = 20, quality_threshold: float = 0.8) -> Rat
     if len(W) < 2:
         return RateFit(UNDETERMINED, float("nan"), 0.0)
     wstar = W[-1]
-    errs = np.array([float(np.linalg.norm(wk - wstar)) for wk in W[:-1]])
+    # one dense row at a time: W[:-1] would hold every row at once
+    errs = np.array([float(np.linalg.norm(W[k] - wstar)) for k in range(len(W) - 1)])
     usable = errs[: max(len(errs) - 5, 0)]
     if len(usable) < min_points:
         return RateFit(UNDETERMINED, float("nan"), 0.0)

@@ -291,18 +291,30 @@ class LogisticLoss:
             raise ValueError("logistic loss needs classification labels")
         self.data = data
         self._xt = data.X.T
+        self._neg_y = -data.y
 
     def value_and_grad(self, w) -> tuple[float, np.ndarray]:
         """f(w) and grad f(w) from one set of margins y_i x_i^T w."""
         w = _check_dim(w, self.data.p)
-        z = -(self.data.y * np.asarray(self.data.X @ w).ravel())
+        n = self.data.n
+        # z = -y * (X w), in place in the fresh product
+        z = np.asarray(self.data.X @ w).ravel()
+        z *= self._neg_y
         # one exp(-|z|) gives both the stable softplus log(1 + exp(z)) and
         # the sigmoid 1 / (1 + exp(-z)), which never overflow
-        e = np.exp(-np.abs(z))
-        softplus = np.maximum(z, 0.0) + np.log1p(e)
-        sigmoid = np.where(z >= 0, 1.0, e) / (1.0 + e)
-        coef = -self.data.y * sigmoid / self.data.n
-        return float(np.mean(softplus)), np.asarray(self._xt @ coef).ravel()
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        sigmoid = np.where(z >= 0, 1.0, e)
+        # z becomes softplus = max(z, 0) + log1p(e), then e becomes 1 + e
+        np.maximum(z, 0.0, out=z)
+        z += np.log1p(e)
+        e += 1.0
+        sigmoid /= e
+        # the gradient's weights -y * sigmoid / n
+        sigmoid *= self._neg_y
+        sigmoid /= n
+        return float(np.add.reduce(z) / n), np.asarray(self._xt @ sigmoid).ravel()
 
     def value(self, w) -> float:
         return self.value_and_grad(w)[0]

@@ -63,7 +63,7 @@ gives F(w+) for the trace and grad f(w+), which checks the curvature,
 certifies the step and is carried into the next one (with zeta'(|w+|)
 for scheme "b").  So a trial costs one ``X @ w``, one ``X.T @ r`` and,
 for scheme "a", one prox; an accepted step adds one ``reg_value`` and
-at most one ``penalty.deriv``.  An extrapolated try adds no evaluation
+at most one evaluation of zeta'.  An extrapolated try adds no evaluation
 at y: g_y combines the two gradients already carried, for every loss.
 The step certificate is built from these by the kernels of
 ``diagnostics``, and the exact KKT residual only at the first and last
@@ -75,6 +75,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,10 @@ class MmConfig:
     allowed only so the diagnostics can demonstrate the failure; both
     rho <= 1 and an explicit ``mu_override`` below L_f trigger a
     warning, pin every step at mu_k = mu and extrapolate none.
+
+    ``record_iterates`` keeps every iterate in ``trace.iterates``, each
+    stored by its nonzeros (see ``SparseIterates``), so a sparse run's
+    trace costs O(nnz) memory per row, not O(p); False records none.
     """
 
     scheme: str = "a"
@@ -146,6 +151,51 @@ class MmConfig:
             raise ValueError("tol must be finite and nonnegative")
 
 
+class SparseIterates(Sequence):
+    """The iterates of a trace, each row kept as the indices of its nonzero
+    entries and the values there: O(nnz) memory per row in place of a
+    dense copy's O(p).
+
+    Reading gives fresh dense float arrays of length p, for an integer
+    or negative index, a slice (a list) and iteration alike, so writing
+    to one leaves the trace as it was.  Every zero entry comes back as
+    +0.0: a -0.0, which the prox's ``copysign`` can leave in an iterate,
+    is not stored.
+    """
+
+    def __init__(self, rows=()):
+        self._p = None
+        self._index: list[np.ndarray] = []
+        self._value: list[np.ndarray] = []
+        for w in rows:
+            self.append(w)
+
+    def append(self, w) -> None:
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"an iterate must be 1-dimensional, got shape {w.shape}")
+        if self._p is None:
+            self._p = w.shape[0]
+        elif w.shape[0] != self._p:
+            raise ValueError(f"iterate has length {w.shape[0]}, expected {self._p}")
+        # np.flatnonzero(w) gives the same indices but tests each float
+        # through a per-element call, about ten times slower at p = 2000
+        idx = (w != 0.0).nonzero()[0]
+        self._index.append(idx)
+        self._value.append(w[idx])
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        idx = self._index[k]
+        w = np.zeros(self._p)
+        w[idx] = self._value[k]
+        return w
+
+
 @dataclass
 class IterateTrace:
     """Per-iterate record of a solver run.
@@ -160,6 +210,11 @@ class IterateTrace:
     objective column is nonincreasing (up to evaluation roundoff once the
     per-step decrease falls below one ulp of F) for any valid
     majorization run.
+
+    ``iterates`` is None when the run recorded none, else a
+    ``SparseIterates``: row k reads as a fresh dense copy of the k-th
+    iterate, with its zeros as +0.0.  An iterates list passed at
+    construction is converted to one.
     """
 
     iters: list[int] = field(default_factory=list)
@@ -169,10 +224,14 @@ class IterateTrace:
     elapsed_sec: list[float] = field(default_factory=list)
     mu: list[float | None] = field(default_factory=list)
     beta: list[float | None] = field(default_factory=list)
-    iterates: list[np.ndarray] | None = None
+    iterates: SparseIterates | None = None
     final_w: np.ndarray | None = None
     converged: bool = False
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.iterates is not None and not isinstance(self.iterates, SparseIterates):
+            self.iterates = SparseIterates(self.iterates)
 
     def append(self, k: int, objective: float, step_norm: float,
                residual: float, elapsed: float, w=None, mu: float | None = None,
@@ -185,7 +244,7 @@ class IterateTrace:
         self.mu.append(None if mu is None else float(mu))
         self.beta.append(None if beta is None else float(beta))
         if self.iterates is not None and w is not None:
-            self.iterates.append(np.array(w, dtype=float))
+            self.iterates.append(w)
 
     def __len__(self) -> int:
         return len(self.iters)
@@ -375,7 +434,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     if w.shape[0] != prob.p:
         raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
 
-    trace = IterateTrace(iterates=[] if config.record_iterates else None)
+    trace = IterateTrace(iterates=SparseIterates() if config.record_iterates else None)
     trace.meta = {
         "scheme": config.scheme,
         "mu": mu,
@@ -392,8 +451,11 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         raise FloatingPointError("objective is not finite at the starting point")
     trace.append(0, f_curr, 0.0, _kkt_distance(w, g, pen), time.perf_counter() - t0, w)
     _check_step(mu, pen, linearize)
+    # zeta' from the penalty's formula: every argument below is np.abs of a
+    # float array, which the public deriv would only convert and sign-check
+    zeta_prime = pen._deriv
     # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
-    omega = pen.deriv(np.abs(w)) if linearize else None
+    omega = zeta_prime(np.abs(w)) if linearize else None
     # mu_k = L_k + gamma keeps the descent slack of mu = L_f + gamma; without
     # slack the search is pinned at L_f and no step is extrapolated
     gamma = mu - lf
@@ -426,7 +488,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         """zeta'(|z|) (scheme b) and ||B||, B the member of dF(z) that the
         step d = z - x from the anchor x gives: grad f(z) plus its prox
         optimality term."""
-        omega_z = pen.deriv(np.abs(z)) if linearize else None
+        omega_z = zeta_prime(np.abs(z)) if linearize else None
         _, B = _step_subgradient(z, d, g_z, g_x, mu_k,
                                  None if omega_x is None else omega_x - omega_z)
         return omega_z, _norm(B)
@@ -443,7 +505,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             if float(g @ m) <= 0.0:
                 y = w + beta * m
                 g_y = _gradient_at_y(beta, g, g_prev)
-                omega_y = pen.deriv(np.abs(y)) if linearize else None
+                omega_y = zeta_prime(np.abs(y)) if linearize else None
                 z, g_z, f_z, mu_k, l_next = mm_step(y, g_y, omega_y)
                 delta = z - w
                 step = _norm(delta)

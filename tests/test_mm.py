@@ -375,10 +375,12 @@ def reference_run(prob, scheme, mus, tol, betas=None):
     step k with the surrogate weight mus[k] from the anchor
     y = w + betas[k] (w - w_prev) with the gradient
     (1 + betas[k]) grad f(w) - betas[k] grad f(w_prev) there (y = w when
-    betas[k] is 0 or betas is None)."""
+    betas[k] is 0 or betas is None).  Returns the trace rows, the list of
+    iterates visited and the final kkt residual."""
     step = step_a if scheme == "a" else step_b
     w = w_prev = np.zeros(prob.p)
     rows = [(prob.objective(w), 0.0, kkt_residual(w, prob))]
+    iterates = [w]
     for mu, beta in zip(mus, betas or [0.0] * len(mus)):
         y, anchored = w, prob
         if beta > 0.0:
@@ -392,9 +394,10 @@ def reference_run(prob, scheme, mus, tol, betas=None):
         rows.append((prob.objective(w_next), float(np.linalg.norm(delta)), report.B_norm))
         assert report.kkt == kkt_residual(w_next, prob)
         w_prev, w = w, w_next
+        iterates.append(w)
         if np.max(np.abs(delta)) <= tol:
             break
-    return rows, w, kkt_residual(w, prob)
+    return rows, iterates, kkt_residual(w, prob)
 
 
 @pytest.mark.parametrize("kind,shape", _ORACLE_PENALTIES, ids=[k for k, _ in _ORACLE_PENALTIES])
@@ -407,10 +410,10 @@ def test_run_mm_bitwise_equals_reference_loop(kind, shape):
         trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=1e-9,
                                       record_iterates=False))
         assert trace.mu[0] is None and trace.beta[0] is None
-        rows, w, kkt = reference_run(prob, scheme, trace.mu[1:], 1e-9, trace.beta[1:])
+        rows, W, kkt = reference_run(prob, scheme, trace.mu[1:], 1e-9, trace.beta[1:])
         assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows, (
             loss_kind, scheme)
-        np.testing.assert_array_equal(trace.final_w, w)
+        np.testing.assert_array_equal(trace.final_w, W[-1])
         assert trace.meta["kkt"] == kkt
         extrapolated += sum(b > 0.0 for b in trace.beta[1:])
     assert extrapolated > 0
@@ -529,9 +532,9 @@ def test_run_mm_without_slack_is_the_fixed_mu_loop(scheme, field, factor):
     mu = trace.meta["mu"]
     assert trace.mu[1:] == [mu] * trace.num_steps()
     assert trace.meta["loss_evals"] == trace.num_steps()
-    rows, w, kkt = reference_run(prob, scheme, [mu] * 40, 1e-9)
+    rows, W, kkt = reference_run(prob, scheme, [mu] * 40, 1e-9)
     assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows
-    np.testing.assert_array_equal(trace.final_w, w)
+    np.testing.assert_array_equal(trace.final_w, W[-1])
     assert trace.meta["kkt"] == kkt
 
 
@@ -553,9 +556,9 @@ def test_rejected_extrapolation_restarts_into_the_plain_loop(scheme, scale, monk
     assert trace.meta["extrapolated_steps"] == 0
     assert trace.meta["restarts"] == steps // 2
     assert trace.beta[1:] == [0.0] * steps
-    rows, w, kkt = reference_run(base, scheme, trace.mu[1:], 1e-9)
+    rows, W, kkt = reference_run(base, scheme, trace.mu[1:], 1e-9)
     assert list(zip(trace.objective, trace.step_norm, trace.residual)) == rows
-    np.testing.assert_array_equal(trace.final_w, w)
+    np.testing.assert_array_equal(trace.final_w, W[-1])
 
 
 def test_restart_counts_add_up_on_an_accelerated_run(monkeypatch):
