@@ -226,6 +226,15 @@ def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0
 
 @dataclass(frozen=True)
 class CccpConfig:
+    """Outer and inner budgets and tolerances.
+
+    ``tol`` is in KKT units: the outer loop stops at the first step whose
+    linearization gap ||grad v(w^(k-1)) - grad v(w^(k))|| plus its inner
+    solve's exact residual is at most tol.  By the triangle inequality
+    that sum bounds the box-aware KKT distance of the DC objective at the
+    new iterate.  ``inner_tol`` ends each inner solve (see ``cccp_step``).
+    """
+
     max_iter: int = 200
     tol: float = 1e-8
     inner_tol: float = 1e-10
@@ -412,7 +421,11 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     """Outer CCCP loop; the trace's residual column holds the
     linearization-gap certificate ||grad v(w^(k-1)) - grad v(w^(k))||.
-    ``trace.meta`` records the guarantee ``certify`` checks, the
+    The loop stops on "tol" at the first step where that gap plus the
+    step's inner residual, a bound on the KKT distance of the DC
+    objective at the new iterate, is at most ``cfg.tol``;
+    ``trace.converged`` is set exactly then.
+    ``trace.meta`` records the guarantee ``certify`` checks, ``tol``, the
     ``stop_reason`` ("tol" or "budget"), ``kkt`` (the exact residual of
     the DC objective at the final iterate) and, per inner solve, its
     residual, proximal-gradient steps, gradient evaluations, face solves
@@ -437,6 +450,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "l1_weight": prob.l1_weight,
         "ridge": prob.ridge,
         "v_lipschitz": prob.v_lipschitz(),
+        "tol": cfg.tol,
         "inner_tol": cfg.inner_tol,
         "inner_residuals": [],
         "inner_iterations": [],
@@ -483,10 +497,11 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             f_next = prob.objective(w_next)
         g_v_next = prob.v_grad(w_next)
         gap = g_v - g_v_next
-        trace.append(k + 1, f_next, _norm(delta), _norm(gap), time.perf_counter() - t0,
+        gap_norm = _norm(gap)
+        trace.append(k + 1, f_next, _norm(delta), gap_norm, time.perf_counter() - t0,
                      w_next)
         w, g_v = w_next, g_v_next
-        if np.max(np.abs(delta), initial=0.0) <= cfg.tol:
+        if gap_norm + info.residual <= cfg.tol:
             trace.converged = True
             break
 

@@ -1,9 +1,9 @@
 """Command-line front end: solve, bench, and diagnose.
 
 Flags mirror the math: --lambda, --theta, --gamma, --epsilon, --rho.
-Exit codes: 0 converged / 1 usage or input error, or a non-finite
-objective / 2 iteration budget exhausted / 3 a diagnostic inequality
-failed.
+Exit codes: 0 converged (a certified KKT residual at most --tol) / 1
+usage or input error, or a non-finite objective / 2 iteration budget
+exhausted / 3 a diagnostic inequality failed.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                         help="surrogate weight factor: mu = rho * L_f")
     solver.add_argument("--mu", type=float, default=None, help="override mu directly")
     solver.add_argument("--tol", type=float, default=1e-8,
-                        help="stop when the step's infinity norm drops below this")
+                        help="stop when a step's certified KKT residual drops to this")
     solver.add_argument("--max-iter", type=int, default=5000)
 
     out = sub.add_argument_group("output")

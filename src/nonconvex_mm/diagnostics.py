@@ -280,6 +280,9 @@ def certify(trace) -> Certificate:
     -(descent_slack * ||Delta_k|| + descent_tol); bound margin
     residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol;
     a recorded final ``kkt`` must not exceed the last residual by 1e-8.
+    A run that stopped on ``"tol"`` fails when the quantity its stop rule
+    tested exceeds ``meta["tol"]``: the last residual, plus for CCCP the
+    last inner residual.
     """
     meta = trace.meta
     gamma = meta["gamma"]
@@ -305,6 +308,13 @@ def certify(trace) -> Certificate:
                         f"< {_neg_tol(meta['bound_tol'])}")
     if kkt is not None and len(steps) and kkt > trace.residual[-1] + 1e-8:
         failures.append(f"kkt residual {kkt:.3e} exceeds certificate {trace.residual[-1]:.3e}")
+    if meta.get("stop_reason") == "tol":
+        stopped = trace.residual[-1]
+        if "inner_residuals" in meta:
+            stopped += meta["inner_residuals"][-1]
+        if stopped > meta["tol"]:
+            failures.append(f"stopped on tol at a certified residual {stopped:.3e} "
+                            f"> tol {meta['tol']:.3e}")
     rate = None if trace.iterates is None else rate_fit(trace)
     return Certificate(gamma, worst_descent, worst_bound, kkt, total, tail, rate,
                        tuple(failures))

@@ -128,6 +128,10 @@ class MmConfig:
     rho <= 1 and an explicit ``mu_override`` below L_f trigger a
     warning, pin every step at mu_k = mu and extrapolate none.
 
+    ``tol`` is in KKT units: the run stops at the first step whose
+    certified residual ||B|| (see ``run_mm``) is at most tol, which bounds
+    the distance from 0 to the subdifferential of F at the new iterate.
+
     ``record_iterates`` keeps every iterate in ``trace.iterates``, each
     stored by its nonzeros (see ``SparseIterates``), so a sparse run's
     trace costs O(nnz) memory per row, not O(p); False records none.
@@ -407,8 +411,13 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
 
 
 def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
-    """Run the majorize-minimize loop until the step's infinity norm
+    """Run the majorize-minimize loop until a step's certified residual
     drops to ``config.tol`` or ``config.max_iter`` steps were taken.
+
+    The residual of a step is ||B||, B the member of the subdifferential
+    of F at the new iterate that the step gives (``trace.residual``), so
+    a run that stops on ``tol`` has certified dist(0, dF) <= tol at its
+    final iterate.  ``trace.converged`` is set exactly then.
 
     With descent slack (gamma = mu - L_f > 0) each step first tries the
     safeguarded extrapolated step (see the module docstring) and falls
@@ -507,8 +516,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
                 g_y = _gradient_at_y(beta, g, g_prev)
                 omega_y = zeta_prime(np.abs(y)) if linearize else None
                 z, g_z, f_z, mu_k, l_next = mm_step(y, g_y, omega_y)
-                delta = z - w
-                step = _norm(delta)
+                step = _norm(z - w)
                 # the safeguard: the descent and the subgradient bound of a
                 # plain step, checked exactly; a non-finite F(z) fails the first
                 if f_z <= f_curr - 0.5 * gamma * step * step:
@@ -532,7 +540,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         w_prev, g_prev = w, g
         w, g, omega, f_curr = z, g_z, omega_z, f_z
         t, l_start = t_next, l_next
-        if np.max(np.abs(delta), initial=0.0) <= config.tol:
+        if res <= config.tol:
             trace.converged = True
             stop_reason = "tol"
             break

@@ -218,6 +218,7 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
         trials[0] = candidates[0] = 0
         trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
         assert trace.converged and certify(trace).passed
+        assert trace.converged == (trace.meta["stop_reason"] == "tol")
         cap = loss.lipschitz + ridge
         assert len(accepted) == sum(trace.meta["inner_iterations"]) > 0
         assert all(prob.gamma_u <= L <= cap for L in accepted)

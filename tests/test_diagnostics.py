@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonconvex_mm import (
     CappedL1Penalty,
+    CccpConfig,
     Dataset,
     IterateTrace,
     LeastSquaresLoss,
@@ -17,10 +18,12 @@ from nonconvex_mm import (
     ProblemInstance,
     SyntheticSpec,
     certify,
+    dc_problem_from_penalty,
     finite_length,
     kkt_residual,
     make_penalty,
     rate_fit,
+    run_cccp,
     run_mm,
     step_a,
     step_b,
@@ -307,6 +310,23 @@ def test_certify_mm_run_agrees_with_its_checks():
     assert cert.passed and trace.meta["stop_reason"] == "tol"
     assert cert.kkt == kkt_residual(trace.final_w, prob)
     assert cert.rate is not None
+
+
+def test_certify_fails_a_tol_stop_above_its_tolerance():
+    # "tol" promises that the certified residual the stop rule tested, plus
+    # for CCCP the last inner residual, is at most meta["tol"]
+    trace = run_mm(logistic_problem(), MmConfig(scheme="b", max_iter=5000, tol=1e-10))
+    assert trace.meta["stop_reason"] == "tol" and certify(trace).passed
+    trace.meta["tol"] = 0.5 * trace.residual[-1]
+    assert [f.split(" at ")[0] for f in certify(trace).failures] == ["stopped on tol"]
+    prob = dc_problem_from_penalty(_loss("ls"), McpPenalty(lam=0.1, gamma=3.0),
+                                   box=(-1.0, 1.0))
+    trace = run_cccp(prob, CccpConfig(tol=1e-8, inner_tol=1e-10))
+    assert trace.meta["stop_reason"] == "tol" and certify(trace).passed
+    trace.meta["inner_residuals"][-1] = 2e-8
+    assert [f.split(" at ")[0] for f in certify(trace).failures] == ["stopped on tol"]
+    trace.meta["stop_reason"] = "budget"
+    assert certify(trace).passed
 
 
 def test_certify_reports_majorization_failure_for_small_rho():

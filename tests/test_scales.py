@@ -13,9 +13,12 @@ from nonconvex_mm import (
     ProblemInstance,
     ScadPenalty,
     dc_problem_from_penalty,
+    certify,
     run_cccp,
     run_mm,
 )
+from nonconvex_mm.cli import main
+from nonconvex_mm.data_io import write_libsvm
 
 _DECADES = st.floats(-300.0, 300.0)
 
@@ -47,7 +50,14 @@ def _clear(call) -> None:
     except (ValueError, FloatingPointError) as exc:
         assert str(exc)
         return
-    assert len(trace) >= 1 and trace.meta["stop_reason"] in ("tol", "budget", "nonfinite")
+    stop = trace.meta["stop_reason"]
+    assert len(trace) >= 1 and stop in ("tol", "budget", "nonfinite")
+    assert trace.converged == (stop == "tol")
+    if stop == "tol":
+        # the certified residual the stop rule tested: for CCCP the
+        # linearization gap plus the last inner residual
+        stopped = trace.residual[-1] + trace.meta.get("inner_residuals", [0.0])[-1]
+        assert stopped <= trace.meta["tol"]
 
 
 # a design near 1e-162 has subnormal sums of squares: least squares raised
@@ -87,3 +97,29 @@ def test_extreme_scales_fail_clearly_or_return_a_trace(rows, cols, target, spars
         return
     for call in _solves(loss, ScadPenalty(lam=0.1, theta=3.7)):
         _clear(call)
+
+
+def _huge_least_squares() -> Dataset:
+    # a design scaled by 1e150: mu is near 1e300, so every step is tiny
+    # while the KKT residual is near 1e284 or more
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(50, 20)) * 1e150
+    return Dataset(X=X, y=X @ (rng.random(20) < 0.3), task="regression")
+
+
+def test_huge_scale_run_does_not_report_convergence():
+    # a stop on the step norm ended this run "tol" at a KKT residual of 6e291
+    prob = ProblemInstance(loss=LeastSquaresLoss(_huge_least_squares()),
+                           penalty=ScadPenalty(lam=0.1, theta=3.7))
+    trace = run_mm(prob, MmConfig())
+    assert trace.meta["stop_reason"] != "tol" and not trace.converged
+    assert trace.meta["kkt"] > trace.meta["tol"]
+    assert not certify(trace).passed
+
+
+def test_huge_scale_libsvm_solve_exits_2_and_diagnose_fails(tmp_path):
+    path = tmp_path / "huge.libsvm"
+    write_libsvm(_huge_least_squares(), path)
+    args = ["--data", str(path), "--loss", "ls", "--penalty", "scad", "--scheme", "a"]
+    assert main(["solve", *args]) == 2
+    assert main(["diagnose", *args]) != 0
