@@ -12,8 +12,8 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     ScadPenalty,
-    dc_problem_from_penalty,
     certify,
+    dc_problem_from_penalty,
     run_cccp,
     run_mm,
 )
@@ -108,7 +108,8 @@ def _huge_least_squares() -> Dataset:
 
 
 def test_huge_scale_run_does_not_report_convergence():
-    # a stop on the step norm ended this run "tol" at a KKT residual of 6e291
+    # the steps are tiny at a large KKT residual, so a stop on the step
+    # norm would report convergence here
     prob = ProblemInstance(loss=LeastSquaresLoss(_huge_least_squares()),
                            penalty=ScadPenalty(lam=0.1, theta=3.7))
     trace = run_mm(prob, MmConfig())
