@@ -11,17 +11,44 @@ the l1 part reconstructs the penalty exactly, so with ridge = 0 the DC
 objective equals the MM objective f + r.
 
 Each outer iteration linearizes v at the current point and solves the
-resulting convex subproblem by proximal gradient with the exact prox of
-kappa*|.|_1 + delta_box (soft-threshold then clamp, exact per
+resulting convex subproblem.  Strong convexity of u must be certified up
+front: either the least-squares Gram matrix has full rank or an explicit
+ridge is added (which changes F and is recorded as such).  An inner
+solve ends only on the subproblem's exact first-order residual, so the
+route to its answer is free.
+
+On the least-squares Gram path (below) the subproblem is a strictly
+convex quadratic plus kappa*|.|_1 and the box, and an exact active-set
+method solves it: block principal pivoting (Judice & Pires, 1994; Kim &
+Park, 2011).  Each coordinate has a state: at its lower bound, free and
+negative, at zero, free and positive, or at its upper bound, in that
+order along the line, and only the states its box allows.  With F the
+free coordinates, a pattern of states is solved by one Cholesky
+factorization (G + ridge*I is positive definite, since gamma_u > 0 is
+certified):
+
+    (G_FF + ridge*I) x_F = b'_F - kappa*sign(x_F) - G_FN x_N,
+
+b' = b + grad v(w), with every other coordinate at 0 or at its bound.
+A free coordinate that leaves its open interval, or a fixed one whose
+subgradient interval misses -grad s, is a violator and moves to the next
+state its box allows on the violated side.  The pivoting starts from the
+pattern of the start point and exchanges every violator; after 3
+exchanges that do not lower the fewest violators seen, it exchanges only
+the last violator (Murty's rule) until the count falls below that.  It ends
+when the pattern's point has an exact residual, from one Gram matvec, at
+most inner_tol, and is then returned.  After ``inner_max_iter``
+patterns, a pattern with no violator that still misses inner_tol, or a
+free block that is not numerically positive definite, the inner solve
+falls back to proximal gradient from the start point.
+
+Proximal gradient, which every other inner solve runs, uses the exact
+prox of kappa*|.|_1 + delta_box (soft-threshold then clamp, exact per
 coordinate).  Each inner step 1/L_k comes from the certified curvature
 search that ``run_mm`` uses, with L_k between the strong-convexity
-modulus gamma_u and the global bound L_f + ridge.  Strong convexity of
-u must be certified up front: either the least-squares Gram matrix has
-full rank or an explicit ridge is added (which changes F and is
-recorded as such).
-
-The inner loop stops on the prox step's own certificate.  With s the
-smooth part of the subproblem, the step x -> x+ with curvature L_k gives
+modulus gamma_u and the global bound L_f + ridge.  The loop stops on the
+prox step's own certificate.  With s the smooth part of the subproblem,
+the step x -> x+ with curvature L_k gives
 
     B = grad s(x+) - grad s(x) - L_k (x+ - x),
 
@@ -30,8 +57,8 @@ included), so ||B|| bounds the exact first-order residual from above
 (the composite gradient mapping of Nesterov, 2013).  It is the scheme
 "a" step certificate of ``run_mm``, built by the same kernel.  The exact
 residual runs only at the start point, to confirm a stop on ||B|| <=
-inner_tol or a face-solve candidate (below), and at the budget, so the
-residual an inner solve reports is always the exact one.
+inner_tol, and at the budget, so the residual an inner solve reports is
+always the exact one.
 
 For least squares the outer objective is carried, not re-evaluated: one
 ``value_and_grad`` at the start point gives f(w_0) and grad f(w_0), and
@@ -54,24 +81,6 @@ loss, each evaluation calls ``loss.gradient``, which costs 2*nnz(X).
 The strong-convexity certificate of a least-squares loss makes one
 eigen-solve of the cached Gram matrix; an L_f first asked for after it
 is the top of the same spectrum, so no Lanczos solve runs.
-
-On the Gram path the subproblem is a quadratic plus kappa*|.|_1 and the
-box, and proximal gradient identifies its active face (the signs of the
-coordinates and which of them sit at a bound) in finitely many steps
-(Hare & Lewis, 2004).  On that face the subproblem is one linear system.
-So the inner loop also tries a face solve: at the start point, and after
-each step that leaves the face of the previous step unchanged.  With F
-the free coordinates (nonzero and strictly inside the box) it solves
-
-    (G_FF + ridge*I) x_F = b'_F - kappa*sign(x_F) - G_FN x_N,
-
-b' = b + grad v(w), by a Cholesky factorization (G + ridge*I is positive
-definite, since gamma_u > 0 is certified), and keeps every other
-coordinate at 0 or at its bound.  The candidate is returned only if it
-keeps the face's signs, stays in the box and its exact residual, from
-one Gram matvec, is at most inner_tol; otherwise proximal gradient goes
-on from where it was.  The candidate depends on the face alone, so a
-face that missed is not tried again until the iterates leave it.
 """
 
 from __future__ import annotations
@@ -252,8 +261,9 @@ class InnerSolveInfo:
     """How an inner solve ended.  ``residual`` is the exact first-order
     residual of the subproblem at the returned point, and ``smooth_grad``
     the gradient of its smooth part there.  ``iterations`` counts the
-    proximal-gradient steps; ``face_tries`` the face solves tried and
-    ``face_accepted`` (0 or 1) whether the returned point is one."""
+    proximal-gradient steps; ``face_tries`` the patterns of the active-set
+    solve, the start point's included, and ``face_accepted`` (0 or 1)
+    whether the returned point is its answer."""
 
     residual: float
     iterations: int
@@ -264,18 +274,24 @@ class InnerSolveInfo:
     smooth_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
-    """Exact distance from 0 to grad_s + kappa * d|x| + N_box(x).
-
-    [lo, hi] is kappa times the subdifferential of |x_i|; the normal cone
-    of a coordinate at its lower (upper) box bound makes lo (hi) infinite.
-    """
+def _subdiff_interval(x: np.ndarray, kappa: float, box):
+    """[lo, hi], kappa times the subdifferential of |x_i| plus the normal
+    cone of the box, which makes lo (hi) infinite at a lower (upper)
+    bound."""
     lo = np.where(x > 0, kappa, -kappa)
     hi = np.where(x < 0, -kappa, kappa)
     if box is not None:
         lo[x <= box[0]] = -np.inf
         hi[x >= box[1]] = np.inf
-    return _interval_distance(grad_s, lo, hi)
+    return lo, hi
+
+
+def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
+    """Exact distance from 0 to grad_s + kappa * d|x| + N_box(x); +inf
+    outside the box, where the subproblem has no subgradient."""
+    if box is not None and ((x < box[0]).any() or (x > box[1]).any()):
+        return float("inf")
+    return _interval_distance(grad_s, *_subdiff_interval(x, kappa, box))
 
 
 def _inner_gram(loss):
@@ -289,67 +305,161 @@ def _inner_gram(loss):
     return loss.data.gram if X.shape[1] ** 2 <= nnz else None
 
 
-def _face(x: np.ndarray, box) -> np.ndarray:
-    """The face of x: sign(x_i), or 2 (3) for a coordinate at its lower
-    (upper) box bound."""
-    face = np.sign(x)
+# The states of a coordinate in an active-set pattern, in the order of the
+# values they allow: at the lower bound, free and negative, at zero, free
+# and positive, at the upper bound.  The free states have the odd codes,
+# and a free state's sign is its code minus _ZERO.
+_LOW, _NEG, _ZERO, _POS, _UP = range(5)
+
+
+def _allowed_states(p: int, box) -> np.ndarray:
+    """(p, 5) mask of the states each coordinate's box allows: a pinned
+    coordinate (lo == hi) has one, and a box that excludes 0 has neither
+    zero nor the free state of the other sign."""
+    lo, hi = (np.full(p, -np.inf), np.full(p, np.inf)) if box is None else box
+    inside = lo < hi
+    return np.stack([np.isfinite(lo) & (lo != 0.0), inside & (lo < 0.0),
+                     (lo <= 0.0) & (hi >= 0.0), inside & (hi > 0.0),
+                     inside & np.isfinite(hi) & (hi != 0.0)], axis=1)
+
+
+def _pattern_of(x: np.ndarray, box) -> np.ndarray:
+    """The state of each coordinate of a point x in the box."""
+    state = np.where(x > 0, _POS, np.where(x < 0, _NEG, _ZERO))
     if box is not None:
-        face[x <= box[0]] = 2.0
-        face[x >= box[1]] = 3.0
-    return face
+        # a bound at 0 is the zero state; a pinned coordinate sits at lo
+        state[(x >= box[1]) & (box[1] != 0.0)] = _UP
+        state[(x <= box[0]) & (box[0] != 0.0)] = _LOW
+    return state
 
 
-def _face_solve(G: np.ndarray, ridge: float, kappa: float, x: np.ndarray,
-                g: np.ndarray, face: np.ndarray, free: np.ndarray, box):
-    """Minimizer of the subproblem on the face of x, or None when it
-    leaves that face.
+def _pattern_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray,
+                   state: np.ndarray, box, grad_s):
+    """The point of an active-set pattern and the smooth gradient there,
+    or None when the free block is not numerically positive definite.
 
-    The free coordinates F move by the Newton step of the face's
-    quadratic, -(G_FF + ridge*I)^{-1} (g_F + kappa*sign(x_F)) with g the
-    smooth gradient at x, which is the module docstring's system written
-    from x; the others stay.  The step is one Cholesky solve (LAPACK
-    ``posv``); a block that is not positive definite counts as a miss.
+    Coordinates at zero or at a bound take that value.  The free ones F
+    solve the module docstring's system, written as the Newton step
+    -(G_FF + ridge*I)^{-1} (g_F + kappa*sign_F) from the fixed part, g
+    being grad s there (-b, with no matvec, when the fixed part is 0).
+    The step is one Cholesky solve (LAPACK ``posv``) of the free block,
+    gathered without an |F| x p slice.  Each gradient is one ``grad_s``
+    call.
     """
-    A = G[free][:, free]
-    if ridge:
-        A.flat[::free.size + 1] += ridge
-    _, d, info = dposv(A, g[free] + kappa * face[free])
-    if info != 0:
-        return None
-    x_free = x[free] - d
-    lo, hi = (-np.inf, np.inf) if box is None else (box[0][free], box[1][free])
-    if not (np.array_equal(np.sign(x_free), face[free]) and np.isfinite(x_free).all()
-            and np.all(x_free >= lo) and np.all(x_free <= hi)):
-        return None
-    out = x.copy()
-    out[free] = x_free
-    return out
+    x = np.zeros(b.size)
+    if box is not None:
+        for code, bound in zip((_LOW, _UP), box):
+            at = state == code
+            x[at] = bound[at]
+    g = grad_s(x) if x.any() else -b
+    free = np.flatnonzero(state & 1)
+    if free.size:
+        # G is symmetric, so the transposed block is the same matrix in the
+        # Fortran order that posv factors in place
+        A = G[free[:, None], free].T
+        if ridge:
+            A.flat[::free.size + 1] += ridge
+        _, d, info = dposv(A, g[free] + kappa * (state[free] - _ZERO), overwrite_a=1,
+                           overwrite_b=1)
+        if info != 0 or not np.isfinite(d).all():
+            return None
+        x[free] = -d
+        g = grad_s(x)
+    return x, g
+
+
+def _violators(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.ndarray):
+    """The coordinates whose pattern state is violated at the pattern's
+    point x, and for each whether it must move up the line (else down).
+
+    A free coordinate violates when it leaves its open interval, (lo,
+    min(hi, 0)) if negative and (max(lo, 0), hi) if positive; a fixed one
+    when the directional derivative g_i + hi_i (g_i + lo_i) of the
+    subproblem along +e_i (-e_i) is negative (positive), [lo, hi] being
+    its ``_subdiff_interval``.
+    """
+    lo_s, hi_s = _subdiff_interval(x, kappa, box)
+    up, down = g + hi_s < 0.0, g + lo_s > 0.0
+    free = (state & 1).astype(bool)
+    if free.any():
+        lo, hi = (-np.inf, np.inf) if box is None else box
+        pos = state == _POS
+        up = np.where(free, x > np.where(pos, hi, np.minimum(hi, 0.0)), up)
+        down = np.where(free, x < np.where(pos, np.maximum(lo, 0.0), lo), down)
+    viol = np.flatnonzero(up | down)
+    return viol, up[viol]
+
+
+def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, box,
+                      x0: np.ndarray, g0: np.ndarray, resid0: float, grad_s, tol: float,
+                      budget: int):
+    """Block principal pivoting (module docstring) from the pattern of the
+    start point x0, where the smooth gradient is g0 and the residual
+    resid0.
+
+    Returns ((x, g, residual), patterns) for the first pattern whose point
+    has an exact residual at most ``tol``, or (None, patterns) when the
+    pivoting ends without one.
+    """
+    state = _pattern_of(x0, box)
+    # with no free coordinate the start point is its pattern's point
+    x, g, resid = (None, None, np.inf) if (state & 1).any() else (x0, g0, resid0)
+    fewest, backup, allowed = x0.size + 1, 3, None
+    for patterns in range(1, budget + 1):
+        if x is None:
+            solved = _pattern_solve(G, ridge, kappa, b, state, box, grad_s)
+            if solved is None:
+                break
+            x, g = solved
+            resid = _subproblem_residual(x, g, kappa, box)
+        if resid <= tol:
+            return (x, g, resid), patterns
+        viol, up = _violators(x, g, kappa, box, state)
+        if not viol.size:
+            break
+        if viol.size < fewest:
+            fewest, backup = viol.size, 3
+        elif backup:
+            backup -= 1
+        else:
+            # Murty's rule: only the last violator moves
+            viol, up = viol[-1:], up[-1:]
+        # each violator moves to the next state its box allows on its side
+        step = np.where(up, 1, -1)
+        ahead = (np.arange(5) - state[viol, None]) * step[:, None]
+        if allowed is None:
+            allowed = _allowed_states(x0.size, box)
+        state[viol] += step * np.where(allowed[viol] & (ahead > 0), ahead, 5).min(axis=1)
+        x = None
+    return None, patterns
 
 
 def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:
-    """Solve the linearized convex subproblem at w by proximal gradient,
-    ended on the Gram path by a certified face solve.
+    """Solve the linearized convex subproblem at w: by block principal
+    pivoting on the Gram path, else (or when that misses) by proximal
+    gradient.
 
-    The smooth part s is f + ridge minus the linearization of v; the prox
-    part kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold
-    prox.  Each step x -> prox(x - grad s(x) / L_k) takes its curvature
-    L_k in [gamma_u, L_f + ridge] from ``_curvature_search``, starting at
+    The smooth part s is f + ridge minus the linearization of v.  For
+    least squares with p*p <= nnz(X) the smooth gradient is
+    G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
+    and ``loss.gradient`` is never called; otherwise every evaluation
+    calls ``loss.gradient``.  The exact residual runs first at the
+    projected start point, which may already be a solution.  On the Gram
+    path the active-set solve of the module docstring then runs from the
+    start point's pattern, with at most ``cfg.inner_max_iter`` patterns,
+    and its point is returned when it is in the box and its exact
+    residual is at most ``cfg.inner_tol``.
+
+    Otherwise proximal gradient runs from the start point.  The prox part
+    kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold prox.
+    Each step x -> prox(x - grad s(x) / L_k) takes its curvature L_k in
+    [gamma_u, L_f + ridge] from ``_curvature_search``, starting at
     L_f + ridge.  The loop stops once the step's certificate
     ||grad s(x+) - grad s(x) - L_k (x+ - x)||, an upper bound on the exact
     residual, drops to ``cfg.inner_tol`` and the exact residual confirms
-    it.  The exact residual also runs at the start point, which may
-    already be a solution, and at the budget, where the last iterate is
-    returned flagged inexact if it misses ``cfg.inner_tol``.  The returned
-    info carries grad s at the returned point.
-
-    For least squares with p*p <= nnz(X) the smooth gradient is
-    G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
-    and ``loss.gradient`` is never called; otherwise every evaluation
-    calls ``loss.gradient``.  On that Gram path a face solve (see the
-    module docstring) is tried at the start point and after each step
-    whose face equals the previous one's, unless that face already
-    missed; the loop also stops once the exact residual of a face
-    candidate, one more Gram matvec, is at most ``cfg.inner_tol``.
+    it, or after ``cfg.inner_max_iter`` steps, where the last iterate is
+    returned flagged inexact if it misses ``cfg.inner_tol``.  The
+    returned info carries grad s at the returned point.
     """
     w = np.asarray(w, dtype=float).ravel()
     g_v = prob.v_grad(w)
@@ -357,7 +467,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     lip = prob.loss.lipschitz + ridge
     gram = _inner_gram(prob.loss)
     b = None if gram is None else gram[1] + g_v
-    evals = tries = accepted = 0
+    evals = patterns = accepted = 0
 
     def grad_s(x):
         nonlocal evals
@@ -374,30 +484,14 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         x_next = _soft_threshold(x - g / L, kappa / L, box)
         return x_next, grad_s(x_next)
 
-    def try_face():
-        """(x, g, residual) of the face solve from x when it is certified,
-        else of x itself; a face with no free coordinate has no solve."""
-        nonlocal tries, accepted
-        free = np.flatnonzero(np.abs(face) == 1.0)
-        if free.size:
-            tries += 1
-            x_face = _face_solve(gram[0], ridge, kappa, x, g, face, free, box)
-            if x_face is not None:
-                g_face = grad_s(x_face)
-                r = _subproblem_residual(x_face, g_face, kappa, box)
-                if r <= tol:
-                    accepted = 1
-                    return x_face, g_face, r
-        return x, g, resid
-
     x = prob.project(w.copy())
     g = grad_s(x)
     resid = _subproblem_residual(x, g, kappa, box)
-    faces = gram is not None and resid > tol
-    if faces:
-        face = _face(x, box)
-        x, g, resid = try_face()
-        tried = True
+    if gram is not None and resid > tol:
+        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, g, resid,
+                                             grad_s, tol, cfg.inner_max_iter)
+        if answer is not None:
+            (x, g, resid), accepted = answer, 1
     L = lip
     it = 0
     while resid > tol and it < cfg.inner_max_iter:
@@ -407,15 +501,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         x, g = x_next, g_next
         if _norm(B) <= tol or it == cfg.inner_max_iter:
             resid = _subproblem_residual(x, g, kappa, box)
-        if faces and resid > tol:
-            face_next = _face(x, box)
-            # the candidate depends on the face alone: one try per face
-            if not np.array_equal(face_next, face):
-                face, tried = face_next, False
-            elif not tried:
-                x, g, resid = try_face()
-                tried = True
-    return x, InnerSolveInfo(resid, it, resid > tol, evals, tries, accepted, g)
+    return x, InnerSolveInfo(resid, it, resid > tol, evals, patterns, accepted, g)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
@@ -428,8 +514,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     ``trace.meta`` records the guarantee ``certify`` checks, ``tol``, the
     ``stop_reason`` ("tol" or "budget"), ``kkt`` (the exact residual of
     the DC objective at the final iterate) and, per inner solve, its
-    residual, proximal-gradient steps, gradient evaluations, face solves
-    tried and whether a face solve ended it.
+    residual, proximal-gradient steps, gradient evaluations, active-set
+    patterns solved and whether the active-set point ended it.
 
     For least squares the objective column comes from one
     ``value_and_grad`` at the start point, carried forward by the exact

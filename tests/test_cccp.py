@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -186,13 +188,23 @@ def short_sparse_ls(seed=0, n=60, p=20):
     return LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
 
 
+class CountingGram(np.ndarray):
+    """A Gram matrix that counts its matrix-vector products."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        CountingGram.matvecs += 1
+        return np.asarray(self) @ other
+
+
 @pytest.mark.parametrize("ridge", [0.0, 0.4])
 def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
-    # on the Gram path a face solve ends the inner solves after a few
-    # steps; on the design path proximal gradient runs to the end, and
-    # there the search leaves the cap
-    search, face_solve = cccp_module._curvature_search, cccp_module._face_solve
-    accepted, trials, candidates = [], [0], [0]
+    # on the Gram path the active-set solve ends every inner solve and no
+    # proximal-gradient step runs; on the design path proximal gradient
+    # runs to the end, and there the search leaves the cap
+    search, inner_gram = cccp_module._curvature_search, cccp_module._inner_gram
+    accepted, trials = [], [0]
 
     def recording(trial, *args):
         def counting(L):
@@ -203,36 +215,36 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
         accepted.append(out[0])
         return out
 
-    def recording_face(*args):
-        out = face_solve(*args)
-        candidates[0] += out is not None
-        return out
+    def counting_gram(loss):
+        gram = inner_gram(loss)
+        return None if gram is None else (gram[0].view(CountingGram), gram[1])
 
     monkeypatch.setattr(cccp_module, "_curvature_search", recording)
-    monkeypatch.setattr(cccp_module, "_face_solve", recording_face)
+    monkeypatch.setattr(cccp_module, "_inner_gram", counting_gram)
     for loss in (full_rank_ls(seed=12), short_sparse_ls(seed=12)):
-        gram_path = cccp_module._inner_gram(loss) is not None
+        gram_path = inner_gram(loss) is not None
         prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
                                        box=(-1.0, 1.0))
         accepted.clear()
-        trials[0] = candidates[0] = 0
+        trials[0] = CountingGram.matvecs = 0
         trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
         assert trace.converged and certify(trace).passed
         assert trace.converged == (trace.meta["stop_reason"] == "tol")
         cap = loss.lipschitz + ridge
-        assert len(accepted) == sum(trace.meta["inner_iterations"]) > 0
+        assert len(accepted) == sum(trace.meta["inner_iterations"])
         assert all(prob.gamma_u <= L <= cap for L in accepted)
-        # one gradient per trial of the search, one at each inner start and
-        # one per face candidate whose exact residual is checked
         evals = trace.meta["inner_gradient_evals"]
         assert len(evals) == trace.num_steps()
-        assert sum(evals) == trials[0] + trace.num_steps() + candidates[0]
         assert trace.mu == [None] * len(trace)
         if gram_path:
-            assert sum(trace.meta["inner_face_accepted"]) > 0
+            # every Gram matvec of the inner solves is counted
+            assert accepted == [] and sum(evals) == CountingGram.matvecs > 0
+            assert trace.meta["inner_face_accepted"] == [1] * trace.num_steps()
         else:
-            assert min(accepted) < cap
-            assert candidates[0] == sum(trace.meta["inner_face_tries"]) == 0
+            # one gradient per trial of the search and one at each inner start
+            assert sum(evals) == trials[0] + trace.num_steps()
+            assert min(accepted) < cap and CountingGram.matvecs == 0
+            assert sum(trace.meta["inner_face_tries"]) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -273,8 +285,8 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
        ridge=st.sampled_from([0.0, 0.3]),
        box=st.sampled_from(["none", "finite", "half", "pinned"]))
 def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, box):
-    # a dense design with n >= p takes the Gram path, where a face solve
-    # may end the inner solve; its output is the subproblem's minimizer
+    # a dense design with n >= p takes the Gram path, where the active-set
+    # solve ends the inner solve; its output is the subproblem's minimizer
     rng = np.random.default_rng(seed)
     n = int(rng.integers(p + 1, 3 * p + 2))
     loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(n, p)),
@@ -287,25 +299,49 @@ def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, bo
     prob = dc_problem_from_penalty(loss, ScadPenalty(lam=lam, theta=3.7), ridge=ridge,
                                    box=bounds)
     assert cccp_module._inner_gram(loss) is not None
-    # a start point with zeros and coordinates at bounds starts on a face
-    # that may be wrong, so its face solve can stay on it and still miss
+    # a random start point with zeros and coordinates at bounds starts on a
+    # pattern that may be far from the answer; the cold start is w = 0
     w = rng.uniform(-2.0, 2.0, size=p)
     w[rng.random(p) < 0.3] = 0.0
-    w = prob.project(w)
     cfg = CccpConfig(inner_tol=1e-10)
-    out, info = cccp_step(w, prob, cfg)
     G, b = loss.data.gram
     Q = G + ridge * np.eye(p)
-    c = b + prob.v_grad(w)
-    x_star = qp_face_enumeration(Q, c, prob.l1_weight, prob.box)
-    exact = cccp_module._subproblem_residual(out, info.smooth_grad, prob.l1_weight,
-                                             prob.box)
-    assert info.residual == exact <= cfg.inner_tol and not info.inexact
-    scale = np.linalg.norm(Q, 2) * np.linalg.norm(x_star) + np.linalg.norm(c) + prob.l1_weight
-    np.testing.assert_allclose(info.smooth_grad, Q @ out - c, rtol=0, atol=1e-13 * scale)
-    # strong convexity: ||x - x*|| <= dist(0, subdifferential at x) / gamma_u
-    assert np.linalg.norm(out - x_star) <= (cfg.inner_tol + 1e-12 * scale) / prob.gamma_u
-    assert info.face_accepted <= min(info.face_tries, 1)
+    lo, hi = (np.full(p, -np.inf), np.full(p, np.inf)) if prob.box is None else prob.box
+    pattern_solve, states = cccp_module._pattern_solve, []
+
+    def recording(G, ridge, kappa, b, state, box, grad_s):
+        states.append(state.copy())
+        return pattern_solve(G, ridge, kappa, b, state, box, grad_s)
+
+    for start in (prob.project(w), prob.project(np.zeros(p))):
+        states.clear()
+        with mock.patch.object(cccp_module, "_pattern_solve", recording):
+            out, info = cccp_step(start, prob, cfg)
+        c = b + prob.v_grad(start)
+        x_star = qp_face_enumeration(Q, c, prob.l1_weight, prob.box)
+        exact = cccp_module._subproblem_residual(out, info.smooth_grad, prob.l1_weight,
+                                                 prob.box)
+        assert info.residual == exact <= cfg.inner_tol and not info.inexact
+        scale = (np.linalg.norm(Q, 2) * np.linalg.norm(x_star) + np.linalg.norm(c)
+                 + prob.l1_weight)
+        np.testing.assert_allclose(info.smooth_grad, Q @ out - c, rtol=0,
+                                   atol=1e-13 * scale)
+        # strong convexity: ||x - x*|| <= dist(0, subdifferential at x) / gamma_u
+        assert np.linalg.norm(out - x_star) <= (cfg.inner_tol + 1e-12 * scale) / prob.gamma_u
+        # the active-set solve ends every solve whose start point is not the
+        # answer, without a proximal-gradient step
+        assert info.iterations == 0
+        assert info.face_accepted == (info.face_tries > 0)
+        assert len(states) <= info.face_tries
+        # a box that excludes 0 or pins a coordinate allows only some states
+        for state in states:
+            low, neg, zero, pos, up = (state == code for code in (
+                cccp_module._LOW, cccp_module._NEG, cccp_module._ZERO, cccp_module._POS,
+                cccp_module._UP))
+            assert np.isfinite(lo[low]).all() and np.isfinite(hi[up]).all()
+            assert np.all(lo[zero] <= 0.0) and np.all(hi[zero] >= 0.0)
+            assert np.all(lo[neg] < np.minimum(hi[neg], 0.0))
+            assert np.all(np.maximum(lo[pos], 0.0) < hi[pos])
 
 
 @pytest.mark.parametrize("g00, c0, ridge, box, expected", [
@@ -318,17 +354,58 @@ def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, bo
 ])
 def test_face_solve_returns_the_face_minimizer_or_none(g00, c0, ridge, box, expected):
     # s(x) = x^T G x / 2 - c^T x + ridge |x|^2 / 2 with kappa = 0.5 on the
-    # face (+, 0): x_0 is free and positive, x_1 stays at 0
+    # pattern (free and positive, zero): the pattern's point has x_0 =
+    # (c0 - kappa) / (g00 + ridge) and x_1 = 0, and x_0 violates its state
+    # (expected None) when it is negative or leaves the box
     G = np.array([[g00, 0.5], [0.5, 2.0]])
     c = np.array([c0, 3.0])
-    x = np.array([0.9, 0.0])
-    g = G @ x + ridge * x - c
     bounds = None if box is None else (np.full(2, box[0]), np.full(2, box[1]))
-    out = cccp_module._face_solve(G, ridge, 0.5, x, g, np.sign(x), np.array([0]), bounds)
-    if expected is None:
-        assert out is None
-    else:
-        np.testing.assert_allclose(out, [expected, 0.0], rtol=0, atol=1e-15)
+    state = np.array([cccp_module._POS, cccp_module._ZERO])
+
+    def grad_s(x):
+        return G @ x + ridge * x - c
+
+    out = cccp_module._pattern_solve(G, ridge, 0.5, c, state, bounds, grad_s)
+    if g00 == 0.0:
+        assert out is None      # the free block is not positive definite
+        return
+    x, g = out
+    np.testing.assert_allclose(x, [(c0 - 0.5) / (g00 + ridge), 0.0], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(g, grad_s(x))
+    viol, _ = cccp_module._violators(x, g, 0.5, bounds, state)
+    assert (0 in viol) == (expected is None)
+    if expected is not None:
+        assert x[0] == pytest.approx(expected, abs=1e-15)
+
+
+def test_subproblem_residual_is_infinite_outside_the_box():
+    # x_0 = 0 lies above its upper bound -0.5; the l1 interval at 0 holds
+    # -g_0 = 0, so a residual blind to the box read 0 there
+    box = (np.array([-2.0, -1.0]), np.array([-0.5, 1.0]))
+    g = np.array([0.0, -0.3])
+    assert cccp_module._subproblem_residual(np.array([0.0, 0.2]), g, 0.3, box) == np.inf
+    assert cccp_module._subproblem_residual(np.array([-0.5, 0.2]), g, 0.3, box) == 0.0
+
+
+def test_exhausted_pattern_budget_falls_back_to_proximal_gradient():
+    # G = I: proximal gradient with L = 1 solves the subproblem in one step,
+    # x = clip(c - kappa) = 1.  From the lower bound the pivoting moves each
+    # coordinate one state per pattern (low, negative, zero, positive, up),
+    # so it needs 5 patterns and a budget of 3 ends it short
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 4)))
+    X = q * np.sqrt(30)
+    loss = LeastSquaresLoss(Dataset(X=X, y=X @ np.full(4, 3.0), task="regression"))
+    prob = DcProblem(loss=loss, l1_weight=0.4, remainder=None, gamma_u=1.0, box=(-1.0, 1.0))
+    w = np.full(4, -1.0)
+    out, info = cccp_step(w, prob, CccpConfig(inner_tol=1e-12, inner_max_iter=3))
+    assert (info.face_tries, info.face_accepted) == (3, 0)
+    assert 0 < info.iterations <= 3
+    assert not info.inexact and info.residual <= 1e-12
+    np.testing.assert_allclose(out, np.ones(4), rtol=0, atol=1e-12)
+    ended, full = cccp_step(w, prob, CccpConfig(inner_tol=1e-12))
+    assert (full.face_tries, full.face_accepted, full.iterations) == (5, 1, 0)
+    np.testing.assert_array_equal(ended, np.ones(4))
 
 
 def _inner_stop_problem(ridge):
@@ -358,11 +435,12 @@ def test_inner_solve_reports_the_exact_residual_and_gradient(ridge, inner_max_it
 
 
 def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch):
-    # the loop stops at the first step whose ||B|| passes or whose face
-    # solve is confirmed; the exact residual runs at the start, to confirm
-    # a stop or a face candidate, and at the budget
+    # proximal gradient stops at the first step whose ||B|| passes; its
+    # exact residual runs at the start, to confirm a stop and at the budget.
+    # The active-set solve checks the exact residual of each pattern's
+    # point and stops at the first that passes
     search, exact = cccp_module._curvature_search, cccp_module._subproblem_residual
-    face_solve = cccp_module._face_solve
+    pattern_solve = cccp_module._pattern_solve
     events = []
 
     def recording_search(trial, x, g, *args):
@@ -375,43 +453,42 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
         events.append(("residual", exact(*args)))
         return events[-1][1]
 
-    def recording_face(*args):
-        out = face_solve(*args)
-        events.append(("candidate", out is not None))
-        return out
+    def recording_pattern(*args):
+        events.append(("pattern", None))
+        return pattern_solve(*args)
 
     monkeypatch.setattr(cccp_module, "_curvature_search", recording_search)
     monkeypatch.setattr(cccp_module, "_subproblem_residual", recording_residual)
-    monkeypatch.setattr(cccp_module, "_face_solve", recording_face)
+    monkeypatch.setattr(cccp_module, "_pattern_solve", recording_pattern)
     tol = 1e-11
     gram_prob = _inner_stop_problem(0.0)
     design_prob = dc_problem_from_penalty(short_sparse_ls(seed=26),
                                           ScadPenalty(lam=0.2, theta=3.7), box=(-0.4, 0.4))
-    ends = []
     for prob in (gram_prob, design_prob):
         events.clear()
         w = np.random.default_rng(28).uniform(-0.4, 0.4, size=prob.p)
         _, info = cccp_step(w, prob, CccpConfig(inner_tol=tol))
+        kinds = [kind for kind, _ in events]
         certs = [v for kind, v in events if kind == "cert"]
         residuals = [v for kind, v in events if kind == "residual"]
-        assert info.iterations == len(certs) > 1
-        assert info.face_tries == sum(kind == "candidate" for kind, _ in events)
-        assert events[0][0] == "residual" and events[0][1] > tol
-        for before, (kind, _) in zip(events, events[1:]):
-            if kind == "residual":
-                assert before == ("candidate", True) or (before[0] == "cert"
-                                                         and before[1] <= tol)
+        assert kinds[0] == "residual" and residuals[0] > tol
         # every exact residual but the last missed; the last one stopped it
-        assert all(c > tol for c in certs[:-1])
         assert all(r > tol for r in residuals[:-1])
         assert residuals[-1] == info.residual <= tol
-        if info.face_accepted:
-            assert events[-2] == ("candidate", True)
+        assert info.iterations == len(certs)
+        if prob is gram_prob:
+            # w has no zero and no coordinate at a bound: every pattern is
+            # solved, and each solve is followed by its residual
+            assert info.iterations == 0 and info.face_accepted == 1
+            assert kinds[1:] == ["pattern", "residual"] * info.face_tries
+            assert info.face_tries > 1
         else:
+            assert info.face_tries == info.face_accepted == 0 and len(certs) > 1
+            for before, kind in zip(events, kinds[1:]):
+                if kind == "residual":
+                    assert before[0] == "cert" and before[1] <= tol
+            assert all(c > tol for c in certs[:-1])
             assert residuals[-1] <= certs[-1] <= tol
-        ends.append((info.face_tries, info.face_accepted))
-    # the Gram path ended on a face solve; the design path tries none
-    assert ends[0][1] == 1 and ends[1] == (0, 0)
 
 
 # ------------------------------------------------------ inner gradient paths
@@ -561,7 +638,9 @@ def test_run_records_the_face_solves_of_every_inner_solve(make):
         # other losses and p*p > nnz(X) designs run proximal gradient only
         assert sum(tries) == 0
     else:
-        assert sum(accepted) > 0
+        # the active-set solve ends every inner solve that has to move
+        assert accepted == [int(t > 0) for t in tries] and sum(accepted) > 0
+        assert meta["inner_iterations"] == [0] * trace.num_steps()
 
 
 @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
