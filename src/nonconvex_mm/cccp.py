@@ -8,7 +8,10 @@ The objective is split as  F = delta_box + u - v  with
 where ``h`` is the convex remainder of a concave penalty:
 h(t) = kappa*|t| - zeta(|t|) with kappa = zeta'(0).  Subtracting v from
 the l1 part reconstructs the penalty exactly, so with ridge = 0 the DC
-objective equals the MM objective f + r.
+objective equals the MM objective f + r.  No box means the box
+(-inf, inf): ``DcProblem`` normalizes its box once, at construction,
+into two float arrays of length p, and every routine below takes that
+pair.
 
 Each outer iteration linearizes v at the current point and solves the
 resulting convex subproblem.  Strong convexity of u must be certified up
@@ -94,7 +97,8 @@ from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, least_squares_strong_convexity
-from .mm import IterateTrace, SparseIterates, _curvature_search, _soft_threshold
+from .mm import (IterateTrace, SparseIterates, _curvature_search, _soft_threshold,
+                 _start_point)
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -142,14 +146,19 @@ def dc_decompose(penalty: Penalty) -> tuple[float, ConvexRemainder]:
     return kappa, ConvexRemainder(penalty=penalty, kappa=kappa)
 
 
-def _as_bounds(box, p: int):
-    if box is None:
-        return None
-    lo, hi = box
+def _as_bounds(bounds, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box bounds (lo, hi) as two float arrays of length p; None, no
+    box, is (-inf, inf).  The only place a box may be None."""
+    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (p,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (p,)).copy()
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("box bounds must not be NaN")
+    # each coordinate needs a finite value in its box
+    if np.any(lo == np.inf):
+        raise ValueError("box lower bounds must be below +inf")
+    if np.any(hi == -np.inf):
+        raise ValueError("box upper bounds must be above -inf")
     if np.any(lo > hi):
         raise ValueError("box lower bounds exceed upper bounds")
     return lo, hi
@@ -157,7 +166,13 @@ def _as_bounds(box, p: int):
 
 @dataclass(frozen=True)
 class DcProblem:
-    """Box-constrained DC objective with certified strong convexity."""
+    """Box-constrained DC objective with certified strong convexity.
+
+    ``box`` is None or a pair (lo, hi) of scalars or length-p arrays.  It
+    is normalized once, at construction, into two float arrays of length
+    p, with no box being (-inf, inf), so ``prob.box`` is always that pair.
+    ``l1_weight``, ``ridge`` and ``gamma_u`` must be finite.
+    """
 
     loss: object
     l1_weight: float
@@ -167,6 +182,9 @@ class DcProblem:
     box: tuple | None = None
 
     def __post_init__(self):
+        for name in ("l1_weight", "ridge", "gamma_u"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.l1_weight < 0:
             raise ValueError("l1 weight must be nonnegative")
         if self.ridge < 0:
@@ -183,13 +201,10 @@ class DcProblem:
         return self.loss.data.p
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        if self.box is None:
-            return w
-        return np.clip(w, self.box[0], self.box[1])
+        """The point of the box nearest w, as a new array."""
+        return np.clip(w, *self.box)
 
     def feasible(self, w) -> bool:
-        if self.box is None:
-            return True
         lo, hi = self.box
         return bool(np.all(w >= lo) and np.all(w <= hi))
 
@@ -280,16 +295,15 @@ def _subdiff_interval(x: np.ndarray, kappa: float, box):
     bound."""
     lo = np.where(x > 0, kappa, -kappa)
     hi = np.where(x < 0, -kappa, kappa)
-    if box is not None:
-        lo[x <= box[0]] = -np.inf
-        hi[x >= box[1]] = np.inf
+    lo[x <= box[0]] = -np.inf
+    hi[x >= box[1]] = np.inf
     return lo, hi
 
 
 def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
     """Exact distance from 0 to grad_s + kappa * d|x| + N_box(x); +inf
     outside the box, where the subproblem has no subgradient."""
-    if box is not None and ((x < box[0]).any() or (x > box[1]).any()):
+    if (x < box[0]).any() or (x > box[1]).any():
         return float("inf")
     return _interval_distance(grad_s, *_subdiff_interval(x, kappa, box))
 
@@ -312,11 +326,11 @@ def _inner_gram(loss):
 _LOW, _NEG, _ZERO, _POS, _UP = range(5)
 
 
-def _allowed_states(p: int, box) -> np.ndarray:
+def _allowed_states(box) -> np.ndarray:
     """(p, 5) mask of the states each coordinate's box allows: a pinned
     coordinate (lo == hi) has one, and a box that excludes 0 has neither
     zero nor the free state of the other sign."""
-    lo, hi = (np.full(p, -np.inf), np.full(p, np.inf)) if box is None else box
+    lo, hi = box
     inside = lo < hi
     return np.stack([np.isfinite(lo) & (lo != 0.0), inside & (lo < 0.0),
                      (lo <= 0.0) & (hi >= 0.0), inside & (hi > 0.0),
@@ -326,10 +340,9 @@ def _allowed_states(p: int, box) -> np.ndarray:
 def _pattern_of(x: np.ndarray, box) -> np.ndarray:
     """The state of each coordinate of a point x in the box."""
     state = np.where(x > 0, _POS, np.where(x < 0, _NEG, _ZERO))
-    if box is not None:
-        # a bound at 0 is the zero state; a pinned coordinate sits at lo
-        state[(x >= box[1]) & (box[1] != 0.0)] = _UP
-        state[(x <= box[0]) & (box[0] != 0.0)] = _LOW
+    # a bound at 0 is the zero state; a pinned coordinate sits at lo
+    state[(x >= box[1]) & (box[1] != 0.0)] = _UP
+    state[(x <= box[0]) & (box[0] != 0.0)] = _LOW
     return state
 
 
@@ -347,10 +360,9 @@ def _pattern_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray,
     call.
     """
     x = np.zeros(b.size)
-    if box is not None:
-        for code, bound in zip((_LOW, _UP), box):
-            at = state == code
-            x[at] = bound[at]
+    for code, bound in zip((_LOW, _UP), box):
+        at = state == code
+        x[at] = bound[at]
     g = grad_s(x) if x.any() else -b
     free = np.flatnonzero(state & 1)
     if free.size:
@@ -382,7 +394,7 @@ def _violators(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.ndarra
     up, down = g + hi_s < 0.0, g + lo_s > 0.0
     free = (state & 1).astype(bool)
     if free.any():
-        lo, hi = (-np.inf, np.inf) if box is None else box
+        lo, hi = box
         pos = state == _POS
         up = np.where(free, x > np.where(pos, hi, np.minimum(hi, 0.0)), up)
         down = np.where(free, x < np.where(pos, np.maximum(lo, 0.0), lo), down)
@@ -428,7 +440,7 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
         step = np.where(up, 1, -1)
         ahead = (np.arange(5) - state[viol, None]) * step[:, None]
         if allowed is None:
-            allowed = _allowed_states(x0.size, box)
+            allowed = _allowed_states(box)
         state[viol] += step * np.where(allowed[viol] & (ahead > 0), ahead, 5).min(axis=1)
         x = None
     return None, patterns
@@ -461,7 +473,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     returned flagged inexact if it misses ``cfg.inner_tol``.  The
     returned info carries grad s at the returned point.
     """
-    w = np.asarray(w, dtype=float).ravel()
+    w = _start_point(w, prob.p, "w")
     g_v = prob.v_grad(w)
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     lip = prob.loss.lipschitz + ridge
@@ -481,10 +493,11 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         return out
 
     def trial(L):
-        x_next = _soft_threshold(x - g / L, kappa / L, box)
+        x_next = _soft_threshold(x - g / L, kappa / L)
+        np.clip(x_next, *box, out=x_next)
         return x_next, grad_s(x_next)
 
-    x = prob.project(w.copy())
+    x = prob.project(w)
     g = grad_s(x)
     resid = _subproblem_residual(x, g, kappa, box)
     if gram is not None and resid > tol:
@@ -525,10 +538,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     gradient plus the last linearization gap is the DC objective's smooth
     gradient at the final iterate.
     """
-    w = np.zeros(prob.p) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
-    if w.shape[0] != prob.p:
-        raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
-    w = prob.project(w)
+    w = prob.project(_start_point(w0, prob.p))
     trace = IterateTrace(iterates=SparseIterates())
     trace.meta = {
         "solver": "cccp",

@@ -301,16 +301,17 @@ def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
         )
 
 
-def _soft_threshold(z: np.ndarray, thresh, box=None) -> np.ndarray:
-    """sign(z) max(|z| - thresh, 0), then clamped to box = (lo, hi) when
-    given: the exact prox of thresh * |.|_1 plus the box indicator."""
+def _soft_threshold(z: np.ndarray, thresh) -> np.ndarray:
+    """sign(z) max(|z| - thresh, 0): the exact prox of thresh * |.|_1.
+
+    It takes no box.  ``cccp`` clamps its output to the box, which gives
+    the prox of thresh * |.|_1 plus the box indicator; no box there means
+    the box (-inf, inf), normalized once when the ``DcProblem`` is built.
+    """
     out = np.abs(z)
     out -= thresh
     np.maximum(out, 0.0, out=out)
     np.copysign(out, z, out=out)
-    if box is not None:
-        np.maximum(out, box[0], out=out)
-        np.minimum(out, box[1], out=out)
     return out
 
 
@@ -393,6 +394,15 @@ def _gradient_at_y(beta: float, g: np.ndarray, g_prev: np.ndarray) -> np.ndarray
     return (1.0 + beta) * g - beta * g_prev
 
 
+def _start_point(w0, p: int, name: str = "w0") -> np.ndarray:
+    """The start point w0 as a flat float array (zeros when None), refused
+    unless it has length p; w0 itself when it already is one."""
+    w = np.zeros(p) if w0 is None else np.asarray(w0, dtype=float).ravel()
+    if w.shape[0] != p:
+        raise ValueError(f"{name} has length {w.shape[0]}, expected {p}")
+    return w
+
+
 def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     lf = prob.loss.lipschitz
     mu = config.mu_override if config.mu_override is not None else config.rho * lf
@@ -439,9 +449,8 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     mu, lf = _resolve_mu(prob, config)
     loss, pen = prob.loss, prob.penalty
     linearize = config.scheme == "b"
-    w = np.zeros(prob.p) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
-    if w.shape[0] != prob.p:
-        raise ValueError(f"w0 has length {w.shape[0]}, expected {prob.p}")
+    # a copy: with no finite step, final_w is the start point
+    w = _start_point(w0, prob.p).copy()
 
     trace = IterateTrace(iterates=SparseIterates() if config.record_iterates else None)
     trace.meta = {

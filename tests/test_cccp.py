@@ -129,12 +129,74 @@ def test_nan_box_bound_refused(box):
 
 
 def test_infinite_box_bounds_allowed():
-    loss = full_rank_ls(seed=8)
-    pen = McpPenalty(lam=0.2, gamma=3.0)
+    # no box is the box (-inf, inf): the two give bitwise the same run, on
+    # the Gram path (active-set inner solves) and on the design path (a
+    # wide design with a ridge: proximal-gradient inner solves)
     cfg = CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300)
-    free = run_cccp(dc_problem_from_penalty(loss, pen), cfg)
-    boxed = run_cccp(dc_problem_from_penalty(loss, pen, box=(-np.inf, np.inf)), cfg)
-    np.testing.assert_array_equal(boxed.final_w, free.final_w)
+    gram_loss = full_rank_ls(seed=8)
+    wide_loss = full_rank_ls(seed=24, n=15, p=40)
+    assert cccp_module._inner_gram(gram_loss) is not None
+    assert cccp_module._inner_gram(wide_loss) is None
+    runs = [(gram_loss, McpPenalty(lam=0.2, gamma=3.0), {}),
+            (wide_loss, ScadPenalty(lam=0.1, theta=3.7), {"ridge": 0.5, "gamma_u": 0.5})]
+    for loss, pen, kwargs in runs:
+        free, boxed = (run_cccp(dc_problem_from_penalty(loss, pen, box=box, **kwargs), cfg)
+                       for box in (None, (-np.inf, np.inf)))
+        assert free.converged and free.num_steps() > 1
+        for column in ("iters", "objective", "step_norm", "residual", "mu", "beta"):
+            assert getattr(boxed, column) == getattr(free, column), column
+        assert len(boxed.iterates) == len(free.iterates)
+        for got, want in zip(boxed.iterates, free.iterates):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(boxed.final_w, free.final_w)
+        for key in ("kkt", "stop_reason", "any_inexact", "inner_residuals",
+                    "inner_iterations", "inner_gradient_evals", "inner_face_tries",
+                    "inner_face_accepted"):
+            assert boxed.meta[key] == free.meta[key], key
+    # the design-path run took proximal-gradient steps
+    assert sum(free.meta["inner_iterations"]) > 0
+
+
+@pytest.mark.parametrize("box, bound", [
+    ((np.inf, np.inf), "lower"), ((-np.inf, -np.inf), "upper"),
+    ((np.where(np.arange(20) == 4, np.inf, -1.0), np.inf), "lower"),
+    ((-1.0, np.where(np.arange(20) == 7, -np.inf, 1.0)), "upper"),
+])
+def test_box_with_no_finite_value_refused(box, bound):
+    # a lower bound of +inf or an upper bound of -inf leaves its coordinate
+    # no finite value; such a box ran into a non-finite loss
+    loss = full_rank_ls()
+    with pytest.raises(ValueError, match=f"^box {bound} bounds must be"):
+        dc_problem_from_penalty(loss, McpPenalty(lam=0.2, gamma=3.0), box=box)
+
+
+@pytest.mark.parametrize("box", [None, (-1.0, 1.0), (np.zeros(20), 2.0), (2.0, np.inf)])
+def test_problem_box_is_a_pair_of_float_arrays(box):
+    prob = dc_problem_from_penalty(full_rank_ls(), McpPenalty(lam=0.2, gamma=3.0),
+                                   box=box)
+    lo, hi = prob.box
+    for bound in (lo, hi):
+        assert isinstance(bound, np.ndarray) and bound.dtype == float
+        assert bound.shape == (prob.p,)
+    if box is None:
+        assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+
+
+@pytest.mark.parametrize("field", ["l1_weight", "ridge", "gamma_u"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_weight_refused(field, value):
+    # l1_weight = nan and ridge = nan passed the sign checks, and the run
+    # failed later with a non-finite objective at the start
+    weights = {"l1_weight": 0.5, "ridge": 0.0, "gamma_u": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DcProblem(loss=full_rank_ls(), remainder=None, **weights)
+
+
+def test_nonfinite_ridge_named_by_the_penalty_constructor():
+    # it read "u must be certified strongly convex ... add a ridge"
+    with pytest.raises(ValueError, match="^ridge must be finite"):
+        dc_problem_from_penalty(full_rank_ls(), McpPenalty(lam=0.2, gamma=3.0),
+                                ridge=np.nan)
 
 
 # -------------------------------------------------------------- inner solve
@@ -263,15 +325,15 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
     # L from gamma_u (floored at 1e-3) up to 11 times the top eigenvalue
     L = max(ev[0], 1e-3) * stretch if stretch < 10.0 else ev[-1] * (stretch - 9.0)
     lo = rng.uniform(-2.0, 0.5, size=p)
-    bounds = {"none": None,
+    # no box is the box (-inf, inf), as a DcProblem normalizes it
+    bounds = {"none": (np.full(p, -np.inf), np.full(p, np.inf)),
               "finite": (lo, lo + rng.uniform(0.0, 2.0, size=p)),
               "half": (lo, np.full(p, np.inf)),
               "pinned": (lo, lo.copy())}[box]
-    x = rng.normal(size=p)
-    if bounds is not None:
-        x = np.clip(x, *bounds)
+    x = np.clip(rng.normal(size=p), *bounds)
     g = G @ x - c
-    x_next = cccp_module._soft_threshold(x - g / L, kappa / L, bounds)
+    # the prox of kappa/L |.|_1 plus the box: soft-threshold, then clamp
+    x_next = np.clip(cccp_module._soft_threshold(x - g / L, kappa / L), *bounds)
     g_next = G @ x_next - c
     cert = float(np.linalg.norm(g_next - g - L * (x_next - x)))
     resid = cccp_module._subproblem_residual(x_next, g_next, kappa, bounds)
@@ -359,7 +421,8 @@ def test_face_solve_returns_the_face_minimizer_or_none(g00, c0, ridge, box, expe
     # (expected None) when it is negative or leaves the box
     G = np.array([[g00, 0.5], [0.5, 2.0]])
     c = np.array([c0, 3.0])
-    bounds = None if box is None else (np.full(2, box[0]), np.full(2, box[1]))
+    lo, hi = (-np.inf, np.inf) if box is None else box
+    bounds = (np.full(2, lo), np.full(2, hi))
     state = np.array([cccp_module._POS, cccp_module._ZERO])
 
     def grad_s(x):
@@ -649,6 +712,14 @@ def test_start_point_of_the_wrong_length_is_refused(box):
     prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=box)
     with pytest.raises(ValueError, match="^w0 has length 11, expected 10$"):
         run_cccp(prob, CccpConfig(), w0=np.zeros(11))
+
+
+def test_inner_start_point_of_the_wrong_length_is_refused():
+    # numpy refused it, with a broadcasting error
+    loss = full_rank_ls(seed=31, n=40, p=6)
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7))
+    with pytest.raises(ValueError, match="^w has length 3, expected 6$"):
+        cccp_step(np.zeros(3), prob, CccpConfig())
 
 
 def test_pure_convex_case_matches_reference_solver():
