@@ -1,6 +1,12 @@
 """Command-line front end: solve, bench, and diagnose.
 
 Flags mirror the math: --lambda, --theta, --gamma, --epsilon, --rho.
+``solve`` and ``diagnose`` run one scheme and write its trace (--out,
+--format, --weights-out).  ``bench`` runs both schemes (scheme a alone
+for a penalty that cannot be linearized) and writes one combined CSV to
+--out, where a run that stopped earlier repeats its last row; it takes
+no --scheme, --format or --weights-out.
+
 Exit codes: 0 converged (a certified KKT residual at most --tol) / 1
 usage or input error, or a non-finite objective / 2 iteration budget
 exhausted / 3 a diagnostic inequality failed.
@@ -42,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, one_trace: bool) -> None:
+    """The flags every subcommand reads; ``one_trace`` adds the ones of a
+    subcommand that runs one scheme and writes its trace."""
     data = sub.add_argument_group("data")
     data.add_argument("--data", metavar="PATH", help="libsvm text file")
     data.add_argument("--n", type=int, default=200, help="synthetic sample count")
@@ -62,7 +70,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     model.add_argument("--epsilon", type=float, default=0.5, help="log-eps offset")
 
     solver = sub.add_argument_group("solver")
-    solver.add_argument("--scheme", choices=("a", "b"), default="b")
+    if one_trace:
+        solver.add_argument("--scheme", choices=("a", "b"), default="b")
     solver.add_argument("--rho", type=float, default=1.01,
                         help="surrogate weight factor: mu = rho * L_f")
     solver.add_argument("--mu", type=float, default=None, help="override mu directly")
@@ -71,11 +80,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     solver.add_argument("--max-iter", type=int, default=5000)
 
     out = sub.add_argument_group("output")
-    out.add_argument("--out", metavar="PATH", help="trace output file")
-    out.add_argument("--format", choices=("csv", "json"), default="csv")
-    out.add_argument("--weights-out", metavar="PATH",
-                     help="write final w, one value per line (defaults to "
-                          "<out>.weights for csv traces; json embeds it)")
+    out.add_argument("--out", metavar="PATH", help="trace output file" if one_trace else
+                     "combined CSV: iter, elapsed_sec and one objective column per scheme")
+    if one_trace:
+        out.add_argument("--format", choices=("csv", "json"), default="csv")
+        out.add_argument("--weights-out", metavar="PATH",
+                         help="write final w, one value per line (defaults to "
+                              "<out>.weights for csv traces; json embeds it)")
     out.add_argument("--no-timing", action="store_true",
                      help="zero the elapsed_sec column for byte-reproducible output")
 
@@ -84,12 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nonconvex-mm",
                      description="MM solvers for nonconvex-penalized smooth losses")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("solve", "run one MM solve and write its trace"),
-        ("bench", "run schemes a and b on the same problem and compare"),
-        ("diagnose", "run a solve and verify the convergence-theory inequalities"),
+    for name, run, descr in (
+        ("solve", _cmd_solve, "run one MM solve and write its trace"),
+        ("bench", _cmd_bench, "run schemes a and b on the same problem and compare"),
+        ("diagnose", _cmd_diagnose, "run a solve and verify the convergence-theory inequalities"),
     ):
-        _add_common(subs.add_parser(name, help=descr, description=descr))
+        sub = subs.add_parser(name, help=descr, description=descr)
+        _add_common(sub, one_trace=run is not _cmd_bench)
+        sub.set_defaults(run=run)
     return parser
 
 
@@ -107,17 +120,13 @@ def _build_problem(args) -> ProblemInstance:
     return ProblemInstance(loss=make_loss(args.loss, data), penalty=penalty)
 
 
-def _mm_config(args, scheme: str | None = None) -> MmConfig:
-    return MmConfig(scheme=scheme or args.scheme, rho=args.rho, mu_override=args.mu,
-                    max_iter=args.max_iter, tol=args.tol)
-
-
 def _solve(prob: ProblemInstance, args, scheme: str | None = None,
            write_partial: bool = True) -> IterateTrace:
     """One run_mm with the CLI's trace settings.  A run stopped by a
     non-finite objective is an error; when ``write_partial`` (--out names
     a trace file) its partial trace is written out first."""
-    trace = run_mm(prob, _mm_config(args, scheme))
+    trace = run_mm(prob, MmConfig(scheme=scheme or args.scheme, rho=args.rho,
+                                  mu_override=args.mu, max_iter=args.max_iter, tol=args.tol))
     trace.meta["seed"] = args.seed
     if args.no_timing:
         trace.elapsed_sec = [0.0] * len(trace.elapsed_sec)
@@ -157,56 +166,34 @@ def _cmd_solve(args) -> int:
     return 0 if trace.converged else 2
 
 
-def _pad(seq, length, fill):
-    return list(seq) + [fill] * (length - len(seq))
-
-
 def _cmd_bench(args) -> int:
     prob = _build_problem(args)
-    schemes = ["a"]
-    note = None
-    if prob.penalty.supports_linearization:
-        schemes.append("b")
-    else:
-        note = f"scheme b unsupported for {prob.penalty.kind}; running scheme a only"
-
-    # --out names the combined CSV here, not a trace
+    schemes = "ab" if prob.penalty.supports_linearization else "a"
     traces = [_solve(prob, args, s, write_partial=False) for s in schemes]
-
-    by = dict(zip(schemes, traces))
-    ta = by["a"]
-    tb = by.get("b")
-    rows = max(len(t.iters) for t in traces)
-    obj_a = _pad(ta.objective, rows, ta.final_objective)
-    ela_a = _pad(ta.elapsed_sec, rows, ta.elapsed_sec[-1])
-    if tb is not None:
-        obj_b = _pad(tb.objective, rows, tb.final_objective)
-        ela_b = _pad(tb.elapsed_sec, rows, tb.elapsed_sec[-1])
-    else:
-        obj_b = [None] * rows
-        ela_b = [0.0] * rows
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("iter,elapsed_sec,objective_a,objective_b\n")
-            for k in range(rows):
-                elapsed = max(ela_a[k], ela_b[k])
-                b_cell = "" if obj_b[k] is None else repr(float(obj_b[k]))
-                fh.write(f"{k},{elapsed!r},{float(obj_a[k])!r},{b_cell}\n")
+            for k in range(max(map(len, traces))):
+                # a run that stopped earlier repeats its last row; a scheme
+                # that did not run leaves its column empty
+                last = [(t, min(k, len(t) - 1)) for t in traces]
+                elapsed = max(t.elapsed_sec[j] for t, j in last)
+                objectives = ",".join(repr(float(t.objective[j])) for t, j in last)
+                fh.write(f"{k},{elapsed!r},{objectives}{',' * (2 - len(last))}\n")
 
-    if note:
-        print(note)
-    print(f"{'scheme':<6} {'steps':>7} {'loss evals':>10} {'final kkt':>12}")
-    for s, t in by.items():
-        print(f"{s:<6} {t.num_steps():>7} {t.meta['loss_evals']:>10} {t.meta['kkt']:>12.6g}")
-    if tb is not None:
-        gap = abs(ta.final_objective - tb.final_objective)
+    finals = [t.final_objective for t in traces]
+    if len(finals) == 2:
         # reference optimum for error-vs-time plots: best of the two schemes
-        ref = min(ta.final_objective, tb.final_objective)
-        print(f"reference F* (best run): {ref:.12g}")
-        print(f"|F_a - F_b|            : {gap:.6g}")
+        summary = [f"reference F* (best run): {min(finals):.12g}",
+                   f"|F_a - F_b|            : {abs(finals[0] - finals[1]):.6g}"]
     else:
-        print(f"final objective (a): {ta.final_objective:.12g}")
+        print(f"scheme b unsupported for {prob.penalty.kind}; running scheme a only")
+        summary = [f"final objective (a): {finals[0]:.12g}"]
+    print(f"{'scheme':<6} {'steps':>7} {'loss evals':>10} {'final kkt':>12}")
+    for s, t in zip(schemes, traces):
+        print(f"{s:<6} {t.num_steps():>7} {t.meta['loss_evals']:>10} {t.meta['kkt']:>12.6g}")
+    print("\n".join(summary))
     return 0 if all(t.converged for t in traces) else 2
 
 
@@ -246,11 +233,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_diagnose(args)
+        return args.run(args)
     except (OSError, ValueError, FloatingPointError) as exc:
         print(f"nonconvex-mm: error: {exc}", file=sys.stderr)
         return 1

@@ -65,8 +65,9 @@ class SyntheticSpec:
             raise ValueError("need n >= 1 and p >= 1")
         if not 0 <= self.sparsity <= self.p:
             raise ValueError("sparsity must lie in [0, p]")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        # NaN noise makes every classification score NaN, and every label -1
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
 

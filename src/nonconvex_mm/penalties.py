@@ -67,22 +67,6 @@ def _check_nonneg(t: np.ndarray) -> None:
         raise ValueError("penalty evaluated at negative argument; pass |w_i|")
 
 
-def _check_finite_constants(pen, param: str, constants) -> None:
-    """Reject a shape whose constants are not finite: ``constants()`` returns
-    the parameters and the scale and curvature values the solvers use, and
-    ``param`` names the shape parameter the error reports."""
-    try:
-        finite = all(map(math.isfinite, constants()))
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise ValueError(
-            f"{type(pen).__name__}: {param}={getattr(pen, param)!r} with lam={pen.lam!r} "
-            "is out of range: both parameters, the penalty's scale and the Lipschitz "
-            "constant of its derivative must all be finite in double precision"
-        )
-
-
 def _as_float_array(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     return arr, arr.ndim == 0
@@ -92,16 +76,34 @@ class Penalty:
     """Base class: scalar penalty with value, derivative, and exact prox.
 
     Subclasses are frozen dataclasses whose fields are ``lam`` and the
-    shape parameters, each required positive.
+    shape parameters, each required positive and finite; a linearizable
+    penalty's ``deriv_lipschitz()`` must be finite too.
     """
 
     kind = "base"
     lam: float
 
     def __post_init__(self):
-        for name, value in self.params().items():
+        params = self.params()
+        for name, value in params.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        # NaN passes the sign test; a float ** or / may raise on overflow
+        # (LogPenalty's scale overflows into its deriv_lipschitz)
+        try:
+            constants = [*params.values()]
+            if self.supports_linearization:
+                constants.append(self.deriv_lipschitz())
+            finite = all(map(math.isfinite, constants))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            shape = ", ".join(f"{k}={v!r}" for k, v in params.items() if k != "lam")
+            raise ValueError(
+                f"{type(self).__name__}: {shape} with lam={self.lam!r} is out of range: "
+                "every parameter and, for a linearizable penalty, the Lipschitz constant "
+                "of its derivative must be finite in double precision"
+            )
 
     # --- subclass surface -------------------------------------------------
     def _value(self, t: np.ndarray) -> np.ndarray:
@@ -273,12 +275,6 @@ class LogPenalty(Penalty):
     theta: float
     kind = "log"
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_finite_constants(
-            self, "theta",
-            lambda: (self.lam, self.theta, self._scale, self.deriv_lipschitz()))
-
     @property
     def _scale(self) -> float:
         # log1p: log(theta + 1.0) is 0 for theta below half an ulp of 1
@@ -310,11 +306,6 @@ class LogEpsilonPenalty(Penalty):
     lam: float
     eps: float
     kind = "log_eps"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_finite_constants(
-            self, "eps", lambda: (self.lam, self.eps, self.deriv_lipschitz()))
 
     def _value(self, t):
         return self.lam * np.log1p(t / self.eps)

@@ -155,6 +155,38 @@ def test_bench_schemes_agree(tmp_path, capsys):
     assert len(rows) == max(int(line.split()[1]) for line in lines[1:3]) + 1
 
 
+def test_bench_pads_the_shorter_scheme_with_its_final_objective(tmp_path):
+    # each objective column is that scheme's own solve trace; a scheme that
+    # stopped earlier repeats its final objective down to the last row
+    flags = [*SMALL, "--lambda", "0.2", "--epsilon", "1.0", "--tol", "1e-8", "--no-timing"]
+    bench = tmp_path / "bench.csv"
+    assert run_cli("bench", *flags, "--out", str(bench)) == 0
+    _, rows = read_csv_columns(bench)
+    lengths = []
+    for col, scheme in ((2, "a"), (3, "b")):
+        trace = tmp_path / f"{scheme}.csv"
+        assert run_cli("solve", *flags, "--scheme", scheme, "--out", str(trace)) == 0
+        _, trace_rows = read_csv_columns(trace)
+        objective = [r[1] for r in trace_rows]
+        lengths.append(len(objective))
+        padded = objective + [objective[-1]] * (len(rows) - len(objective))
+        assert [r[col] for r in rows] == padded
+    assert len(rows) == max(lengths) > min(lengths)
+    assert [r[:2] for r in rows] == [[str(k), "0.0"] for k in range(len(rows))]
+
+
+@pytest.mark.parametrize("flag", [["--scheme", "b"], ["--format", "json"],
+                                  ["--weights-out", "w.txt"]])
+def test_bench_refuses_the_flags_of_a_single_trace(tmp_path, capsys, monkeypatch, flag):
+    # bench writes one combined CSV for both schemes; it has no scheme to
+    # pick, no trace format and no single final w
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("bench", *SMALL, "--lambda", "0.2", *flag, "--out", "bench.out")
+    assert code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_capped_l1_runs_scheme_a_only(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     code = run_cli("bench", *SMALL, "--penalty", "capped-l1", "--lambda", "0.3",

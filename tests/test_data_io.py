@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import warnings
 from unittest import mock
 
@@ -466,6 +468,15 @@ def test_spec_validation():
         SyntheticSpec(n=0, p=5, sparsity=1)
     with pytest.raises(ValueError):
         SyntheticSpec(n=10, p=5, sparsity=1, noise_sd=-0.1)
+
+
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -math.inf])
+def test_nonfinite_noise_sd_refused(noise_sd):
+    # with NaN noise every classification score is NaN and every label -1,
+    # a data set that MM solves to a "converged" zero vector
+    message = f"noise_sd must be finite and nonnegative, got {noise_sd!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SyntheticSpec(n=30, p=5, sparsity=2, noise_sd=noise_sd, task="classification")
 
 
 # ------------------------------------------------------------------ traces

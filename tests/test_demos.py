@@ -16,6 +16,9 @@ def test_demo_runs(script, tmp_path):
     # demos write their outputs to the working and temporary directories
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    # pyproject's filterwarnings does not reach a subprocess: a RuntimeWarning
+    # (overflow, invalid value) or a DeprecationWarning fails the demo here
+    warn = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
+    result = subprocess.run([sys.executable, *warn, str(script)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -446,6 +446,28 @@ def test_log_shapes_with_nonfinite_constants_rejected(capfd, make, param, value)
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, kwargs, shown", [
+    (ScadPenalty, {"lam": 0.1, "theta": math.inf}, "theta=inf with lam=0.1"),
+    (ScadPenalty, {"lam": math.inf, "theta": 3.7}, "theta=3.7 with lam=inf"),
+    (ScadPenalty, {"lam": 0.1, "theta": math.nan}, "theta=nan with lam=0.1"),
+    (McpPenalty, {"lam": math.nan, "gamma": 3.0}, "gamma=3.0 with lam=nan"),
+    (McpPenalty, {"lam": 0.1, "gamma": math.inf}, "gamma=inf with lam=0.1"),
+    (McpPenalty, {"lam": 0.1, "gamma": 1e-320}, "gamma=1e-320 with lam=0.1"),  # 1/gamma is inf
+    (CappedL1Penalty, {"lam": math.inf, "theta": 1.0}, "theta=1.0 with lam=inf"),
+    (CappedL1Penalty, {"lam": 0.1, "theta": math.nan}, "theta=nan with lam=0.1"),
+    (LogEpsilonPenalty, {"lam": math.nan, "eps": 1.0}, "eps=1.0 with lam=nan"),
+])
+def test_nonfinite_parameter_or_curvature_rejected(capfd, make, kwargs, shown):
+    # a NaN passes the positivity check, and an infinite deriv_lipschitz
+    # makes run_mm's residual bound (mu + L_f + L_zeta)*||step|| vacuous
+    with pytest.raises(ValueError, match=re.escape(f"{make.__name__}: {shown} is out of range")):
+        make(**kwargs)
+    with pytest.raises(ValueError, match="is out of range"):
+        make_penalty(make.kind, **kwargs)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
 def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
     # log(theta + 1.0) is 0 here; log1p keeps the normalizer, and the prox
     # factors its root so that (1/theta)**2 does not overflow
