@@ -356,8 +356,8 @@ def _pattern_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray,
     -(G_FF + ridge*I)^{-1} (g_F + kappa*sign_F) from the fixed part, g
     being grad s there (-b, with no matvec, when the fixed part is 0).
     The step is one Cholesky solve (LAPACK ``posv``) of the free block,
-    gathered without an |F| x p slice.  Each gradient is one ``grad_s``
-    call.
+    gathered by one flat-index take, without an |F| x p slice.  Each
+    gradient is one ``grad_s`` call.
     """
     x = np.zeros(b.size)
     for code, bound in zip((_LOW, _UP), box):
@@ -366,9 +366,14 @@ def _pattern_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray,
     g = grad_s(x) if x.any() else -b
     free = np.flatnonzero(state & 1)
     if free.size:
-        # G is symmetric, so the transposed block is the same matrix in the
-        # Fortran order that posv factors in place
-        A = G[free[:, None], free].T
+        # one take by the flat index free[i] * p + free[j], built in place:
+        # it peaks at twice the block, fancy indexing G[free[:, None], free]
+        # at three times.  G is symmetric, so the transposed block is the
+        # same matrix in the Fortran order that posv factors in place
+        flat = np.empty((free.size, free.size), dtype=np.intp)
+        flat[...] = free
+        flat += (free * b.size)[:, None]
+        A = G.take(flat).T
         if ridge:
             A.flat[::free.size + 1] += ridge
         _, d, info = dposv(A, g[free] + kappa * (state[free] - _ZERO), overwrite_a=1,
@@ -509,7 +514,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     it = 0
     while resid > tol and it < cfg.inner_max_iter:
         it += 1
-        L_step, (x_next, g_next), L = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
+        L_step, (x_next, g_next), L, *_ = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
         _, B = _step_subgradient(x_next, x_next - x, g_next, g, L_step, None)
         x, g = x_next, g_next
         if _norm(B) <= tol or it == cfg.inner_max_iter:

@@ -77,7 +77,8 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
 
     Support indices, magnitudes (uniform on [0.5, 2]) and signs are all
     drawn from one Philox stream keyed by ``spec.seed``, so equal specs
-    give bitwise-equal outputs.
+    give bitwise-equal outputs.  A ``noise_sd`` so large that a noise
+    draw overflows raises ``ValueError``.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     X = rng.standard_normal((spec.n, spec.p))
@@ -86,7 +87,13 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     magnitudes = rng.uniform(0.5, 2.0, size=spec.sparsity)
     signs = rng.choice([-1.0, 1.0], size=spec.sparsity)
     true_w[support] = magnitudes * signs
-    noise = spec.noise_sd * rng.standard_normal(spec.n)
+    with np.errstate(over="ignore"):
+        noise = spec.noise_sd * rng.standard_normal(spec.n)
+    # a finite noise_sd near the largest float overflows a draw to +-inf,
+    # which sets a classification label by its sign alone
+    if not np.isfinite(noise).all():
+        raise ValueError(f"noise_sd={spec.noise_sd!r} is too large: noise_sd times a "
+                         "standard normal draw overflows")
     scores = X @ true_w + noise
     if spec.task == "regression":
         y = scores

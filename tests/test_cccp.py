@@ -441,6 +441,30 @@ def test_face_solve_returns_the_face_minimizer_or_none(g00, c0, ridge, box, expe
         assert x[0] == pytest.approx(expected, abs=1e-15)
 
 
+def test_pattern_solve_hands_posv_the_free_block_in_fortran_order():
+    # the gather by flat index gives posv the block G[F, F] of the free
+    # coordinates F, laid out in the Fortran order it factors in place
+    rng = np.random.default_rng(31)
+    Z = rng.normal(size=(40, 12))
+    G = Z.T @ Z / 40
+    state = rng.choice([cccp_module._NEG, cccp_module._ZERO, cccp_module._POS], size=12)
+    free = np.flatnonzero(state & 1)
+    c = rng.normal(size=12)
+    bounds = (np.full(12, -np.inf), np.full(12, np.inf))
+    dposv, seen = cccp_module.dposv, []
+
+    def recording(A, *args, **kwargs):
+        seen.append(A.copy(order="A"))
+        return dposv(A, *args, **kwargs)
+
+    with mock.patch.object(cccp_module, "dposv", recording):
+        cccp_module._pattern_solve(G, 0.0, 0.5, c, state, bounds, lambda x: G @ x - c)
+    (A,) = seen
+    assert 2 <= free.size < 12 and A.flags.f_contiguous
+    reference = G[np.ix_(free, free)].T
+    assert A.tobytes(order="A") == reference.tobytes(order="A")
+
+
 def test_subproblem_residual_is_infinite_outside_the_box():
     # x_0 = 0 lies above its upper bound -0.5; the l1 interval at 0 holds
     # -g_0 = 0, so a residual blind to the box read 0 there

@@ -73,6 +73,16 @@ def test_solve_nonfinite_setting_exits_1(capsys, flag, value, message):
     assert f"nonconvex-mm: error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss", ["ls", "logistic"])
+def test_solve_overflowing_noise_sd_exits_1(capsys, loss):
+    # with logistic loss the +-inf noise used to set the labels, and the
+    # run exited 0
+    code = run_cli("solve", "--noise-sd", "1e308", "--n", "20", "--p", "4", "--sparsity", "2",
+                   "--loss", loss)
+    assert code == 1
+    assert "nonconvex-mm: error: noise_sd=1e+308 is too large" in capsys.readouterr().err
+
+
 def test_solve_budget_exhausted_exits_2(tmp_path):
     code = run_cli("solve", *SMALL, "--lambda", "0.2", "--epsilon", "1.0",
                    "--max-iter", "3", "--tol", "1e-14")

@@ -479,6 +479,18 @@ def test_nonfinite_noise_sd_refused(noise_sd):
         SyntheticSpec(n=30, p=5, sparsity=2, noise_sd=noise_sd, task="classification")
 
 
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_noise_sd_that_overflows_a_draw_refused(task):
+    # 1e308 is finite, but 1e308 times a draw above 1.8 is not; the
+    # package's own overflow would turn into an error under pyproject's
+    # warning filter, so this passes only when no overflow happens
+    spec = SyntheticSpec(n=20, p=4, sparsity=2, noise_sd=1e308, task=task)
+    with pytest.raises(ValueError, match=r"^noise_sd=1e\+308 is too large"):
+        synth_generate(spec)
+    data, _ = synth_generate(SyntheticSpec(n=20, p=4, sparsity=2, noise_sd=1e300, task=task))
+    assert np.isfinite(data.y).all()
+
+
 # ------------------------------------------------------------------ traces
 def test_empty_trace_is_header_only_csv(tmp_path):
     path = tmp_path / "empty.csv"

@@ -505,7 +505,7 @@ def test_accelerated_run_is_certified_and_majorizes_at_each_anchor(
             assert float(loss.gradient(W[k]) @ (W[k] - W[k - 1])) <= 0.0
 
 
-def test_curvature_search_doubles_back_from_a_tiny_start():
+def test_curvature_search_jumps_to_the_curvature_a_failed_trial_measured():
     prob = ls_problem(np.random.default_rng(15), n=50, p=10)
     loss, lf = prob.loss, prob.loss.lipschitz
     x = np.random.default_rng(16).normal(size=10)
@@ -517,17 +517,58 @@ def test_curvature_search_doubles_back_from_a_tiny_start():
         x_next = x - g / L
         return x_next, loss.gradient(x_next)
 
-    start = 1e-6 * lf
-    L, (x_next, _), _ = _curvature_search(trial, x, g, start, lf, 0.0)
-    # each failed trial doubles L; the accepted one majorizes f at x_next
-    assert len(tried) > 5 and tried[0] == start
-    assert all(b == min(2.0 * a, lf) for a, b in zip(tried, tried[1:]))
-    assert L == tried[-1] <= lf
+    # the test measures twice a Rayleigh quotient of the Hessian, so 2 L_f
+    # bounds it and the cap checks nothing here
+    start, cap = 1e-6 * lf, 2.0 * lf
+    L, (x_next, _), l_next, dd, bounded = _curvature_search(trial, x, g, start, cap, 0.0)
+    # the direction -g does not depend on L, so the curvature the failed
+    # first trial measured is the one along the second, which passes
+    d_first = -g / start
+    curv_first = float((loss.gradient(x + d_first) - g) @ d_first)
+    measured = 2.0 * curv_first / float(d_first @ d_first)
+    assert tried == [start, L] and start < L < cap
+    assert L == pytest.approx(mm_module._CURVATURE_MARGIN * measured, rel=1e-12)
+    # the next start is c times the curvature along the accepted step: L again
+    assert bounded and l_next == pytest.approx(L, rel=1e-12)
     d = x_next - x
-    assert loss.value(x_next) <= f + float(g @ d) + 0.5 * L * float(d @ d) + 1e-12
-    d_prev = -g / tried[-2]
-    curv = float((loss.gradient(x + d_prev) - g) @ d_prev)
-    assert curv > 0.5 * tried[-2] * float(d_prev @ d_prev)
+    assert dd == float(d @ d)
+    # the accepted L majorizes f at x_next
+    assert loss.value(x_next) <= f + float(g @ d) + 0.5 * L * dd + 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curvature_search_doubles_after_a_nonfinite_trial(bad):
+    # a trial whose gradient is not finite measures no curvature: L
+    # doubles, and the search still ends
+    prob = ls_problem(np.random.default_rng(15), n=50, p=10)
+    loss, lf = prob.loss, prob.loss.lipschitz
+    x = np.random.default_rng(16).normal(size=10)
+    g = loss.gradient(x)
+    tried = []
+
+    def trial(L):
+        tried.append(L)
+        x_next = x - g / L
+        if len(tried) <= 3:
+            # a curvature of nan, or of +inf along every coordinate
+            return x_next, g + bad * np.sign(x_next - x)
+        return x_next, loss.gradient(x_next)
+
+    start, cap = 1e-3 * lf, 2.0 * lf
+    L, (x_next, g_next), *_ = _curvature_search(trial, x, g, start, cap, 0.0)
+    assert tried[:4] == [start, 2 * start, 4 * start, 8 * start]
+    # the last trial passed the check itself, short of the cap
+    d = x_next - x
+    assert L == tried[-1] < cap and float((g_next - g) @ d) <= 0.5 * L * float(d @ d)
+    assert len(tried) <= 6
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+def test_logistic_run_wastes_few_curvature_trials(scheme):
+    trace = run_mm(logistic_problem(), MmConfig(scheme=scheme, max_iter=500, tol=1e-10))
+    assert trace.converged and certify(trace).passed
+    assert trace.meta["loss_evals"] <= 1.3 * trace.num_steps()
+    assert trace.meta["lf_curvature_failures"] == 0
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])
@@ -677,6 +718,26 @@ class CountingLoss:
     def gradient(self, w):
         self.calls["gradient"] += 1
         return self.inner.gradient(w)
+
+
+class UnderstatedLoss(CountingLoss):
+    """A loss whose curvature bound is a fraction of the true one."""
+
+    def __init__(self, loss, factor):
+        super().__init__(loss)
+        self.lipschitz = factor * loss.lipschitz
+
+
+def test_understated_lipschitz_shows_as_curvature_failures():
+    # the count is of <dg, d> > L_f ||d||^2, not of the search's own test
+    # with L_f / 2, which fails on many steps of this run at the true L_f
+    prob = ls_problem(np.random.default_rng(18), n=60, p=12)
+    trace = run_mm(prob, MmConfig(max_iter=50, tol=1e-10))
+    assert trace.meta["lf_curvature_failures"] == 0
+    # half the top Gram eigenvalue: steps at that L_f find a curvature above it
+    low = ProblemInstance(loss=UnderstatedLoss(prob.loss, 0.5), penalty=prob.penalty)
+    trace = run_mm(low, MmConfig(max_iter=50, tol=1e-10))
+    assert trace.meta["lf_curvature_failures"] > 0
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])
