@@ -96,7 +96,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _norm, _step_subgradient
-from .losses import LeastSquaresLoss, least_squares_strong_convexity
+from .losses import LeastSquaresLoss, RankDeficientError, least_squares_strong_convexity
 from .mm import (IterateTrace, SparseIterates, _curvature_search, _soft_threshold,
                  _start_point)
 from .penalties import Penalty, UnsupportedPenaltyError
@@ -237,13 +237,20 @@ def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0
     """DC problem whose objective is f + r (plus optional ridge and box).
 
     ``gamma_u`` defaults to ridge plus, for least squares, the smallest
-    Gram eigenvalue; pass it explicitly for other certified moduli.
+    Gram eigenvalue; a ridge > 0 on a rank-deficient design is the
+    modulus by itself.  Pass ``gamma_u`` explicitly for other certified
+    moduli.
     """
     kappa, remainder = dc_decompose(penalty)
     if gamma_u is None:
         gamma_u = ridge
         if isinstance(loss, LeastSquaresLoss):
-            gamma_u += least_squares_strong_convexity(loss.data)
+            try:
+                gamma_u += least_squares_strong_convexity(loss.data)
+            except RankDeficientError:
+                # a singular Gram matrix adds nothing to the ridge's modulus
+                if not ridge > 0:
+                    raise
     return DcProblem(loss=loss, l1_weight=kappa, remainder=remainder,
                      gamma_u=gamma_u, ridge=ridge, box=box)
 
@@ -514,8 +521,9 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     it = 0
     while resid > tol and it < cfg.inner_max_iter:
         it += 1
-        L_step, (x_next, g_next), L, *_ = _curvature_search(trial, x, g, L, lip, prob.gamma_u)
-        _, B = _step_subgradient(x_next, x_next - x, g_next, g, L_step, None)
+        L_step, (x_next, g_next), L, d, *_ = _curvature_search(trial, x, g, L, lip,
+                                                               prob.gamma_u)
+        _, B = _step_subgradient(x_next, d, g_next, g, L_step, None)
         x, g = x_next, g_next
         if _norm(B) <= tol or it == cfg.inner_max_iter:
             resid = _subproblem_residual(x, g, kappa, box)

@@ -101,27 +101,33 @@ def _step_subgradient(w_next: np.ndarray, delta: np.ndarray, g_next: np.ndarray,
                       g: np.ndarray, mu: float,
                       d: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
     """(b, B) of the step w -> w_next = w + delta with curvature mu, given
-    the smooth part's gradients g at w and g_next at w_next.
+    the smooth part's gradients g at w and g_next at w_next.  ``delta`` is
+    overwritten: b is built in its buffer, and B in a new one.
 
     ``d`` is zeta'(|w|) - zeta'(|w_next|) for scheme "b" and None for
     scheme "a" and the CCCP inner step, where b is None and B = A.
     """
     # grad Q(w_next | w) = g + mu * (w_next - w)
     A = g_next - g
-    A -= mu * delta
+    delta *= mu
+    A -= delta
     if d is None:
         return None, A
-    b = np.sign(w_next)
+    b = np.sign(w_next, out=delta)
     b *= d
     # at a zero coordinate sgn(0) is free in [-1, 1]: take A_i / d_i clipped
     # there; where d_i is 0, b_i = sgn(0) * d_i is already 0
-    free = w_next == 0.0
-    free &= d != 0.0
-    np.divide(A, d, out=b, where=free)
-    np.maximum(b, -1.0, out=b, where=free)
-    np.minimum(b, 1.0, out=b, where=free)
-    np.multiply(b, d, out=b, where=free)
-    return b, A - b
+    at_zero = w_next == 0.0
+    at_zero &= d != 0.0
+    free = at_zero.nonzero()[0]
+    d_free = d[free]
+    clipped = A[free] / d_free
+    np.maximum(clipped, -1.0, out=clipped)
+    np.minimum(clipped, 1.0, out=clipped)
+    clipped *= d_free
+    b[free] = clipped
+    A -= b
+    return b, A
 
 
 def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualReport:

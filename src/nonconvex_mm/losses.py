@@ -225,11 +225,16 @@ def _scale_error(X, overflow: bool) -> ValueError:
     )
 
 
+class RankDeficientError(ValueError):
+    """A least-squares design whose Gram matrix is singular."""
+
+
 def least_squares_strong_convexity(data: Dataset) -> float:
     """Smallest eigenvalue of X^T X / n.
 
     Certifies the strong-convexity modulus of the least-squares loss.
-    Raises if the Gram matrix is singular (rank-deficient design).
+    Raises ``RankDeficientError`` if the Gram matrix is singular
+    (rank-deficient design).
     Reads the bottom of the spectrum cached on ``data``; a curvature
     bound asked for afterwards reads the top of the same spectrum.
     """
@@ -239,7 +244,8 @@ def least_squares_strong_convexity(data: Dataset) -> float:
         # a nonzero design whose squares underflow has an all-zero or
         # subnormal Gram matrix; the scale error names that instead
         _curvature(_frobenius_sq(data.X) / data.n, data.X)
-        raise ValueError("design is rank deficient; least-squares loss is not strongly convex")
+        raise RankDeficientError(
+            "design is rank deficient; least-squares loss is not strongly convex")
     return float(data.gram_spectrum[0])
 
 

@@ -72,6 +72,15 @@ evaluation at y: g_y combines the two gradients already carried, for
 every loss.  The step certificate is built from these by the kernels of
 ``diagnostics``, and the exact KKT residual only at the first and last
 iterate.
+
+A step keeps few arrays of length p alive, with the bits of every trace
+unchanged.  zeta(0) = 0, so the sum of zeta(|w+|) runs zeta on the
+support of w+ only (``Penalty._support_sum``, which ``reg_value``
+calls), and the trace row stores that support as it is.  The search
+hands back its step d = w+ - anchor, in which the certificate scales by
+mu_k in place; y is built in the buffer of the momentum w - w_prev.  A
+failed trial's outputs, a rejected try's arrays and, once y and g_y are
+built, w_prev and grad f(w_prev) are dropped before the next trial.
 """
 
 from __future__ import annotations
@@ -178,7 +187,10 @@ class SparseIterates(Sequence):
         for w in rows:
             self.append(w)
 
-    def append(self, w) -> None:
+    def append(self, w, support=None) -> None:
+        """Store the iterate w.  ``support``, when given, is the pair (the
+        indices of w's nonzero entries, w's values there) and is stored as
+        it is, with no second scan of w."""
         w = np.asarray(w, dtype=float)
         if w.ndim != 1:
             raise ValueError(f"an iterate must be 1-dimensional, got shape {w.shape}")
@@ -186,11 +198,13 @@ class SparseIterates(Sequence):
             self._p = w.shape[0]
         elif w.shape[0] != self._p:
             raise ValueError(f"iterate has length {w.shape[0]}, expected {self._p}")
-        # np.flatnonzero(w) gives the same indices but tests each float
-        # through a per-element call, about ten times slower at p = 2000
-        idx = (w != 0.0).nonzero()[0]
-        self._index.append(idx)
-        self._value.append(w[idx])
+        if support is None:
+            # np.flatnonzero(w) gives the same indices but tests each float
+            # through a per-element call, about ten times slower at p = 2000
+            idx = (w != 0.0).nonzero()[0]
+            support = idx, w[idx]
+        self._index.append(support[0])
+        self._value.append(support[1])
 
     def __len__(self) -> int:
         return len(self._index)
@@ -243,7 +257,8 @@ class IterateTrace:
 
     def append(self, k: int, objective: float, step_norm: float,
                residual: float, elapsed: float, w=None, mu: float | None = None,
-               beta: float | None = None) -> None:
+               beta: float | None = None, support=None) -> None:
+        """Add row k; ``support`` goes with w to ``SparseIterates.append``."""
         self.iters.append(int(k))
         self.objective.append(float(objective))
         self.step_norm.append(float(step_norm))
@@ -252,7 +267,7 @@ class IterateTrace:
         self.mu.append(None if mu is None else float(mu))
         self.beta.append(None if beta is None else float(beta))
         if self.iterates is not None and w is not None:
-            self.iterates.append(w)
+            self.iterates.append(w, support)
 
     def __len__(self) -> int:
         return len(self.iters)
@@ -383,14 +398,14 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
     measurement is not a finite number above L.  So L grows by at least
     the factor c per failed trial.
 
-    Returns (L, trial(L), the start for the next step, ||x+ - x||^2,
-    bounded).  The start is c times the curvature measured along the
-    step taken, or L when that is not positive (or not a number).
-    ``bounded`` says whether <grad f(x+) - g, x+ - x> <= L_max ||x+ -
-    x||^2, which holds whenever L_max is a Lipschitz constant of grad f;
-    it can be false only for an L_max taken unchecked.  (The check itself
-    may fail at a valid L_max: it asks for L/2 in place of L, which a
-    convex f needs to majorize at L.)
+    Returns (L, trial(L), the start for the next step, the step d = x+ -
+    x, ||d||^2, bounded).  The start is c times the curvature measured
+    along the step taken, or L when that is not positive (or not a
+    number).  ``bounded`` says whether <grad f(x+) - g, d> <= L_max
+    ||d||^2, which holds whenever L_max is a Lipschitz constant of grad
+    f; it can be false only for an L_max taken unchecked.  (The check
+    itself may fail at a valid L_max: it asks for L/2 in place of L,
+    which a convex f needs to majorize at L.)
     """
     L = min(max(L_start, L_min), L_max)
     while True:
@@ -405,9 +420,11 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
         # doubles where that measurement is not a finite number above L
         jump = _CURVATURE_MARGIN * 2.0 * curv / dd if dd > 0.0 else math.nan
         L = min(jump if L < jump < math.inf else 2.0 * L, L_max)
+        # the failed trial's arrays are dead; the next trial runs without them
+        out = d = None
     measured = 2.0 * curv / dd if dd > 0.0 else 0.0
     bounded = passed or curv <= L_max * dd
-    return L, out, _CURVATURE_MARGIN * measured if measured > 0.0 else L, dd, bounded
+    return L, out, _CURVATURE_MARGIN * measured if measured > 0.0 else L, d, dd, bounded
 
 
 # Cap on the extrapolation weight beta_k, which otherwise follows FISTA's
@@ -482,6 +499,10 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     One later in the run ends it with ``stop_reason="nonfinite"``: the
     trace keeps every finite row, so the non-finite objective belongs to
     iteration ``len(trace)`` and ``final_w`` is the last finite iterate.
+
+    Beyond the data and the trace, a run holds about nine arrays of
+    length p at its peak for scheme "a" and eleven for scheme "b" (see
+    the end of the module docstring); ``tests/test_mm.py`` guards both.
     """
     mu, lf = _resolve_mu(prob, config)
     loss, pen = prob.loss, prob.penalty
@@ -501,14 +522,16 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     }
     t0 = time.perf_counter()
     f_loss, g = loss.value_and_grad(w)
-    f_curr = f_loss + pen.reg_value(w)
+    support, r_w = pen._support_sum(w)
+    f_curr = f_loss + r_w
     if not np.isfinite(f_curr):
         raise FloatingPointError("objective is not finite at the starting point")
-    trace.append(0, f_curr, 0.0, _kkt_distance(w, g, pen), time.perf_counter() - t0, w)
+    trace.append(0, f_curr, 0.0, _kkt_distance(w, g, pen), time.perf_counter() - t0, w,
+                 support=support)
     _check_step(mu, pen, linearize)
     # zeta' from the penalty's formula: every argument below is np.abs of a
     # float array, which the public deriv would only convert and sign-check
-    zeta_prime, zeta = pen._deriv, pen._value
+    zeta_prime = pen._deriv
     # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
     omega = zeta_prime(np.abs(w)) if linearize else None
     # mu_k = L_k + gamma keeps the descent slack of mu = L_f + gamma; without
@@ -526,9 +549,9 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
 
     def mm_step(x, g_x, omega_x):
         """The curvature-searched step from the anchor x: the new iterate
-        z, its loss gradient, F there, mu_k, the next search's start,
-        ||z - x||^2 and whether the curvature along z - x is within L_f
-        (see ``_curvature_search``)."""
+        z, its loss gradient, F there, mu_k, the next search's start, the
+        step d = z - x, ||d||^2, whether the curvature along d is within
+        L_f (see ``_curvature_search``) and z's support for the trace row."""
         def trial(L):
             nonlocal loss_evals
             loss_evals += 1
@@ -537,62 +560,94 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             f_loss, g_z = loss.value_and_grad(z)
             return z, g_z, f_loss, mu_k
 
-        _, (z, g_z, f_loss, mu_k), l_next, dd, bounded = _curvature_search(
+        _, (z, g_z, f_loss, mu_k), l_next, d, dd, bounded = _curvature_search(
             trial, x, g_x, l_start, lf, l_min)
-        # r(z) as reg_value sums it, without its conversion of z
-        f_z = f_loss + float(np.add.reduce(zeta(np.abs(z))))
-        return z, g_z, f_z, mu_k, l_next, dd, bounded
+        # r(z) as reg_value sums it: zeta on z's support only
+        support, r_z = pen._support_sum(z)
+        return z, g_z, f_loss + r_z, mu_k, l_next, d, dd, bounded, support
 
     def certificate(z, d, g_z, g_x, omega_x, mu_k):
         """zeta'(|z|) (scheme b) and ||B||, B the member of dF(z) that the
         step d = z - x from the anchor x gives: grad f(z) plus its prox
-        optimality term."""
-        omega_z = zeta_prime(np.abs(z)) if linearize else None
-        _, B = _step_subgradient(z, d, g_z, g_x, mu_k,
-                                 None if omega_x is None else omega_x - omega_z)
+        optimality term.  Overwrites d and omega_x, which no later step
+        reads."""
+        omega_z = None
+        if linearize:
+            omega_z = zeta_prime(np.abs(z))
+            omega_x -= omega_z
+        _, B = _step_subgradient(z, d, g_z, g_x, mu_k, omega_x)
         return omega_z, _norm(B)
+
+    # Each step below returns its row (z, grad f(z), F(z), zeta'(|z|), mu_k,
+    # the next search's start, ||z - w||, ||B||, z's support) or None; the
+    # arrays of a rejected try or a finished certificate die on return.
+
+    def extrapolated_step(beta):
+        """The safeguarded step from y = w + beta (w - w_prev), None when the
+        gradient restart skips it or the safeguard rejects it.  It drops
+        w_prev and g_prev: they serve y and g_y only, and the next step's
+        are w and g."""
+        nonlocal w_prev, g_prev
+        y, g_last = w - w_prev, g_prev
+        w_prev = g_prev = None
+        # gradient restart: momentum along which f ascends at w (or whose
+        # slope is not a number) is not tried (see the module docstring)
+        if not float(g @ y) <= 0.0:
+            return None
+        # y = w + beta m, in the buffer of the momentum m
+        y *= beta
+        y += w
+        g_y = _gradient_at_y(beta, g, g_last)
+        g_last = None
+        omega_y = zeta_prime(np.abs(y)) if linearize else None
+        z, g_z, f_z, mu_k, l_next, d, _, _, support = mm_step(y, g_y, omega_y)
+        # the step from y is d; y itself is dead
+        y = None
+        step = _norm(z - w)
+        # the safeguard: the descent and the subgradient bound of a plain
+        # step, checked exactly; a non-finite F(z) fails the first
+        if not f_z <= f_curr - 0.5 * gamma * step * step:
+            return None
+        omega_z, res = certificate(z, d, g_z, g_y, omega_y, mu_k)
+        if not res <= bound_lipschitz * step:
+            return None
+        return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+
+    def plain_step():
+        """The step from w, None when F is not finite where it lands."""
+        nonlocal lf_failures
+        z, g_z, f_z, mu_k, l_next, d, dd, bounded, support = mm_step(w, g, omega)
+        if not np.isfinite(f_z):
+            return None
+        # the search's ||d||^2; _norm rescales where it overflowed
+        step = math.sqrt(dd) if dd < math.inf else _norm(d)
+        # grad f is exact at w, so a curvature above L_f along the step
+        # shows that L_f is no Lipschitz constant of grad f
+        lf_failures += not bounded
+        omega_z, res = certificate(z, d, g_z, g, omega, mu_k)
+        return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
 
     stop_reason = "budget"
     for k in range(config.max_iter):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = min((t - 1.0) / t_next, _BETA_MAX) if gamma > 0 else 0.0
-        accepted = False
+        row = None
         if beta > 0.0:
-            m = w - w_prev
-            # gradient restart: momentum along which f ascends at w is not
-            # tried (see the module docstring)
-            if float(g @ m) <= 0.0:
-                y = w + beta * m
-                g_y = _gradient_at_y(beta, g, g_prev)
-                omega_y = zeta_prime(np.abs(y)) if linearize else None
-                z, g_z, f_z, mu_k, l_next, *_ = mm_step(y, g_y, omega_y)
-                step = _norm(z - w)
-                # the safeguard: the descent and the subgradient bound of a
-                # plain step, checked exactly; a non-finite F(z) fails the first
-                if f_z <= f_curr - 0.5 * gamma * step * step:
-                    omega_z, res = certificate(z, z - y, g_z, g_y, omega_y, mu_k)
-                    accepted = res <= bound_lipschitz * step
-            if accepted:
+            row = extrapolated_step(beta)
+            if row is not None:
                 extrapolated += 1
             else:
                 # restart the momentum (t = 1) and take the plain step
                 restarts += 1
                 beta, t_next = 0.0, 1.0
-        if not accepted:
-            z, g_z, f_z, mu_k, l_next, dd, bounded = mm_step(w, g, omega)
-            if not np.isfinite(f_z):
+        if row is None:
+            row = plain_step()
+            if row is None:
                 stop_reason = "nonfinite"
                 break
-            # the search's ||z - w||^2; _norm rescales where it overflowed.
-            # The search drops its z - w: kept through the sum of zeta(|z|),
-            # it raised the peak memory of a SCAD solve by one p-vector
-            delta = z - w
-            step = math.sqrt(dd) if dd < math.inf else _norm(delta)
-            # grad f is exact at w, so a curvature above L_f along the step
-            # shows that L_f is no Lipschitz constant of grad f
-            lf_failures += not bounded
-            omega_z, res = certificate(z, delta, g_z, g, omega, mu_k)
-        trace.append(k + 1, f_z, step, res, time.perf_counter() - t0, z, mu_k, beta)
+        z, g_z, f_z, omega_z, mu_k, l_next, step, res, support = row
+        trace.append(k + 1, f_z, step, res, time.perf_counter() - t0, z, mu_k, beta,
+                     support=support)
         w_prev, g_prev = w, g
         w, g, omega, f_curr = z, g_z, omega_z, f_z
         t, l_start = t_next, l_next

@@ -149,8 +149,22 @@ class Penalty:
 
     def reg_value(self, w) -> float:
         """Full penalty r(w) = sum_i zeta(|w_i|)."""
-        w = np.asarray(w, dtype=float)
-        return float(np.sum(self._value(np.abs(w))))
+        return self._support_sum(np.asarray(w, dtype=float).ravel())[1]
+
+    def _support_sum(self, w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """((idx, w[idx]), r(w)) for a 1-d float array w, idx the indices
+        of its nonzero entries.
+
+        zeta(0) = +0.0 for every family, so zeta runs on the support only;
+        its values are scattered into a zero p-vector, which
+        ``np.add.reduce`` sums in the same pairwise order, so to the same
+        bits, as the p terms of a sum over every coordinate.
+        """
+        idx = (w != 0.0).nonzero()[0]
+        vals = w[idx]
+        terms = np.zeros(w.shape[0])
+        terms[idx] = self._value(np.abs(vals))
+        return (idx, vals), float(np.add.reduce(terms))
 
     def deriv_interval(self, t):
         """(lo, hi) arrays bracketing zeta' at each t >= 0.

@@ -654,6 +654,23 @@ def test_gamma_u_bitwise_equal_to_the_certificate_on_a_fresh_dataset(sparse):
         gram.toarray() if sparse else gram)[0])
 
 
+def test_ridge_alone_certifies_a_rank_deficient_design():
+    # it raised "design is rank deficient", although a ridge > 0 is a
+    # strong-convexity modulus by itself
+    loss = full_rank_ls(seed=31, n=20, p=50)
+    pen = ScadPenalty(lam=0.1, theta=3.7)
+    with pytest.raises(ValueError, match="^design is rank deficient"):
+        dc_problem_from_penalty(loss, pen)
+    prob = dc_problem_from_penalty(loss, pen, ridge=0.1)
+    assert prob.gamma_u == 0.1
+    trace = run_cccp(prob, CccpConfig())
+    assert trace.converged and certify(trace).passed
+    # a full-rank design keeps ridge plus its bottom Gram eigenvalue
+    tall = full_rank_ls(seed=25)
+    assert (dc_problem_from_penalty(tall, pen, ridge=0.1).gamma_u
+            == 0.1 + least_squares_strong_convexity(tall.data))
+
+
 # --------------------------------------------------------------- outer loop
 def _tall_boxed_problem():
     loss = full_rank_ls(seed=29)

@@ -1,6 +1,8 @@
 import collections
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,7 +522,7 @@ def test_curvature_search_jumps_to_the_curvature_a_failed_trial_measured():
     # the test measures twice a Rayleigh quotient of the Hessian, so 2 L_f
     # bounds it and the cap checks nothing here
     start, cap = 1e-6 * lf, 2.0 * lf
-    L, (x_next, _), l_next, dd, bounded = _curvature_search(trial, x, g, start, cap, 0.0)
+    L, (x_next, _), l_next, d, dd, bounded = _curvature_search(trial, x, g, start, cap, 0.0)
     # the direction -g does not depend on L, so the curvature the failed
     # first trial measured is the one along the second, which passes
     d_first = -g / start
@@ -530,7 +532,8 @@ def test_curvature_search_jumps_to_the_curvature_a_failed_trial_measured():
     assert L == pytest.approx(mm_module._CURVATURE_MARGIN * measured, rel=1e-12)
     # the next start is c times the curvature along the accepted step: L again
     assert bounded and l_next == pytest.approx(L, rel=1e-12)
-    d = x_next - x
+    # the search hands back the step it took, and its squared norm
+    np.testing.assert_array_equal(d, x_next - x)
     assert dd == float(d @ d)
     # the accepted L majorizes f at x_next
     assert loss.value(x_next) <= f + float(g @ d) + 0.5 * L * dd + 1e-12
@@ -750,6 +753,42 @@ def test_run_mm_evaluates_the_loss_once_per_step(scheme):
     # one evaluation per trial of the curvature search, plus the start
     assert trace.meta["loss_evals"] >= trace.num_steps()
     assert loss.calls == {"value_and_grad": trace.meta["loss_evals"] + 1}
+
+
+def wide_sparse_problem(kind, shape, n=200, p=20_000, density=0.005, seed=0):
+    """CSR least squares with p >> n and a planted 10-sparse +-1 signal."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, p, density=density, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    w = np.zeros(p)
+    w[rng.choice(p, size=10, replace=False)] = rng.choice([-1.0, 1.0], size=10)
+    y = X @ w + 0.1 * rng.standard_normal(n)
+    loss = LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
+    loss.lipschitz
+    return ProblemInstance(loss=loss, penalty=make_penalty(kind, lam=0.002, **shape))
+
+
+@pytest.mark.parametrize("kind, shape, scheme, bound", [
+    ("scad", {"theta": 3.7}, "a", 12.0),
+    ("mcp", {"gamma": 3.0}, "a", 12.0),
+    ("log", {"theta": 1.0}, "b", 14.0),
+], ids=["scad-a", "mcp-a", "log-b"])
+def test_solve_holds_few_p_vectors_at_its_peak(kind, shape, scheme, bound):
+    # the solve's own tracemalloc peak in p-vectors (8p bytes): a step keeps
+    # w, grad f(w), the trial's z, grad f(z) and d = z - x, a few
+    # temporaries and, for an extrapolated try, y and g_y
+    prob = wide_sparse_problem(kind, shape)
+    config = MmConfig(scheme=scheme, max_iter=40, tol=0.0, record_iterates=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = run_mm(prob, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert trace.num_steps() == 40
+    assert peak / (8 * prob.p) < bound
 
 
 def test_capped_l1_scheme_b_rejected_before_the_loop():

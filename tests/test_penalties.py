@@ -358,6 +358,33 @@ def test_reg_value_examples():
     assert pen.reg_value(w) == pytest.approx(float(np.sum(pen.value(np.abs(w)))))
 
 
+def _support_sum_vectors():
+    rng = np.random.default_rng(5)
+    w = rng.normal(scale=3.0, size=2000)
+    w[rng.random(2000) < 0.9] = 0.0
+    zeros = np.flatnonzero(w == 0.0)
+    w[zeros[::3]] = -0.0
+    yield "sparse", w
+    yield "dense", rng.normal(scale=3.0, size=301)
+    yield "zeros", np.zeros(50)
+    yield "negative-zeros", np.full(50, -0.0)
+    yield "empty", np.zeros(0)
+
+
+@pytest.mark.parametrize("kind,pen,params", ALL)
+def test_reg_value_is_the_sum_over_every_coordinate_bit_for_bit(kind, pen, params):
+    # reg_value and the penalty term of run_mm's trace rows both evaluate
+    # zeta on the support only and sum the values scattered into a zero
+    # vector: the bits of the sum of zeta(|w_i|) over all p coordinates
+    for name, w in _support_sum_vectors():
+        dense = float(np.add.reduce(pen.value(np.abs(w))))
+        (idx, vals), total = pen._support_sum(w)
+        assert total.hex() == pen.reg_value(w).hex() == dense.hex(), name
+        # the row stores the nonzeros, with no -0.0 among them
+        np.testing.assert_array_equal(idx, np.flatnonzero(w))
+        assert vals.tobytes() == w[np.flatnonzero(w)].tobytes()
+
+
 def test_subdiff_interval_at_zero_and_kink():
     pen = ScadPenalty(lam=0.5, theta=3.0)
     iv = pen.subdiff_interval(0.0)
