@@ -20,15 +20,14 @@ ridge is added (which changes F and is recorded as such).  An inner
 solve ends only on the subproblem's exact first-order residual, so the
 route to its answer is free.
 
-On the least-squares Gram path (below) the subproblem is a strictly
-convex quadratic plus kappa*|.|_1 and the box, and an exact active-set
-method solves it: block principal pivoting (Judice & Pires, 1994; Kim &
-Park, 2011).  Each coordinate has a state: at its lower bound, free and
-negative, at zero, free and positive, or at its upper bound, in that
-order along the line, and only the states its box allows.  With F the
-free coordinates, a pattern of states is solved by one Cholesky
-factorization (G + ridge*I is positive definite, since gamma_u > 0 is
-certified):
+For a least-squares loss the subproblem is a strictly convex quadratic
+plus kappa*|.|_1 and the box, and an exact active-set method solves it:
+block principal pivoting (Judice & Pires, 1994; Kim & Park, 2011).
+Each coordinate has a state: at its lower bound, free and negative, at
+zero, free and positive, or at its upper bound, in that order along the
+line, and only the states its box allows.  With F the free coordinates,
+a pattern of states is solved by one Cholesky factorization (G +
+ridge*I is positive definite, since gamma_u > 0 is certified):
 
     (G_FF + ridge*I) x_F = b'_F - kappa*sign(x_F) - G_FN x_N,
 
@@ -45,12 +44,12 @@ patterns, a pattern with no violator that still misses inner_tol, or a
 free block that is not numerically positive definite, the inner solve
 falls back to proximal gradient from the start point.
 
-Proximal gradient, which every other inner solve runs, uses the exact
-prox of kappa*|.|_1 + delta_box (soft-threshold then clamp, exact per
-coordinate).  Each inner step 1/L_k comes from the certified curvature
-search that ``run_mm`` uses, with L_k between the strong-convexity
-modulus gamma_u and the global bound L_f + ridge.  The loop stops on the
-prox step's own certificate.  With s the smooth part of the subproblem,
+Proximal gradient, which runs the inner solve of every other loss, uses
+the exact prox of kappa*|.|_1 + delta_box (soft-threshold then clamp,
+exact per coordinate).  Each inner step 1/L_k comes from the certified
+curvature search that ``run_mm`` uses, with L_k between the
+strong-convexity modulus gamma_u and the global bound L_f + ridge.  The
+loop stops on the prox step's own certificate.  With s the smooth part of the subproblem,
 the step x -> x+ with curvature L_k gives
 
     B = grad s(x+) - grad s(x) - L_k (x+ - x),
@@ -78,9 +77,11 @@ iterate.
 
 The inner gradient of a least-squares loss is G x - (b + grad v(w)) +
 ridge*x, with the Gram pair (G, b) = (X^T X / n, X^T y / n) cached on
-the data set: p*p flops per evaluation.  That path runs when p*p <=
-nnz(X) (p <= n for a dense design); otherwise, and for every other
-loss, each evaluation calls ``loss.gradient``, which costs 2*nnz(X).
+the data set: p*p flops per evaluation, whatever the shape or sparsity
+of the design.  So a least-squares CCCP solve holds the p x p Gram pair,
+which the default modulus of ``dc_problem_from_penalty`` forms anyway.
+Every other loss calls ``loss.gradient`` for each evaluation, which
+costs 2*nnz(X).
 The strong-convexity certificate of a least-squares loss makes one
 eigen-solve of the cached Gram matrix; an L_f first asked for after it
 is the top of the same spectrum, so no Lanczos solve runs.
@@ -92,7 +93,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _norm, _step_subgradient
@@ -283,16 +283,16 @@ class InnerSolveInfo:
     """How an inner solve ended.  ``residual`` is the exact first-order
     residual of the subproblem at the returned point, and ``smooth_grad``
     the gradient of its smooth part there.  ``iterations`` counts the
-    proximal-gradient steps; ``face_tries`` the patterns of the active-set
-    solve, the start point's included, and ``face_accepted`` (0 or 1)
+    proximal-gradient steps; ``patterns`` the patterns of the active-set
+    solve, the start point's included, and ``active_set_solved`` (0 or 1)
     whether the returned point is its answer."""
 
     residual: float
     iterations: int
     inexact: bool
     gradient_evals: int
-    face_tries: int = 0
-    face_accepted: int = 0
+    patterns: int = 0
+    active_set_solved: int = 0
     smooth_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -313,17 +313,6 @@ def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -
     if (x < box[0]).any() or (x > box[1]).any():
         return float("inf")
     return _interval_distance(grad_s, *_subdiff_interval(x, kappa, box))
-
-
-def _inner_gram(loss):
-    """The data set's cached (X^T X / n, X^T y / n) when ``loss`` is least
-    squares and a Gram matvec (p*p flops) costs no more than the design's
-    two matvecs (2*nnz(X) flops); None otherwise."""
-    if not isinstance(loss, LeastSquaresLoss):
-        return None
-    X = loss.data.X
-    nnz = X.nnz if sp.issparse(X) else X.size
-    return loss.data.gram if X.shape[1] ** 2 <= nnz else None
 
 
 # The states of a coordinate in an active-set pattern, in the order of the
@@ -459,20 +448,20 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
 
 
 def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:
-    """Solve the linearized convex subproblem at w: by block principal
-    pivoting on the Gram path, else (or when that misses) by proximal
+    """Solve the linearized convex subproblem at w: for least squares by
+    block principal pivoting, else (or when that misses) by proximal
     gradient.
 
     The smooth part s is f + ridge minus the linearization of v.  For
-    least squares with p*p <= nnz(X) the smooth gradient is
+    least squares, whatever the design, the smooth gradient is
     G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
-    and ``loss.gradient`` is never called; otherwise every evaluation
-    calls ``loss.gradient``.  The exact residual runs first at the
-    projected start point, which may already be a solution.  On the Gram
-    path the active-set solve of the module docstring then runs from the
-    start point's pattern, with at most ``cfg.inner_max_iter`` patterns,
-    and its point is returned when it is in the box and its exact
-    residual is at most ``cfg.inner_tol``.
+    and ``loss.gradient`` is never called; for other losses every
+    evaluation calls ``loss.gradient``.  The exact residual runs first at
+    the projected start point, which may already be a solution.  For
+    least squares the active-set solve of the module docstring then runs
+    from the start point's pattern, with at most ``cfg.inner_max_iter``
+    patterns, and its point is returned when it is in the box and its
+    exact residual is at most ``cfg.inner_tol``.
 
     Otherwise proximal gradient runs from the start point.  The prox part
     kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold prox.
@@ -489,9 +478,9 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     g_v = prob.v_grad(w)
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     lip = prob.loss.lipschitz + ridge
-    gram = _inner_gram(prob.loss)
+    gram = prob.loss.data.gram if isinstance(prob.loss, LeastSquaresLoss) else None
     b = None if gram is None else gram[1] + g_v
-    evals = patterns = accepted = 0
+    evals = patterns = solved = 0
 
     def grad_s(x):
         nonlocal evals
@@ -516,7 +505,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, g, resid,
                                              grad_s, tol, cfg.inner_max_iter)
         if answer is not None:
-            (x, g, resid), accepted = answer, 1
+            (x, g, resid), solved = answer, 1
     L = lip
     it = 0
     while resid > tol and it < cfg.inner_max_iter:
@@ -527,7 +516,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         x, g = x_next, g_next
         if _norm(B) <= tol or it == cfg.inner_max_iter:
             resid = _subproblem_residual(x, g, kappa, box)
-    return x, InnerSolveInfo(resid, it, resid > tol, evals, patterns, accepted, g)
+    return x, InnerSolveInfo(resid, it, resid > tol, evals, patterns, solved, g)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
@@ -564,8 +553,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "inner_residuals": [],
         "inner_iterations": [],
         "inner_gradient_evals": [],
-        "inner_face_tries": [],
-        "inner_face_accepted": [],
+        "inner_patterns": [],
+        "inner_active_set_solved": [],
         "any_inexact": False,
         # the guarantee certify() checks; an inexact inner solve may give
         # back up to 2 * inner_tol * ||Delta|| of the descent
@@ -590,8 +579,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         trace.meta["inner_residuals"].append(info.residual)
         trace.meta["inner_iterations"].append(info.iterations)
         trace.meta["inner_gradient_evals"].append(info.gradient_evals)
-        trace.meta["inner_face_tries"].append(info.face_tries)
-        trace.meta["inner_face_accepted"].append(info.face_accepted)
+        trace.meta["inner_patterns"].append(info.patterns)
+        trace.meta["inner_active_set_solved"].append(info.active_set_solved)
         trace.meta["any_inexact"] = trace.meta["any_inexact"] or info.inexact
         delta = w_next - w
         if carry:

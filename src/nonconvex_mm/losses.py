@@ -25,8 +25,8 @@ its spectrum and its top eigenvalue the first time each is asked for.
 The Gram matrix is formed only where it is needed anyway: by the
 strong-convexity certificate, whose one eigen-solve gives both the
 modulus (bottom eigenvalue) and the curvature bound (top eigenvalue),
-and by the CCCP inner loop, which uses the pair in place of
-``LeastSquaresLoss.gradient`` when p*p <= nnz(X).  A loss that is only
+and by the CCCP inner loop, which for every least-squares design uses
+the pair in place of ``LeastSquaresLoss.gradient``.  A loss that is only
 asked for its curvature (an MM set-up) gets it from Lanczos, which
 costs about 20 matvec pairs, vectors of length min(n, p) and no p x p
 memory.

@@ -298,7 +298,11 @@ class LogPenalty(Penalty):
         return self._scale * np.log1p(self.theta * t)
 
     def _deriv(self, t):
-        return self._scale * self.theta / (1.0 + self.theta * t)
+        # scale*theta / (1 + theta*t), built in its output buffer; out= keeps
+        # a 0-d t an array, where a bare ufunc would return a scalar
+        out = np.multiply(self.theta, t, out=np.empty_like(t))
+        out += 1.0
+        return np.divide(self._scale * self.theta, out, out=out)
 
     def deriv_lipschitz(self) -> float:
         # sup |zeta''| is attained at t = 0

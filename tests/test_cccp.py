@@ -129,19 +129,15 @@ def test_nan_box_bound_refused(box):
 
 
 def test_infinite_box_bounds_allowed():
-    # no box is the box (-inf, inf): the two give bitwise the same run, on
-    # the Gram path (active-set inner solves) and on the design path (a
-    # wide design with a ridge: proximal-gradient inner solves)
+    # no box is the box (-inf, inf): the two give bitwise the same run, for
+    # least squares (active-set inner solves) and for a logistic loss with a
+    # ridge (proximal-gradient inner solves)
     cfg = CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300)
-    gram_loss = full_rank_ls(seed=8)
-    wide_loss = full_rank_ls(seed=24, n=15, p=40)
-    assert cccp_module._inner_gram(gram_loss) is not None
-    assert cccp_module._inner_gram(wide_loss) is None
-    runs = [(gram_loss, McpPenalty(lam=0.2, gamma=3.0), {}),
-            (wide_loss, ScadPenalty(lam=0.1, theta=3.7), {"ridge": 0.5, "gamma_u": 0.5})]
-    for loss, pen, kwargs in runs:
-        free, boxed = (run_cccp(dc_problem_from_penalty(loss, pen, box=box, **kwargs), cfg)
-                       for box in (None, (-np.inf, np.inf)))
+    least_squares = full_rank_ls(seed=8)
+    for make in (lambda box: dc_problem_from_penalty(
+                     least_squares, McpPenalty(lam=0.2, gamma=3.0), box=box),
+                 lambda box: _logistic_ridge_problem(box)[1]):
+        free, boxed = (run_cccp(make(box), cfg) for box in (None, (-np.inf, np.inf)))
         assert free.converged and free.num_steps() > 1
         for column in ("iters", "objective", "step_norm", "residual", "mu", "beta"):
             assert getattr(boxed, column) == getattr(free, column), column
@@ -150,10 +146,10 @@ def test_infinite_box_bounds_allowed():
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(boxed.final_w, free.final_w)
         for key in ("kkt", "stop_reason", "any_inexact", "inner_residuals",
-                    "inner_iterations", "inner_gradient_evals", "inner_face_tries",
-                    "inner_face_accepted"):
+                    "inner_iterations", "inner_gradient_evals", "inner_patterns",
+                    "inner_active_set_solved"):
             assert boxed.meta[key] == free.meta[key], key
-    # the design-path run took proximal-gradient steps
+    # the logistic run took proximal-gradient steps
     assert sum(free.meta["inner_iterations"]) > 0
 
 
@@ -241,8 +237,9 @@ def test_cccp_step_1d_grid_oracle():
 
 
 def short_sparse_ls(seed=0, n=60, p=20):
-    """A full-rank CSR least-squares loss with p*p > nnz(X), so the inner
-    loop calls ``loss.gradient`` and runs proximal gradient to the end."""
+    """A full-rank CSR least-squares loss with p*p > nnz(X): a Gram matvec
+    costs more flops than the design's two matvecs, and its inner solves
+    still take the Gram pair and the active-set solve."""
     rng = np.random.default_rng(seed)
     X = sp.random(n, p, density=0.3, random_state=seed, data_rvs=rng.standard_normal,
                   format="csr")
@@ -262,10 +259,11 @@ class CountingGram(np.ndarray):
 
 @pytest.mark.parametrize("ridge", [0.0, 0.4])
 def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
-    # on the Gram path the active-set solve ends every inner solve and no
-    # proximal-gradient step runs; on the design path proximal gradient
-    # runs to the end, and there the search leaves the cap
-    search, inner_gram = cccp_module._curvature_search, cccp_module._inner_gram
+    # for least squares, whatever the design, the active-set solve ends
+    # every inner solve and no proximal-gradient step runs; for a logistic
+    # loss proximal gradient runs to the end, and there the search leaves
+    # the cap
+    search = cccp_module._curvature_search
     accepted, trials = [], [0]
 
     def recording(trial, *args):
@@ -277,22 +275,25 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
         accepted.append(out[0])
         return out
 
-    def counting_gram(loss):
-        gram = inner_gram(loss)
-        return None if gram is None else (gram[0].view(CountingGram), gram[1])
-
     monkeypatch.setattr(cccp_module, "_curvature_search", recording)
-    monkeypatch.setattr(cccp_module, "_inner_gram", counting_gram)
-    for loss in (full_rank_ls(seed=12), short_sparse_ls(seed=12)):
-        gram_path = inner_gram(loss) is not None
-        prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0), ridge=ridge,
-                                       box=(-1.0, 1.0))
+    mcp = McpPenalty(lam=0.25, gamma=3.0)
+    # a logistic loss takes its modulus from a ridge
+    for loss, pen, rho in ((full_rank_ls(seed=12), mcp, ridge),
+                           (short_sparse_ls(seed=12), mcp, ridge),
+                           (_logistic_ridge_problem()[0], McpPenalty(lam=0.05, gamma=3.0),
+                            ridge + 0.5)):
+        gram_path = isinstance(loss, LeastSquaresLoss)
+        prob = dc_problem_from_penalty(loss, pen, ridge=rho, box=(-1.0, 1.0))
+        if gram_path:
+            # the certificate cached the Gram pair; count its matvecs
+            G, b = loss.data.gram
+            loss.data.__dict__["gram"] = (G.view(CountingGram), b)
         accepted.clear()
         trials[0] = CountingGram.matvecs = 0
         trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
         assert trace.converged and certify(trace).passed
         assert trace.converged == (trace.meta["stop_reason"] == "tol")
-        cap = loss.lipschitz + ridge
+        cap = loss.lipschitz + rho
         assert len(accepted) == sum(trace.meta["inner_iterations"])
         assert all(prob.gamma_u <= L <= cap for L in accepted)
         evals = trace.meta["inner_gradient_evals"]
@@ -301,12 +302,12 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
         if gram_path:
             # every Gram matvec of the inner solves is counted
             assert accepted == [] and sum(evals) == CountingGram.matvecs > 0
-            assert trace.meta["inner_face_accepted"] == [1] * trace.num_steps()
+            assert trace.meta["inner_active_set_solved"] == [1] * trace.num_steps()
         else:
             # one gradient per trial of the search and one at each inner start
             assert sum(evals) == trials[0] + trace.num_steps()
             assert min(accepted) < cap and CountingGram.matvecs == 0
-            assert sum(trace.meta["inner_face_tries"]) == 0
+            assert sum(trace.meta["inner_patterns"]) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -347,8 +348,8 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
        ridge=st.sampled_from([0.0, 0.3]),
        box=st.sampled_from(["none", "finite", "half", "pinned"]))
 def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, box):
-    # a dense design with n >= p takes the Gram path, where the active-set
-    # solve ends the inner solve; its output is the subproblem's minimizer
+    # on a least-squares loss the active-set solve ends the inner solve;
+    # its output is the subproblem's minimizer
     rng = np.random.default_rng(seed)
     n = int(rng.integers(p + 1, 3 * p + 2))
     loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(n, p)),
@@ -360,7 +361,6 @@ def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, bo
               "pinned": (lo, lo.copy())}[box]
     prob = dc_problem_from_penalty(loss, ScadPenalty(lam=lam, theta=3.7), ridge=ridge,
                                    box=bounds)
-    assert cccp_module._inner_gram(loss) is not None
     # a random start point with zeros and coordinates at bounds starts on a
     # pattern that may be far from the answer; the cold start is w = 0
     w = rng.uniform(-2.0, 2.0, size=p)
@@ -393,8 +393,8 @@ def test_inner_solve_matches_the_face_enumeration_oracle(seed, p, lam, ridge, bo
         # the active-set solve ends every solve whose start point is not the
         # answer, without a proximal-gradient step
         assert info.iterations == 0
-        assert info.face_accepted == (info.face_tries > 0)
-        assert len(states) <= info.face_tries
+        assert info.active_set_solved == (info.patterns > 0)
+        assert len(states) <= info.patterns
         # a box that excludes 0 or pins a coordinate allows only some states
         for state in states:
             low, neg, zero, pos, up = (state == code for code in (
@@ -486,12 +486,12 @@ def test_exhausted_pattern_budget_falls_back_to_proximal_gradient():
     prob = DcProblem(loss=loss, l1_weight=0.4, remainder=None, gamma_u=1.0, box=(-1.0, 1.0))
     w = np.full(4, -1.0)
     out, info = cccp_step(w, prob, CccpConfig(inner_tol=1e-12, inner_max_iter=3))
-    assert (info.face_tries, info.face_accepted) == (3, 0)
+    assert (info.patterns, info.active_set_solved) == (3, 0)
     assert 0 < info.iterations <= 3
     assert not info.inexact and info.residual <= 1e-12
     np.testing.assert_allclose(out, np.ones(4), rtol=0, atol=1e-12)
     ended, full = cccp_step(w, prob, CccpConfig(inner_tol=1e-12))
-    assert (full.face_tries, full.face_accepted, full.iterations) == (5, 1, 0)
+    assert (full.patterns, full.active_set_solved, full.iterations) == (5, 1, 0)
     np.testing.assert_array_equal(ended, np.ones(4))
 
 
@@ -549,9 +549,8 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
     monkeypatch.setattr(cccp_module, "_pattern_solve", recording_pattern)
     tol = 1e-11
     gram_prob = _inner_stop_problem(0.0)
-    design_prob = dc_problem_from_penalty(short_sparse_ls(seed=26),
-                                          ScadPenalty(lam=0.2, theta=3.7), box=(-0.4, 0.4))
-    for prob in (gram_prob, design_prob):
+    logistic_prob = _logistic_ridge_problem((-0.4, 0.4))[1]
+    for prob in (gram_prob, logistic_prob):
         events.clear()
         w = np.random.default_rng(28).uniform(-0.4, 0.4, size=prob.p)
         _, info = cccp_step(w, prob, CccpConfig(inner_tol=tol))
@@ -566,11 +565,11 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
         if prob is gram_prob:
             # w has no zero and no coordinate at a bound: every pattern is
             # solved, and each solve is followed by its residual
-            assert info.iterations == 0 and info.face_accepted == 1
-            assert kinds[1:] == ["pattern", "residual"] * info.face_tries
-            assert info.face_tries > 1
+            assert info.iterations == 0 and info.active_set_solved == 1
+            assert kinds[1:] == ["pattern", "residual"] * info.patterns
+            assert info.patterns > 1
         else:
-            assert info.face_tries == info.face_accepted == 0 and len(certs) > 1
+            assert info.patterns == info.active_set_solved == 0 and len(certs) > 1
             for before, kind in zip(events, kinds[1:]):
                 if kind == "residual":
                     assert before[0] == "cert" and before[1] <= tol
@@ -614,12 +613,12 @@ def test_gram_path_matches_prox_gradient_reference(ridge, box):
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
 
 
-def _logistic_ridge_problem():
+def _logistic_ridge_problem(box=None):
     spec = SyntheticSpec(n=120, p=10, sparsity=4, noise_sd=0.0, seed=23,
                          task="classification")
     loss = LogisticLoss(synth_generate(spec)[0])
     return loss, dc_problem_from_penalty(loss, McpPenalty(lam=0.05, gamma=3.0),
-                                         ridge=0.5)
+                                         ridge=0.5, box=box)
 
 
 def _wide_least_squares_ridge_problem():
@@ -628,8 +627,13 @@ def _wide_least_squares_ridge_problem():
                                          ridge=0.5, gamma_u=0.5, box=(-2.0, 2.0))
 
 
-@pytest.mark.parametrize("make", [_logistic_ridge_problem,
-                                  _wide_least_squares_ridge_problem])
+def _short_sparse_problem():
+    loss = short_sparse_ls(seed=26)
+    return loss, dc_problem_from_penalty(loss, McpPenalty(lam=0.25, gamma=3.0),
+                                         box=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("make", [_logistic_ridge_problem])
 def test_design_path_calls_loss_gradient_and_certifies(make):
     loss, prob = make()
     calls = count_calls(loss, "gradient")
@@ -696,19 +700,19 @@ def test_objective_column_matches_the_objective_at_every_iterate(make):
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
-                                  _wide_least_squares_ridge_problem])
+                                  _wide_least_squares_ridge_problem,
+                                  _short_sparse_problem])
 def test_least_squares_run_evaluates_the_loss_once_outside_the_inner_loop(make):
+    # a wide design (p > n) and a sparse one with p*p > nnz(X) too: every
+    # least-squares inner solve works on the Gram pair, with no loss
+    # evaluation and no proximal-gradient step
     loss, prob = make()
     evals = count_calls(loss, "value_and_grad")
     values = count_calls(loss, "value")
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     assert trace.converged and trace.num_steps() > 5
-    assert values[0] == 0
-    # the Gram path makes no loss evaluation in the inner loop; the design
-    # path makes one per inner gradient
-    inner = 0 if cccp_module._inner_gram(loss) is not None else sum(
-        trace.meta["inner_gradient_evals"])
-    assert evals[0] == 1 + inner
+    assert values[0] == 0 and evals[0] == 1
+    assert trace.meta["inner_iterations"] == [0] * trace.num_steps()
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
@@ -730,21 +734,25 @@ def test_run_records_the_exact_kkt_residual_at_its_final_iterate(make, max_iter)
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
                                   _wide_least_squares_ridge_problem,
-                                  _logistic_ridge_problem])
+                                  _short_sparse_problem, _logistic_ridge_problem])
 def test_run_records_the_face_solves_of_every_inner_solve(make):
     loss, prob = make()
+    evals = count_calls(loss, "value_and_grad")
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     meta = trace.meta
-    tries, accepted = meta["inner_face_tries"], meta["inner_face_accepted"]
-    assert len(tries) == len(accepted) == len(meta["inner_iterations"]) == trace.num_steps()
-    assert all(a in (0, 1) and a <= t for t, a in zip(tries, accepted))
-    if cccp_module._inner_gram(loss) is None:
-        # other losses and p*p > nnz(X) designs run proximal gradient only
-        assert sum(tries) == 0
+    patterns, solved = meta["inner_patterns"], meta["inner_active_set_solved"]
+    steps = trace.num_steps()
+    assert len(patterns) == len(solved) == len(meta["inner_iterations"]) == steps
+    assert all(a in (0, 1) and a <= t for t, a in zip(patterns, solved))
+    if isinstance(loss, LeastSquaresLoss):
+        # the active-set solve ends every inner solve that has to move,
+        # whatever the design's shape or sparsity
+        assert solved == [int(t > 0) for t in patterns] and sum(solved) > 0
+        assert meta["inner_iterations"] == [0] * steps
+        assert evals[0] == 1
     else:
-        # the active-set solve ends every inner solve that has to move
-        assert accepted == [int(t > 0) for t in tries] and sum(accepted) > 0
-        assert meta["inner_iterations"] == [0] * trace.num_steps()
+        # other losses run proximal gradient only
+        assert sum(patterns) == 0
 
 
 @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
