@@ -477,7 +477,6 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     w = _start_point(w, prob.p, "w")
     g_v = prob.v_grad(w)
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
-    lip = prob.loss.lipschitz + ridge
     gram = prob.loss.data.gram if isinstance(prob.loss, LeastSquaresLoss) else None
     b = None if gram is None else gram[1] + g_v
     evals = patterns = solved = 0
@@ -506,8 +505,10 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
                                              grad_s, tol, cfg.inner_max_iter)
         if answer is not None:
             (x, g, resid), solved = answer, 1
-    L = lip
     it = 0
+    if resid > tol:
+        # only proximal gradient needs L_f, which may cost a Lanczos solve
+        L = lip = prob.loss.lipschitz + ridge
     while resid > tol and it < cfg.inner_max_iter:
         it += 1
         L_step, (x_next, g_next), L, d, *_ = _curvature_search(trial, x, g, L, lip,
@@ -544,10 +545,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     trace = IterateTrace(iterates=SparseIterates())
     trace.meta = {
         "solver": "cccp",
-        "gamma_u": prob.gamma_u,
         "l1_weight": prob.l1_weight,
         "ridge": prob.ridge,
-        "v_lipschitz": prob.v_lipschitz(),
         "tol": cfg.tol,
         "inner_tol": cfg.inner_tol,
         "inner_residuals": [],

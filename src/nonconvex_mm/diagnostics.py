@@ -76,9 +76,10 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _interval_distance(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Distance from 0 to g + [lo, hi] componentwise; an infinite bound (a
-    normal cone) drops its term."""
-    return _norm(np.maximum(0.0, np.maximum(g + lo, -(g + hi))))
+    """Distance from 0 to g + [lo, hi], the distance from -g to its
+    projection onto [lo, hi]; an infinite bound (a normal cone) drops its
+    term."""
+    return _norm(np.clip(-g, lo, hi) + g)
 
 
 def _kkt_distance(w: np.ndarray, g: np.ndarray, penalty) -> float:
@@ -208,15 +209,14 @@ class RateFit:
     fit_quality: float
 
 
-def rate_fit(trace, min_points: int = 20, quality_threshold: float = 0.8) -> RateFit:
+def rate_fit(trace) -> RateFit:
     """Classify the decay of e_k = ||w^(k) - w*|| on a converged trace.
 
     w* is the final iterate and the last 5 iterates are excluded to
     limit self-reference bias.  A geometric fit (log e vs k) and a
     polynomial fit (log e vs log k) compete on R^2; ``finite`` is
     reported when the error hits exactly zero, ``undetermined`` when
-    neither model reaches ``quality_threshold`` or the tail is shorter
-    than ``min_points``.
+    neither model reaches R^2 = 0.8 or fewer than 20 errors remain.
     """
     if trace.iterates is None:
         raise ValueError("trace has no recorded iterates; run with record_iterates=True")
@@ -227,7 +227,7 @@ def rate_fit(trace, min_points: int = 20, quality_threshold: float = 0.8) -> Rat
     # one dense row at a time: W[:-1] would hold every row at once
     errs = np.array([float(np.linalg.norm(W[k] - wstar)) for k in range(len(W) - 1)])
     usable = errs[: max(len(errs) - 5, 0)]
-    if len(usable) < min_points:
+    if len(usable) < 20:
         return RateFit(UNDETERMINED, float("nan"), 0.0)
     if np.any(usable == 0.0):
         return RateFit(FINITE, 0.0, 1.0)
@@ -243,8 +243,8 @@ def rate_fit(trace, min_points: int = 20, quality_threshold: float = 0.8) -> Rat
     slope_p, _, r2_sub = _linfit(np.log(ks[mask]), logs[mask])
     exponent = -float(slope_p)
 
-    lin_ok = 0.0 < rho < 1.0 and r2_lin >= quality_threshold
-    sub_ok = exponent > 0.0 and r2_sub >= quality_threshold
+    lin_ok = 0.0 < rho < 1.0 and r2_lin >= 0.8
+    sub_ok = exponent > 0.0 and r2_sub >= 0.8
     if lin_ok and (r2_lin >= r2_sub or not sub_ok):
         return RateFit(LINEAR, rho, min(max(r2_lin, 0.0), 1.0))
     if sub_ok:

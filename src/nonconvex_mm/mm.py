@@ -500,8 +500,8 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     trace keeps every finite row, so the non-finite objective belongs to
     iteration ``len(trace)`` and ``final_w`` is the last finite iterate.
 
-    Beyond the data and the trace, a run holds about nine arrays of
-    length p at its peak for scheme "a" and eleven for scheme "b" (see
+    Beyond the data and the trace, a run holds about 8.4 arrays of
+    length p at its peak for scheme "a" and 10.4 for scheme "b" (see
     the end of the module docstring); ``tests/test_mm.py`` guards both.
     """
     mu, lf = _resolve_mu(prob, config)

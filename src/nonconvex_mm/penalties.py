@@ -81,6 +81,8 @@ class Penalty:
     """
 
     kind = "base"
+    # whether the derivative exists and is Lipschitz on [0, inf)
+    supports_linearization = True
     lam: float
 
     def __post_init__(self):
@@ -123,11 +125,6 @@ class Penalty:
     def params(self) -> dict:
         """The dataclass fields: ``lam`` and the shape parameters."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def supports_linearization(self) -> bool:
-        """Whether the derivative exists and is Lipschitz on [0, inf)."""
-        return True
 
     def value(self, t):
         """Evaluate zeta(t) for t >= 0 (scalar or array)."""
@@ -434,10 +431,7 @@ class CappedL1Penalty(Penalty):
     lam: float
     theta: float
     kind = "capped_l1"
-
-    @property
-    def supports_linearization(self) -> bool:
-        return False
+    supports_linearization = False
 
     def _value(self, t):
         return self.lam * np.minimum(t, self.theta)

@@ -465,6 +465,43 @@ def test_pattern_solve_hands_posv_the_free_block_in_fortran_order():
     assert A.tobytes(order="A") == reference.tobytes(order="A")
 
 
+def test_murty_rule_moves_one_violator_when_exchanges_stop_helping():
+    # an ill-conditioned G (condition number near 1800): the violator counts
+    # run 4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2, so after three exchanges that do
+    # not go below 1 violator the last four exchanges move one coordinate each
+    rng = np.random.default_rng(13)
+    p, kappa = 4, 0.5
+    A = rng.normal(size=(p, p)) * rng.uniform(0.1, 10, size=p)
+    G = A.T @ A / p + 1e-3 * np.eye(p)
+    b = 5 * rng.normal(size=p)
+    box = (np.full(p, -1.0), np.full(p, 1.0))
+    x0 = np.clip(2 * rng.normal(size=p), *box)
+    x0[rng.random(p) < 0.4] = 0.0
+
+    def grad_s(x):
+        return G @ x - b
+
+    violators, counts, states = cccp_module._violators, [], []
+
+    def recording(x, g, kappa, box, state):
+        states.append(state.copy())
+        viol, up = violators(x, g, kappa, box, state)
+        counts.append(viol.size)
+        return viol, up
+
+    g0 = grad_s(x0)
+    resid0 = cccp_module._subproblem_residual(x0, g0, kappa, box)
+    with mock.patch.object(cccp_module, "_violators", recording):
+        (x, g, resid), patterns = cccp_module._active_set_solve(
+            G, 0.0, kappa, b, box, x0, g0, resid0, grad_s, 1e-12, 100)
+    assert counts == [4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2] and patterns == 12
+    moved = [int(np.count_nonzero(s != t)) for s, t in zip(states, states[1:])]
+    assert moved == counts[:7] + [1, 1, 1]
+    assert resid <= 1e-12
+    np.testing.assert_array_equal(g, grad_s(x))
+    np.testing.assert_allclose(x, qp_face_enumeration(G, b, kappa, box), rtol=0, atol=1e-15)
+
+
 def test_subproblem_residual_is_infinite_outside_the_box():
     # x_0 = 0 lies above its upper bound -0.5; the l1 interval at 0 holds
     # -g_0 = 0, so a residual blind to the box read 0 there
@@ -713,6 +750,8 @@ def test_least_squares_run_evaluates_the_loss_once_outside_the_inner_loop(make):
     assert trace.converged and trace.num_steps() > 5
     assert values[0] == 0 and evals[0] == 1
     assert trace.meta["inner_iterations"] == [0] * trace.num_steps()
+    # only proximal gradient reads L_f, and its eigen-solve never runs
+    assert "gram_top_eigenvalue" not in loss.data.__dict__
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,

@@ -30,7 +30,7 @@ from nonconvex_mm import (
     subgradient_residual,
     synth_generate,
 )
-from nonconvex_mm.diagnostics import _norm
+from nonconvex_mm.diagnostics import _interval_distance, _norm
 
 
 def logistic_problem(lam=0.2, eps=1.0, seed=42):
@@ -201,6 +201,19 @@ def test_norm_is_numpy_norm_where_finite_and_rescaled_past_overflow(scale):
         assert n == pytest.approx(scale * float(np.linalg.norm(x / scale)), rel=1e-14)
     assert _norm(np.array([np.inf, 1.0])) == np.inf
     assert np.isnan(_norm(np.array([np.nan, 1e200])))
+    # the exact residual projects -g onto [lo, hi]: bit for bit the norm of
+    # the componentwise max(0, g + lo, -(g + hi)), at infinite bounds, signed
+    # zeros, NaN and entries near overflow too
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308])
+    for _ in range(500):
+        g, a, b = np.where(rng.random((3, 6)) < 0.4, rng.choice(edges, (3, 6)),
+                           rng.normal(size=(3, 6)) * scale)
+        lo, hi = np.fmin(a, b), np.fmax(a, b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _interval_distance(g, lo, hi)
+            want = _norm(np.maximum(0.0, np.maximum(g + lo, -(g + hi))))
+        assert repr(got) == repr(want)
 
 
 def test_certificates_stay_finite_where_the_sum_of_squares_overflows():

@@ -769,8 +769,8 @@ def wide_sparse_problem(kind, shape, n=200, p=20_000, density=0.005, seed=0):
 
 
 @pytest.mark.parametrize("kind, shape, scheme, bound", [
-    ("scad", {"theta": 3.7}, "a", 12.0),
-    ("mcp", {"gamma": 3.0}, "a", 12.0),
+    ("scad", {"theta": 3.7}, "a", 8.8),
+    ("mcp", {"gamma": 3.0}, "a", 8.8),
     ("log", {"theta": 1.0}, "b", 10.7),
 ], ids=["scad-a", "mcp-a", "log-b"])
 def test_solve_holds_few_p_vectors_at_its_peak(kind, shape, scheme, bound):
