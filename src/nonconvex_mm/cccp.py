@@ -39,10 +39,12 @@ pattern of the start point and exchanges every violator; after 3
 exchanges that do not lower the fewest violators seen, it exchanges only
 the last violator (Murty's rule) until the count falls below that.  It ends
 when the pattern's point has an exact residual, from one Gram matvec, at
-most inner_tol, and is then returned.  After ``inner_max_iter``
-patterns, a pattern with no violator that still misses inner_tol, or a
-free block that is not numerically positive definite, the inner solve
-falls back to proximal gradient from the start point.
+most inner_tol, or has no violator, and that point is returned.  A point
+with no violator solves the subproblem up to rounding; it is flagged
+inexact when its residual still misses inner_tol, and no proximal
+gradient follows it.  After ``inner_max_iter`` patterns, or at a free
+block that is not numerically positive definite, the inner solve falls
+back to proximal gradient from the start point.
 
 Proximal gradient, which runs the inner solve of every other loss, uses
 the exact prox of kappa*|.|_1 + delta_box (soft-threshold then clamp,
@@ -411,8 +413,9 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
     resid0.
 
     Returns ((x, g, residual), patterns) for the first pattern whose point
-    has an exact residual at most ``tol``, or (None, patterns) when the
-    pivoting ends without one.
+    has an exact residual at most ``tol`` or no violator, or (None,
+    patterns) after ``budget`` patterns or at a free block that is not
+    numerically positive definite.
     """
     state = _pattern_of(x0, box)
     # with no free coordinate the start point is its pattern's point
@@ -429,7 +432,8 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
             return (x, g, resid), patterns
         viol, up = _violators(x, g, kappa, box, state)
         if not viol.size:
-            break
+            # the point solves the subproblem; only rounding holds it above tol
+            return (x, g, resid), patterns
         if viol.size < fewest:
             fewest, backup = viol.size, 3
         elif backup:
@@ -460,11 +464,15 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     the projected start point, which may already be a solution.  For
     least squares the active-set solve of the module docstring then runs
     from the start point's pattern, with at most ``cfg.inner_max_iter``
-    patterns, and its point is returned when it is in the box and its
-    exact residual is at most ``cfg.inner_tol``.
+    patterns, and its point is returned when its exact residual is at
+    most ``cfg.inner_tol`` or it has no violator; in the second case it
+    is flagged inexact if it misses ``cfg.inner_tol``, and no proximal
+    gradient step follows.
 
-    Otherwise proximal gradient runs from the start point.  The prox part
-    kappa*|.|_1 + delta_box has the exact clamp-after-soft-threshold prox.
+    When the pattern budget runs out or a free block is not numerically
+    positive definite, and for every other loss, proximal gradient runs
+    from the start point.  The prox part kappa*|.|_1 + delta_box has the
+    exact clamp-after-soft-threshold prox.
     Each step x -> prox(x - grad s(x) / L_k) takes its curvature L_k in
     [gamma_u, L_f + ridge] from ``_curvature_search``, starting at
     L_f + ridge.  The loop stops once the step's certificate
@@ -506,17 +514,17 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
         if answer is not None:
             (x, g, resid), solved = answer, 1
     it = 0
-    if resid > tol:
+    if resid > tol and not solved:
         # only proximal gradient needs L_f, which may cost a Lanczos solve
         L = lip = prob.loss.lipschitz + ridge
-    while resid > tol and it < cfg.inner_max_iter:
-        it += 1
-        L_step, (x_next, g_next), L, d, *_ = _curvature_search(trial, x, g, L, lip,
-                                                               prob.gamma_u)
-        _, B = _step_subgradient(x_next, d, g_next, g, L_step, None)
-        x, g = x_next, g_next
-        if _norm(B) <= tol or it == cfg.inner_max_iter:
-            resid = _subproblem_residual(x, g, kappa, box)
+        while resid > tol and it < cfg.inner_max_iter:
+            it += 1
+            L_step, (x_next, g_next), L, d, *_ = _curvature_search(trial, x, g, L, lip,
+                                                                   prob.gamma_u)
+            _, B = _step_subgradient(x_next, d, g_next, g, L_step, None)
+            x, g = x_next, g_next
+            if _norm(B) <= tol or it == cfg.inner_max_iter:
+                resid = _subproblem_residual(x, g, kappa, box)
     return x, InnerSolveInfo(resid, it, resid > tol, evals, patterns, solved, g)
 
 

@@ -284,11 +284,12 @@ def certify(trace) -> Certificate:
 
     Descent margin F_k - F_{k+1} - (gamma/2)||Delta_k||^2 fails below
     -(descent_slack * ||Delta_k|| + descent_tol); bound margin
-    residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol;
-    a recorded final ``kkt`` must not exceed the last residual by 1e-8.
-    A run that stopped on ``"tol"`` fails when the quantity its stop rule
-    tested exceeds ``meta["tol"]``: the last residual, plus for CCCP the
-    last inner residual.
+    residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol.
+    The stop quantity is the one the solver's stop rule tests: the last
+    residual, plus for CCCP the last inner residual, the pair bounding the
+    KKT distance at the final iterate.  A recorded final ``kkt`` must not
+    exceed it by 1e-8, and a run that stopped on ``"tol"`` fails when it
+    exceeds ``meta["tol"]``.
     """
     meta = trace.meta
     gamma = meta["gamma"]
@@ -300,6 +301,7 @@ def certify(trace) -> Certificate:
     worst_descent = float(descent.min()) if len(steps) else 0.0
     worst_bound = float(bound.min()) if len(steps) else 0.0
     kkt = meta.get("kkt")
+    stopped = trace.residual[-1] + meta.get("inner_residuals", [0.0])[-1]
 
     failures = []
     if gamma <= 0:
@@ -312,15 +314,11 @@ def certify(trace) -> Certificate:
     if worst_bound < -meta["bound_tol"]:
         failures.append(f"subgradient bound: worst margin {worst_bound:.3e} "
                         f"< {_neg_tol(meta['bound_tol'])}")
-    if kkt is not None and len(steps) and kkt > trace.residual[-1] + 1e-8:
-        failures.append(f"kkt residual {kkt:.3e} exceeds certificate {trace.residual[-1]:.3e}")
-    if meta.get("stop_reason") == "tol":
-        stopped = trace.residual[-1]
-        if "inner_residuals" in meta:
-            stopped += meta["inner_residuals"][-1]
-        if stopped > meta["tol"]:
-            failures.append(f"stopped on tol at a certified residual {stopped:.3e} "
-                            f"> tol {meta['tol']:.3e}")
+    if kkt is not None and len(steps) and kkt > stopped + 1e-8:
+        failures.append(f"kkt residual {kkt:.3e} exceeds certificate {stopped:.3e}")
+    if meta.get("stop_reason") == "tol" and stopped > meta["tol"]:
+        failures.append(f"stopped on tol at a certified residual {stopped:.3e} "
+                        f"> tol {meta['tol']:.3e}")
     rate = None if trace.iterates is None else rate_fit(trace)
     return Certificate(gamma, worst_descent, worst_bound, kkt, total, tail, rate,
                        tuple(failures))

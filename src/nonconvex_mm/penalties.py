@@ -219,54 +219,37 @@ def _keep_above(a: np.ndarray, thr: float, shift: float, cap: float) -> np.ndarr
     return w
 
 
-# t = a + 1/b from which the log prox factors t out of its square root, as
-# t*t would overflow (huge |u|, tiny theta, huge eps)
-_LOG_PROX_FACTORED_FROM = 1e150
-
-
 def _log_prox_magnitude(a: np.ndarray, alpha: float, c: float, b: float) -> np.ndarray:
     """Prox magnitude of zeta(t) = c * log(1 + b*t).
 
     Stationary points solve b*w^2 + (1 - a*b)*w + (alpha*c*b - a) = 0.  Its
-    larger root is ``a - 2*alpha*c / (t + sqrt(t^2 - 4*alpha*c))`` with
-    ``t = a + 1/b``, a form without cancellation.  For ``a > alpha*c*b`` the
-    slope at 0 is negative and that root is the minimizer.  Below, 0 is
-    the minimizer when the objective is convex (``alpha*c*b^2 <= 1``);
-    otherwise, for ``a`` between the double-root point ``2*sqrt(alpha*c) -
-    1/b`` and ``alpha*c*b``, 0 and the root are compared by objective.
+    larger root is ``a - 2*alpha*c / (t + sqrt(t^2 - q^2))`` with ``t = a +
+    1/b`` and ``q = 2*sqrt(alpha*c)``.  As ``(sqrt(t+q) + sqrt(t-q))^2 =
+    2*(t + sqrt(t^2 - q^2))``, it is evaluated as ``a - (q / (sqrt(t+q) +
+    sqrt(t-q)))^2``: no cancellation, and t is never squared, so no finite
+    input overflows.  For ``a > alpha*c*b`` the slope at 0 is negative and
+    that root is the minimizer.  Below, 0 is the minimizer when the
+    objective is convex (``alpha*c*b^2 <= 1``); otherwise, for ``a``
+    between the double-root point ``q - 1/b`` and ``alpha*c*b``, 0 and the
+    root are compared by objective.
     """
     ac = alpha * c
-    t = a + 1.0 / b
-    big = np.flatnonzero(t >= _LOG_PROX_FACTORED_FROM)
-    if big.size:
-        # t*t would overflow; with t factored out of the square root the
-        # root is a - q / (1 + sqrt(1 - 2q/t)), q = 2*alpha*c / t
-        tb = t[big]
-        q = np.divide(2.0 * ac, tb)
-        s = np.divide(q, tb)
-        s *= -2.0
-        s += 1.0
-        np.maximum(s, 0.0, out=s)
-        np.sqrt(s, out=s)
-        s += 1.0
-        r_big = np.divide(q, s, out=tb)
-        # a stand-in whose square is finite; its result is overwritten
-        t[big] = 1.0
-    s = np.multiply(t, t)
-    s -= 4.0 * ac
-    # the discriminant is negative only below the double-root point,
-    # where the selection below keeps 0
+    q = 2.0 * math.sqrt(ac)
+    # s = sqrt(t - q), clamped at 0: t < q only below the double-root
+    # point, where the selection below keeps 0
+    s = np.add(a, 1.0 / b - q)
     np.maximum(s, 0.0, out=s)
     np.sqrt(s, out=s)
-    s += t
-    r = np.divide(2.0 * ac, s, out=t)
-    if big.size:
-        r[big] = r_big
+    t = np.add(a, 1.0 / b + q)
+    np.sqrt(t, out=t)
+    t += s
+    r = np.divide(q, t, out=t)
+    r *= r
     np.subtract(a, r, out=r)
     np.maximum(r, 0.0, out=r)
     descend = a > ac * b
     if ac * b * b > 1.0:
-        band = a >= 2.0 * math.sqrt(ac) - 1.0 / b
+        band = a >= q - 1.0 / b
         band ^= descend
         idx = np.flatnonzero(band)
         if idx.size:

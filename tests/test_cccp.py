@@ -119,6 +119,26 @@ def test_config_rejects_nonfinite_tolerances(field, value):
         CccpConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["l1_weight", "ridge"])
+def test_negative_weight_refused(field):
+    weights = {"l1_weight": 0.5, "ridge": 0.0, field: -0.1}
+    name = field.replace("_", " ")
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        DcProblem(loss=full_rank_ls(), remainder=None, gamma_u=1.0, **weights)
+
+
+@pytest.mark.parametrize("field", ["max_iter", "inner_max_iter"])
+def test_config_rejects_iteration_limits_below_one(field):
+    with pytest.raises(ValueError, match="^iteration limits must be >= 1$"):
+        CccpConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("box", [(1.0, -1.0), (np.where(np.arange(20) == 5, 2.0, -1.0), 1.0)])
+def test_box_lower_bound_above_its_upper_bound_refused(box):
+    with pytest.raises(ValueError, match="^box lower bounds exceed upper bounds$"):
+        dc_problem_from_penalty(full_rank_ls(), McpPenalty(lam=0.2, gamma=3.0), box=box)
+
+
 @pytest.mark.parametrize("box", [
     (np.nan, 1.0), (-1.0, np.nan), (np.where(np.arange(20) == 3, np.nan, -1.0), 1.0),
 ])
@@ -532,6 +552,47 @@ def test_exhausted_pattern_budget_falls_back_to_proximal_gradient():
     np.testing.assert_array_equal(ended, np.ones(4))
 
 
+def _mcp_box_problem():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 8))
+    y = X @ rng.normal(size=8) + 0.1 * rng.normal(size=40)
+    loss = LeastSquaresLoss(Dataset(X=X, y=y, task="regression"))
+    return dc_problem_from_penalty(loss, McpPenalty(lam=0.3, gamma=3.0), box=(-1.0, 1.0))
+
+
+def test_pattern_with_no_violator_ends_the_inner_solve():
+    # no finite-precision point reaches inner_tol = 1e-300.  The pivoting's
+    # third pattern has no violator, so its point is the answer up to
+    # rounding: it is returned flagged inexact, and no proximal-gradient
+    # restart from w (5 steps end at a residual of about 0.03) replaces it
+    prob = _mcp_box_problem()
+    w = np.zeros(prob.p)
+    out, info = cccp_step(w, prob, CccpConfig(inner_tol=1e-300, inner_max_iter=5))
+    assert (info.iterations, info.active_set_solved, info.inexact) == (0, 1, True)
+    assert info.residual <= 1e-15
+    exact, full = cccp_step(w, prob, CccpConfig())
+    assert (full.iterations, full.active_set_solved, full.inexact) == (0, 1, False)
+    np.testing.assert_array_equal(out, exact)
+
+
+def test_failed_cholesky_falls_back_to_proximal_gradient():
+    # posv reports a free block that is not positive definite (info > 0):
+    # the pivoting gives up and proximal gradient solves from the start point
+    prob = _mcp_box_problem()
+    w = np.zeros(prob.p)
+    exact, _ = cccp_step(w, prob, CccpConfig())
+    posv = cccp_module.dposv
+
+    def failing(*args, **kwargs):
+        return (*posv(*args, **kwargs)[:2], 1)
+
+    with mock.patch.object(cccp_module, "dposv", failing):
+        out, info = cccp_step(w, prob, CccpConfig())
+    assert info.active_set_solved == 0 and info.iterations > 0
+    assert not info.inexact and info.residual <= 1e-10
+    np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
+
+
 def _inner_stop_problem(ridge):
     loss = full_rank_ls(seed=26)
     return dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), ridge=ridge,
@@ -882,6 +943,10 @@ def test_box_constraint_feasible_exactly():
     for w in trace.iterates:
         assert np.all(w >= -0.5) and np.all(w <= 0.5)
     assert np.max(np.abs(trace.final_w)) <= 0.5
+    # F includes the box's indicator
+    outside = trace.final_w.copy()
+    outside[0] = 0.6
+    assert prob.objective(outside) == np.inf
 
 
 def test_ridge_changes_objective_and_is_recorded():

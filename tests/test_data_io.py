@@ -468,6 +468,8 @@ def test_spec_validation():
         SyntheticSpec(n=0, p=5, sparsity=1)
     with pytest.raises(ValueError):
         SyntheticSpec(n=10, p=5, sparsity=1, noise_sd=-0.1)
+    with pytest.raises(ValueError, match="^unknown task 'ranking'$"):
+        SyntheticSpec(n=10, p=5, sparsity=1, task="ranking")
 
 
 @pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -math.inf])

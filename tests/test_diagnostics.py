@@ -30,7 +30,7 @@ from nonconvex_mm import (
     subgradient_residual,
     synth_generate,
 )
-from nonconvex_mm.diagnostics import _interval_distance, _norm
+from nonconvex_mm.diagnostics import _interval_distance, _linfit, _norm
 
 
 def logistic_problem(lam=0.2, eps=1.0, seed=42):
@@ -150,6 +150,8 @@ def test_scheme_b_rejected_for_capped():
                            penalty=CappedL1Penalty(lam=0.3, theta=1.0))
     with pytest.raises(ValueError):
         subgradient_residual(np.zeros(5), np.zeros(5), prob, 1.0, "b")
+    with pytest.raises(ValueError, match="^scheme must be 'a' or 'b'$"):
+        subgradient_residual(np.zeros(5), np.zeros(5), prob, 1.0, "c")
 
 
 # ------------------------------------------------------------- kkt residual
@@ -342,6 +344,24 @@ def test_certify_fails_a_tol_stop_above_its_tolerance():
     assert certify(trace).passed
 
 
+def test_certify_checks_a_cccp_kkt_against_the_bound_its_stop_rule_uses():
+    # run_cccp certifies kkt <= gap + last inner residual.  Here the last
+    # gap is 0 and kkt is about the inner residual, so a check against the
+    # gap alone would fail a valid trace
+    data, _ = synth_generate(SyntheticSpec(n=80, p=15, sparsity=4, noise_sd=0.3, seed=3,
+                                           task="classification"))
+    prob = dc_problem_from_penalty(LogisticLoss(data), McpPenalty(lam=0.1, gamma=3.0),
+                                   ridge=0.05)
+    trace = run_cccp(prob, CccpConfig(tol=1e-4, inner_tol=1e-6))
+    assert trace.meta["stop_reason"] == "tol" and trace.num_steps() == 4
+    assert trace.residual[-1] < trace.meta["kkt"] <= trace.meta["inner_residuals"][-1]
+    assert certify(trace).passed
+    stopped = trace.residual[-1] + trace.meta["inner_residuals"][-1]
+    trace.meta["kkt"] = stopped + 2e-8
+    assert [f.split(" exceeds ")[0] for f in certify(trace).failures] == [
+        f"kkt residual {stopped + 2e-8:.3e}"]
+
+
 def test_certify_reports_majorization_failure_for_small_rho():
     prob = logistic_problem()
     with pytest.warns(UserWarning):
@@ -381,6 +401,19 @@ def test_rate_fit_short_trace_undetermined():
     iterates = [np.array([0.5**k]) for k in range(10)]
     fit = rate_fit(trace_from_iterates(iterates))
     assert fit.regime == "undetermined"
+    # a single iterate has no error to fit
+    fit = rate_fit(trace_from_iterates([np.array([1.0])]))
+    assert fit.regime == "undetermined" and fit.fit_quality == 0.0
+
+
+def test_rate_fit_of_a_constant_error_tail_is_undetermined():
+    # iterates cycle on the unit circle around w* = 0, so every error is 1
+    # exactly: log e has no variance, and neither model explains any of it
+    assert _linfit(np.arange(5.0), np.zeros(5))[2] == 0.0
+    corners = [np.array(c) for c in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])]
+    trace = trace_from_iterates([corners[k % 4] for k in range(40)] + [np.zeros(2)])
+    fit = rate_fit(trace)
+    assert fit.regime == "undetermined" and fit.fit_quality == 0.0
 
 
 def test_rate_fit_requires_iterates():

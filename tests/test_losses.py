@@ -563,6 +563,15 @@ def test_dataset_validation():
         make_loss("hinge", regression(np.eye(2), np.ones(2)))
     with pytest.raises(ValueError):
         LogisticLoss(regression(np.eye(2), np.ones(2)))
+    with pytest.raises(ValueError, match="^design matrix must be 2-dimensional$"):
+        Dataset(X=np.ones(3), y=np.ones(3), task="regression")
+    with pytest.raises(ValueError, match=r"^need n >= 1 and p >= 1$"):
+        Dataset(X=np.ones((0, 2)), y=np.ones(0), task="regression")
+    with pytest.raises(ValueError, match="^targets have non-finite entries$"):
+        Dataset(X=np.ones((2, 2)), y=np.array([1.0, np.nan]), task="regression")
+    labels = Dataset(X=np.eye(2), y=np.array([1.0, -1.0]), task="classification")
+    with pytest.raises(ValueError, match="^least-squares loss needs regression targets$"):
+        LeastSquaresLoss(labels)
 
 
 def test_dimension_mismatch_rejected():

@@ -61,6 +61,8 @@ def test_surrogate_tight_at_anchor():
     anchor = rng.normal(size=8)
     assert quad_surrogate_value(anchor, anchor, 2.0, prob.loss) == pytest.approx(
         prob.loss.value(anchor), rel=1e-15)
+    with pytest.raises(ValueError, match="^w and anchor have different lengths$"):
+        quad_surrogate_value(anchor, anchor[:-1], 2.0, prob.loss)
 
 
 def test_surrogate_exact_for_matched_curvature():
@@ -111,6 +113,8 @@ def test_linearized_penalty_at_zero_anchor_is_weighted_l1():
 def test_linearized_penalty_rejects_capped():
     with pytest.raises(UnsupportedPenaltyError):
         linearized_penalty_value(np.ones(2), np.zeros(2), CappedL1Penalty(lam=1.0, theta=1.0))
+    with pytest.raises(ValueError, match="^w and anchor have different lengths$"):
+        linearized_penalty_value(np.ones(2), np.zeros(3), McpPenalty(lam=1.0, gamma=2.0))
 
 
 # -------------------------------------------------------------------- steps
@@ -190,6 +194,9 @@ def test_reweighted_weights():
     w = np.array([0.0, 0.4, -1.3])
     np.testing.assert_allclose(reweighted_l1_weights(w, 0.2, 0.7),
                                pen.deriv(np.abs(w)), rtol=1e-15)
+    for epsilon in (0.0, -0.5):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            reweighted_l1_weights(w, epsilon, 0.7)
 
 
 # ------------------------------------------------------------------ run_mm

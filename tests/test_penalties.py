@@ -21,7 +21,6 @@ from nonconvex_mm import (
     make_penalty,
     run_mm,
 )
-from nonconvex_mm import penalties as penalties_module
 
 from helpers import prox_enumeration, prox_grid_oracle, prox_piece_changes, zeta_reference
 
@@ -497,7 +496,7 @@ def test_nonfinite_parameter_or_curvature_rejected(capfd, make, kwargs, shown):
 @pytest.mark.filterwarnings("error")
 def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
     # log(theta + 1.0) is 0 here; log1p keeps the normalizer, and the prox
-    # factors its root so that (1/theta)**2 does not overflow
+    # root never squares 1/theta, so nothing overflows
     pen = LogPenalty(lam=0.3, theta=1e-300)
     t = np.array([0.0, 0.5, 2.0])
     np.testing.assert_allclose(pen.value(t), 0.3 * t, rtol=1e-15)
@@ -516,25 +515,20 @@ def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("pen", [LogPenalty(lam=0.3, theta=2.0),
-                                 LogEpsilonPenalty(lam=0.3, eps=0.5)])
-def test_log_prox_of_a_huge_input_does_not_overflow(pen):
-    # t = |u| + 1/b is factored out of the root per coordinate, so a huge
-    # |u| next to ordinary ones neither squares t into an overflow (a
-    # RuntimeWarning, an error under the tests' warning filter) nor moves
-    # the others
-    u = np.array([1e160, 1.0, -1e300, 3.0])
-    out = pen.prox(u, 1.0)
-    np.testing.assert_array_equal(out[[0, 2]], u[[0, 2]])
-    np.testing.assert_array_equal(out[[1, 3]], pen.prox(u[[1, 3]], 1.0))
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("pen", [LogPenalty(lam=0.7, theta=2.0), LogPenalty(lam=0.3, theta=40.0),
-                                 LogEpsilonPenalty(lam=0.7, eps=0.4)])
-def test_log_prox_factored_root_matches_the_plain_one(monkeypatch, pen):
-    u = np.linspace(-6.0, 6.0, 2001)
-    expected = {alpha: pen.prox(u, alpha) for alpha in (0.05, 1.0, 7.0)}
-    monkeypatch.setattr(penalties_module, "_LOG_PROX_FACTORED_FROM", 0.0)
-    for alpha, want in expected.items():
-        np.testing.assert_allclose(pen.prox(u, alpha), want, rtol=1e-12, atol=1e-14)
+@pytest.mark.parametrize("pen", [
+    LogPenalty(lam=0.3, theta=2.0), LogEpsilonPenalty(lam=0.3, eps=0.5),
+    # 1/b is huge: t = |u| + 1/b is at least 1e200 at every entry
+    LogPenalty(lam=0.3, theta=1e-200), LogEpsilonPenalty(lam=0.3, eps=1e200),
+    # q = 2*sqrt(alpha*c) is large against the ordinary entries
+    LogEpsilonPenalty(lam=2.0, eps=1e-3),
+])
+def test_log_prox_of_a_huge_input_does_not_overflow(pen):
+    # the root never squares t = |u| + 1/b, so a huge |u| or 1/b, up to the
+    # largest double, next to ordinary entries neither overflows (a
+    # RuntimeWarning, an error here) nor moves the others
+    u = np.array([1e160, 1.0, -1e300, 3.0, 1.7e308, -1.7e308])
+    out = pen.prox(u, 1.0)
+    huge = [0, 2, 4, 5]
+    np.testing.assert_array_equal(out[huge], u[huge])
+    np.testing.assert_array_equal(out[[1, 3]], pen.prox(u[[1, 3]], 1.0))
