@@ -6,9 +6,10 @@ The objective is split as  F = delta_box + u - v  with
     v(w) = sum_i h(w_i),
 
 where ``h`` is the convex remainder of a concave penalty:
-h(t) = kappa*|t| - zeta(|t|) with kappa = zeta'(0).  Subtracting v from
-the l1 part reconstructs the penalty exactly, so with ridge = 0 the DC
-objective equals the MM objective f + r.  No box means the box
+h(t) = kappa*|t| - zeta(|t|) with kappa = zeta'(0), so u - v = f +
+(ridge/2) ||w||^2 + r(w).  F is evaluated in that form, with r(w) the
+penalty's support sum, the formula ``run_mm`` uses: with ridge = 0, inside
+the box, F is the MM objective f + r to the bit.  No box means the box
 (-inf, inf): ``DcProblem`` normalizes its box once, at construction,
 into two float arrays of length p, and every routine below takes that
 pair.
@@ -74,8 +75,8 @@ with grad f(w+) = grad s(w+) + grad v(w) - ridge*w+ from the inner
 solve's last gradient.  So a least-squares solve makes one full-design
 pass outside the inner loop.  The identity has no ||y||^2 term, so it
 does not cancel when the fit is tight, as the Gram form w^T G w / 2 -
-b^T w + ||y||^2 / (2n) would.  Other losses evaluate F at every outer
-iterate.
+b^T w + ||y||^2 / (2n) would.  Other losses make one ``loss.value`` call
+at every outer iterate.
 
 The inner gradient of a least-squares loss is G x - (b + grad v(w)) +
 ridge*x, with the Gram pair (G, b) = (X^T X / n, X^T y / n) cached on
@@ -173,7 +174,9 @@ class DcProblem:
     ``box`` is None or a pair (lo, hi) of scalars or length-p arrays.  It
     is normalized once, at construction, into two float arrays of length
     p, with no box being (-inf, inf), so ``prob.box`` is always that pair.
-    ``l1_weight``, ``ridge`` and ``gamma_u`` must be finite.
+    ``l1_weight``, ``ridge`` and ``gamma_u`` must be finite, and a
+    remainder's ``kappa`` must equal ``l1_weight``: F = f + (ridge/2)||w||^2
+    + r(w) is u - v only then.
     """
 
     loss: object
@@ -187,10 +190,12 @@ class DcProblem:
         for name in ("l1_weight", "ridge", "gamma_u"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.l1_weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        for name in ("l1_weight", "ridge"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name.replace('_', ' ')} must be nonnegative")
+        if self.remainder is not None and self.remainder.kappa != self.l1_weight:
+            raise ValueError(f"l1_weight {self.l1_weight!r} must equal the remainder's "
+                             f"kappa {self.remainder.kappa!r}")
         if not self.gamma_u > 0:
             raise ValueError(
                 "u must be certified strongly convex (gamma_u > 0); add a ridge "
@@ -226,12 +231,14 @@ class DcProblem:
         return self._objective_given_loss(w, self.loss.value(w))
 
     def _objective_given_loss(self, w: np.ndarray, f: float) -> float:
-        """F(w) for a feasible w whose loss value f is already known."""
+        """F(w) = f + (ridge/2)||w||^2 + r(w) for a feasible w whose loss
+        value f is already known; r(w) is the penalty's support sum, the
+        formula of ``run_mm`` and ``reg_value``, and kappa*||w||_1 with no
+        remainder."""
         val = f + 0.5 * self.ridge * float(w @ w)
-        val += self.l1_weight * float(np.sum(np.abs(w)))
-        if self.remainder is not None:
-            val -= float(np.sum(self.remainder.value(w)))
-        return val
+        if self.remainder is None:
+            return val + self.l1_weight * float(np.sum(np.abs(w)))
+        return val + self.remainder.penalty._support_sum(w)[1]
 
 
 def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0,
@@ -266,6 +273,9 @@ class CccpConfig:
     solve's exact residual is at most tol.  By the triangle inequality
     that sum bounds the box-aware KKT distance of the DC objective at the
     new iterate.  ``inner_tol`` ends each inner solve (see ``cccp_step``).
+    A tol in (0, inner_tol) is refused, since each inner residual may sit
+    near inner_tol and the outer stop then never passes; tol = 0 runs the
+    budget.
     """
 
     max_iter: int = 200
@@ -278,6 +288,9 @@ class CccpConfig:
             raise ValueError("iteration limits must be >= 1")
         if not (0 <= self.tol < np.inf and 0 < self.inner_tol < np.inf):
             raise ValueError("tolerances must be finite, with tol >= 0 and inner_tol > 0")
+        if 0 < self.tol < self.inner_tol:
+            raise ValueError(f"tol {self.tol!r} is below inner_tol {self.inner_tol!r}, so "
+                             "the outer stop may never pass; use tol = 0 to run the budget")
 
 
 @dataclass(frozen=True)
@@ -544,8 +557,9 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     For least squares the objective column comes from one
     ``value_and_grad`` at the start point, carried forward by the exact
     quadratic identity of the module docstring with the gradient each
-    inner solve returns; other losses evaluate ``prob.objective`` at
-    every iterate.  ``kkt`` evaluates nothing: the last inner solve's
+    inner solve returns; other losses make one ``loss.value`` call at
+    every iterate.  Every row's F is ``DcProblem._objective_given_loss``
+    of that loss value.  ``kkt`` evaluates nothing: the last inner solve's
     gradient plus the last linearization gap is the DC objective's smooth
     gradient at the final iterate.
     """
@@ -571,11 +585,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     }
     t0 = time.perf_counter()
     carry = isinstance(prob.loss, LeastSquaresLoss)
-    if carry:
-        f, g_f = prob.loss.value_and_grad(w)
-        f_curr = prob._objective_given_loss(w, f)
-    else:
-        f_curr = prob.objective(w)
+    f, g_f = prob.loss.value_and_grad(w) if carry else (prob.loss.value(w), None)
+    f_curr = prob._objective_given_loss(w, f)
     if not np.isfinite(f_curr):
         raise FloatingPointError("objective is not finite at the starting point")
     trace.append(0, f_curr, 0.0, 0.0, time.perf_counter() - t0, w)
@@ -597,14 +608,13 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
                 g_next -= prob.ridge * w_next
             f += 0.5 * float((g_f + g_next) @ delta)
             g_f = g_next
-            f_next = prob._objective_given_loss(w_next, f)
         else:
-            f_next = prob.objective(w_next)
+            f = prob.loss.value(w_next)
         g_v_next = prob.v_grad(w_next)
         gap = g_v - g_v_next
         gap_norm = _norm(gap)
-        trace.append(k + 1, f_next, _norm(delta), gap_norm, time.perf_counter() - t0,
-                     w_next)
+        trace.append(k + 1, prob._objective_given_loss(w_next, f), _norm(delta), gap_norm,
+                     time.perf_counter() - t0, w_next)
         w, g_v = w_next, g_v_next
         if gap_norm + info.residual <= cfg.tol:
             trace.converged = True

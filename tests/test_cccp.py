@@ -12,6 +12,7 @@ from nonconvex_mm import (
     Dataset,
     DcProblem,
     LeastSquaresLoss,
+    LogPenalty,
     LogisticLoss,
     McpPenalty,
     MmConfig,
@@ -125,6 +126,29 @@ def test_negative_weight_refused(field):
     name = field.replace("_", " ")
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
         DcProblem(loss=full_rank_ls(), remainder=None, gamma_u=1.0, **weights)
+
+
+def test_remainder_with_another_kappa_refused():
+    # F takes r from the penalty's support sum, which is kappa*|t| - h(t)
+    # only for the remainder's own kappa
+    kappa, remainder = dc_decompose(McpPenalty(lam=0.4, gamma=2.5))
+    message = f"^l1_weight 0.5 must equal the remainder's kappa {kappa!r}$"
+    with pytest.raises(ValueError, match=message):
+        DcProblem(loss=full_rank_ls(), l1_weight=0.5, remainder=remainder, gamma_u=1.0)
+
+
+def test_config_rejects_tol_below_inner_tol():
+    # each inner residual may sit near inner_tol, so gap + residual may
+    # never reach a smaller tol: this pair would run all 200 outer steps
+    data, _ = synth_generate(SyntheticSpec(n=80, p=15, sparsity=4, noise_sd=0.3, seed=3,
+                                           task="classification"))
+    prob = dc_problem_from_penalty(LogisticLoss(data), McpPenalty(lam=0.1, gamma=3.0),
+                                   ridge=0.05)
+    with pytest.raises(ValueError, match="^tol 1e-08 is below inner_tol 1e-06"):
+        run_cccp(prob, CccpConfig(tol=1e-8, inner_tol=1e-6))
+    # tol = 0 runs the budget, and equal tolerances may stop
+    CccpConfig(tol=0.0, inner_tol=1e-6)
+    CccpConfig(tol=1e-12, inner_tol=1e-12)
 
 
 @pytest.mark.parametrize("field", ["max_iter", "inner_max_iter"])
@@ -961,14 +985,18 @@ def test_ridge_changes_objective_and_is_recorded():
 
 
 def test_dc_objective_reconstructs_penalized_objective():
+    # at ridge 0 inside the box F is f + r with r the penalty's support sum,
+    # so the same bits as run_mm's objective
     loss = full_rank_ls(seed=10)
-    pen = McpPenalty(lam=0.4, gamma=2.5)
-    dc = dc_problem_from_penalty(loss, pen)
-    mm = ProblemInstance(loss=loss, penalty=pen)
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        w = rng.normal(size=loss.data.p)
-        assert dc.objective(w) == pytest.approx(mm.objective(w), rel=1e-12)
+    for pen in (McpPenalty(lam=0.4, gamma=2.5), ScadPenalty(lam=0.4, theta=3.7),
+                LogPenalty(lam=0.4, theta=2.0)):
+        dc = dc_problem_from_penalty(loss, pen, box=(-3.0, 3.0))
+        mm = ProblemInstance(loss=loss, penalty=pen)
+        for _ in range(40):
+            # zeros, and magnitudes past the flat regions at |t| = 1 and 1.48
+            w = rng.uniform(-3.0, 3.0, size=loss.data.p) * (rng.random(loss.data.p) < 0.7)
+            assert dc.objective(w) == mm.objective(w)
 
 
 def test_lla_correspondence_on_1d_toy():
