@@ -35,7 +35,11 @@ ridge*I is positive definite, since gamma_u > 0 is certified):
 b' = b + grad v(w), with every other coordinate at 0 or at its bound.
 A free coordinate that leaves its open interval, or a fixed one whose
 subgradient interval misses -grad s, is a violator and moves to the next
-state its box allows on the violated side.  The pivoting starts from the
+state its box allows on the violated side.  The fixed violators are the
+nonzero entries of the vector whose norm is the exact residual, grad s
+plus the point of the subgradient interval nearest -grad s, and an
+entry's sign gives the side; so one vector per pattern point serves the
+stop test and the exchange rule.  The pivoting starts from the
 pattern of the start point and exchanges every violator; after 3
 exchanges that do not lower the fewest violators seen, it exchanges only
 the last violator (Murty's rule) until the count falls below that.  It ends
@@ -92,13 +96,14 @@ is the top of the same spectrum, so no Lanczos solve runs.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .diagnostics import _interval_distance, _norm, _step_subgradient
+from .diagnostics import _interval_distance, _interval_gap, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, RankDeficientError, least_squares_strong_convexity
 from .mm import (IterateTrace, SparseIterates, _curvature_search, _soft_threshold,
                  _start_point)
@@ -284,6 +289,9 @@ class CccpConfig:
     inner_max_iter: int = 10_000
 
     def __post_init__(self):
+        for name in ("max_iter", "inner_max_iter"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.max_iter, self.inner_max_iter) < 1:
             raise ValueError("iteration limits must be >= 1")
         if not (0 <= self.tol < np.inf and 0 < self.inner_tol < np.inf):
@@ -396,43 +404,47 @@ def _pattern_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray,
     return x, g
 
 
-def _violators(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.ndarray):
-    """The coordinates whose pattern state is violated at the pattern's
-    point x, and for each whether it must move up the line (else down).
+def _check_pattern(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.ndarray):
+    """(residual, violators, up) at the pattern's point x, where the smooth
+    gradient is g: the exact residual (``_subproblem_residual``), the
+    coordinates whose pattern state is violated, and for each whether it
+    must move up the line (else down).
 
-    A free coordinate violates when it leaves its open interval, (lo,
-    min(hi, 0)) if negative and (max(lo, 0), hi) if positive; a fixed one
-    when the directional derivative g_i + hi_i (g_i + lo_i) of the
-    subproblem along +e_i (-e_i) is negative (positive), [lo, hi] being
-    its ``_subdiff_interval``.
+    Both come from one vector r = ``_interval_gap`` of g and the
+    ``_subdiff_interval`` at x, whose norm is the residual.  A fixed
+    coordinate violates where r_i < 0 or r_i > 0, the signs of the
+    directional derivatives g_i + hi_i and g_i + lo_i of the subproblem
+    along +e_i and -e_i there, and moves up where r_i < 0.  A free one
+    violates when it leaves its open interval, (lo, min(hi, 0)) if
+    negative and (max(lo, 0), hi) if positive.
     """
-    lo_s, hi_s = _subdiff_interval(x, kappa, box)
-    up, down = g + hi_s < 0.0, g + lo_s > 0.0
+    lo, hi = box
+    r = _interval_gap(g, *_subdiff_interval(x, kappa, box))
+    resid = float("inf") if (x < lo).any() or (x > hi).any() else _norm(r)
+    up, down = r < 0.0, r > 0.0
     free = (state & 1).astype(bool)
     if free.any():
-        lo, hi = box
         pos = state == _POS
         up = np.where(free, x > np.where(pos, hi, np.minimum(hi, 0.0)), up)
         down = np.where(free, x < np.where(pos, np.maximum(lo, 0.0), lo), down)
     viol = np.flatnonzero(up | down)
-    return viol, up[viol]
+    return resid, viol, up[viol]
 
 
 def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, box,
-                      x0: np.ndarray, g0: np.ndarray, resid0: float, grad_s, tol: float,
-                      budget: int):
+                      x0: np.ndarray, g0: np.ndarray, grad_s, tol: float, budget: int):
     """Block principal pivoting (module docstring) from the pattern of the
-    start point x0, where the smooth gradient is g0 and the residual
-    resid0.
+    start point x0, where the smooth gradient is g0.
 
-    Returns ((x, g, residual), patterns) for the first pattern whose point
-    has an exact residual at most ``tol`` or no violator, or (None,
-    patterns) after ``budget`` patterns or at a free block that is not
-    numerically positive definite.
+    Each pattern's point is checked once, by ``_check_pattern``.  Returns
+    ((x, g, residual), patterns) for the first pattern whose point has an
+    exact residual at most ``tol`` or no violator, or (None, patterns)
+    after ``budget`` patterns or at a free block that is not numerically
+    positive definite.
     """
     state = _pattern_of(x0, box)
     # with no free coordinate the start point is its pattern's point
-    x, g, resid = (None, None, np.inf) if (state & 1).any() else (x0, g0, resid0)
+    x, g = (None, None) if (state & 1).any() else (x0, g0)
     fewest, backup, allowed = x0.size + 1, 3, None
     for patterns in range(1, budget + 1):
         if x is None:
@@ -440,12 +452,10 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
             if solved is None:
                 break
             x, g = solved
-            resid = _subproblem_residual(x, g, kappa, box)
-        if resid <= tol:
-            return (x, g, resid), patterns
-        viol, up = _violators(x, g, kappa, box, state)
-        if not viol.size:
-            # the point solves the subproblem; only rounding holds it above tol
+        resid, viol, up = _check_pattern(x, g, kappa, box, state)
+        # no violator: the point solves the subproblem, and only rounding
+        # can hold its residual above tol
+        if resid <= tol or not viol.size:
             return (x, g, resid), patterns
         if viol.size < fewest:
             fewest, backup = viol.size, 3
@@ -464,10 +474,11 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
     return None, patterns
 
 
-def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSolveInfo]:
+def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray, InnerSolveInfo]:
     """Solve the linearized convex subproblem at w: for least squares by
     block principal pivoting, else (or when that misses) by proximal
-    gradient.
+    gradient.  ``g_v``, when given, is grad v(w), and the step uses it in
+    place of ``prob.v_grad(w)``; it returns the same bits either way.
 
     The smooth part s is f + ridge minus the linearization of v.  For
     least squares, whatever the design, the smooth gradient is
@@ -496,7 +507,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     returned info carries grad s at the returned point.
     """
     w = _start_point(w, prob.p, "w")
-    g_v = prob.v_grad(w)
+    g_v = prob.v_grad(w) if g_v is None else g_v
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     gram = prob.loss.data.gram if isinstance(prob.loss, LeastSquaresLoss) else None
     b = None if gram is None else gram[1] + g_v
@@ -522,8 +533,8 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig) -> tuple[np.ndarray, InnerSol
     g = grad_s(x)
     resid = _subproblem_residual(x, g, kappa, box)
     if gram is not None and resid > tol:
-        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, g, resid,
-                                             grad_s, tol, cfg.inner_max_iter)
+        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, g, grad_s,
+                                             tol, cfg.inner_max_iter)
         if answer is not None:
             (x, g, resid), solved = answer, 1
     it = 0
@@ -561,7 +572,9 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     every iterate.  Every row's F is ``DcProblem._objective_given_loss``
     of that loss value.  ``kkt`` evaluates nothing: the last inner solve's
     gradient plus the last linearization gap is the DC objective's smooth
-    gradient at the final iterate.
+    gradient at the final iterate.  grad v is evaluated once per iterate,
+    K + 1 times for K steps: the grad v(w^(k)) of a linearization gap is
+    handed to the next ``cccp_step``.
     """
     w = prob.project(_start_point(w0, prob.p))
     trace = IterateTrace(iterates=SparseIterates())
@@ -593,7 +606,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     g_v = prob.v_grad(w)
 
     for k in range(cfg.max_iter):
-        w_next, info = cccp_step(w, prob, cfg)
+        w_next, info = cccp_step(w, prob, cfg, g_v)
         trace.meta["inner_residuals"].append(info.residual)
         trace.meta["inner_iterations"].append(info.iterations)
         trace.meta["inner_gradient_evals"].append(info.gradient_evals)

@@ -15,7 +15,8 @@ Everything here is a computable certificate:
 
 ``run_mm`` and ``cccp`` build their certificates from the same kernels:
 ``_step_subgradient`` (one step's subdifferential member),
-``_interval_distance`` (the exact residual) and ``_norm``.
+``_interval_gap`` and its norm ``_interval_distance`` (the exact
+residual) and ``_norm``.
 """
 
 from __future__ import annotations
@@ -75,11 +76,17 @@ def _norm(x: np.ndarray) -> float:
     return n
 
 
+def _interval_gap(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The point of g + [lo, hi] nearest 0, coordinate by coordinate: the
+    projection of -g onto [lo, hi] plus g.  Entry i is negative (positive)
+    exactly when -g_i lies above hi_i (below lo_i), and 0 when -g_i is
+    finite and inside; an infinite bound (a normal cone) drops its side."""
+    return np.clip(-g, lo, hi) + g
+
+
 def _interval_distance(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Distance from 0 to g + [lo, hi], the distance from -g to its
-    projection onto [lo, hi]; an infinite bound (a normal cone) drops its
-    term."""
-    return _norm(np.clip(-g, lo, hi) + g)
+    """Distance from 0 to g + [lo, hi], the norm of ``_interval_gap``."""
+    return _norm(_interval_gap(g, lo, hi))
 
 
 def _kkt_distance(w: np.ndarray, g: np.ndarray, penalty) -> float:

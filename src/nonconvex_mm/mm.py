@@ -86,6 +86,7 @@ built, w_prev and grad f(w_prev) are dropped before the next trial.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from collections.abc import Sequence
@@ -162,6 +163,8 @@ class MmConfig:
             raise ValueError("scheme must be 'a' or 'b'")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0 <= self.tol < np.inf:

@@ -312,9 +312,8 @@ class LogEpsilonPenalty(Penalty):
         return self.lam / (t + self.eps)
 
     def deriv_lipschitz(self) -> float:
-        # a float eps**2 raises OverflowError from about eps = 1.3e154 up
-        if self.eps < 1e154:
-            return self.lam / self.eps**2
+        # not lam / eps**2: a float eps**2 raises OverflowError from about
+        # eps = 1.3e154 up
         return self.lam / self.eps / self.eps
 
     def _prox_magnitude(self, a, alpha):

@@ -157,6 +157,16 @@ def test_config_rejects_iteration_limits_below_one(field):
         CccpConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("inner_max_iter", 2.5),
+                                          ("max_iter", 3.0), ("inner_max_iter", np.nan)])
+def test_config_rejects_non_integer_iteration_limits(field, value):
+    # inner_max_iter = 2.5 ran 3 proximal-gradient steps and reported the
+    # start point's residual, since the budget test it == 2.5 never passed
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        CccpConfig(**{field: value})
+    assert getattr(CccpConfig(**{field: np.int64(3)}), field) == 3
+
+
 @pytest.mark.parametrize("box", [(1.0, -1.0), (np.where(np.arange(20) == 5, 2.0, -1.0), 1.0)])
 def test_box_lower_bound_above_its_upper_bound_refused(box):
     with pytest.raises(ValueError, match="^box lower bounds exceed upper bounds$"):
@@ -479,7 +489,7 @@ def test_face_solve_returns_the_face_minimizer_or_none(g00, c0, ridge, box, expe
     x, g = out
     np.testing.assert_allclose(x, [(c0 - 0.5) / (g00 + ridge), 0.0], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(g, grad_s(x))
-    viol, _ = cccp_module._violators(x, g, 0.5, bounds, state)
+    _, viol, _ = cccp_module._check_pattern(x, g, 0.5, bounds, state)
     assert (0 in viol) == (expected is None)
     if expected is not None:
         assert x[0] == pytest.approx(expected, abs=1e-15)
@@ -512,7 +522,8 @@ def test_pattern_solve_hands_posv_the_free_block_in_fortran_order():
 def test_murty_rule_moves_one_violator_when_exchanges_stop_helping():
     # an ill-conditioned G (condition number near 1800): the violator counts
     # run 4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2, so after three exchanges that do
-    # not go below 1 violator the last four exchanges move one coordinate each
+    # not go below 1 violator the last four exchanges move one coordinate
+    # each; the twelfth pattern's point, the answer, has none
     rng = np.random.default_rng(13)
     p, kappa = 4, 0.5
     A = rng.normal(size=(p, p)) * rng.uniform(0.1, 10, size=p)
@@ -525,25 +536,68 @@ def test_murty_rule_moves_one_violator_when_exchanges_stop_helping():
     def grad_s(x):
         return G @ x - b
 
-    violators, counts, states = cccp_module._violators, [], []
+    check, counts, states = cccp_module._check_pattern, [], []
 
     def recording(x, g, kappa, box, state):
         states.append(state.copy())
-        viol, up = violators(x, g, kappa, box, state)
-        counts.append(viol.size)
-        return viol, up
+        out = check(x, g, kappa, box, state)
+        counts.append(out[1].size)
+        return out
 
     g0 = grad_s(x0)
-    resid0 = cccp_module._subproblem_residual(x0, g0, kappa, box)
-    with mock.patch.object(cccp_module, "_violators", recording):
+    with mock.patch.object(cccp_module, "_check_pattern", recording):
         (x, g, resid), patterns = cccp_module._active_set_solve(
-            G, 0.0, kappa, b, box, x0, g0, resid0, grad_s, 1e-12, 100)
-    assert counts == [4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2] and patterns == 12
+            G, 0.0, kappa, b, box, x0, g0, grad_s, 1e-12, 100)
+    assert counts == [4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2, 0] and patterns == 12
     moved = [int(np.count_nonzero(s != t)) for s, t in zip(states, states[1:])]
-    assert moved == counts[:7] + [1, 1, 1]
+    assert moved == counts[:7] + [1, 1, 1, 1]
     assert resid <= 1e-12
     np.testing.assert_array_equal(g, grad_s(x))
     np.testing.assert_allclose(x, qp_face_enumeration(G, b, kappa, box), rtol=0, atol=1e-15)
+
+
+def _reference_check(x, g, kappa, box, state):
+    """The residual and violators as two formulas: the exact residual, and
+    the directional derivatives g + hi (g + lo) of fixed coordinates."""
+    lo, hi = box
+    lo_s, hi_s = cccp_module._subdiff_interval(x, kappa, box)
+    up, down = g + hi_s < 0.0, g + lo_s > 0.0
+    free, pos = (state & 1).astype(bool), state == cccp_module._POS
+    up = np.where(free, x > np.where(pos, hi, np.minimum(hi, 0.0)), up)
+    down = np.where(free, x < np.where(pos, np.maximum(lo, 0.0), lo), down)
+    viol = np.flatnonzero(up | down)
+    return cccp_module._subproblem_residual(x, g, kappa, box), viol, up[viol]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 8),
+       kappa=st.sampled_from([0.0, 0.5, 1.75]))
+def test_pattern_check_matches_the_directional_derivative_test(seed, p, kappa):
+    # the signs of r = clip(-g, lo, hi) + g are the signs of g + hi and g + lo
+    # where -g leaves [lo, hi], and r is 0 inside, bit for bit: on points at
+    # 0, at a bound and outside the box, with infinite, zero and pinned
+    # bounds and infinite or NaN gradients, in any pattern state
+    rng = np.random.default_rng(seed)
+    lo = rng.choice([-np.inf, -1.0, 0.0, 0.5], size=p)
+    hi = np.maximum(lo, rng.choice([np.inf, 1.0, 0.0, -0.5], size=p))
+    pinned = rng.random(p) < 0.2
+    hi[pinned] = lo[pinned] = np.where(np.isfinite(lo[pinned]), lo[pinned], 1.0)
+    box = (lo, hi)
+    x = np.select([rng.random(p) < 0.3, rng.random(p) < 0.4, rng.random(p) < 0.5],
+                  [0.0, np.where(rng.random(p) < 0.5, lo, hi), rng.normal(size=p) * 3],
+                  np.clip(rng.normal(size=p), lo, hi))
+    x[~np.isfinite(x)] = 0.0
+    g = np.select([rng.random(p) < 0.3, rng.random(p) < 0.1],
+                  [rng.choice([kappa, -kappa, 0.0], size=p),
+                   rng.choice([np.inf, -np.inf, np.nan], size=p)],
+                  rng.normal(size=p) * 2)
+    state = rng.integers(0, 5, size=p)
+    with np.errstate(invalid="ignore"):
+        resid, viol, up = cccp_module._check_pattern(x, g, kappa, box, state)
+        ref_resid, ref_viol, ref_up = _reference_check(x, g, kappa, box, state)
+    assert np.float64(resid).tobytes() == np.float64(ref_resid).tobytes()
+    np.testing.assert_array_equal(viol, ref_viol)
+    np.testing.assert_array_equal(up, ref_up)
 
 
 def test_subproblem_residual_is_infinite_outside_the_box():
@@ -649,7 +703,7 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
     # The active-set solve checks the exact residual of each pattern's
     # point and stops at the first that passes
     search, exact = cccp_module._curvature_search, cccp_module._subproblem_residual
-    pattern_solve = cccp_module._pattern_solve
+    pattern_solve, check = cccp_module._pattern_solve, cccp_module._check_pattern
     events = []
 
     def recording_search(trial, x, g, *args):
@@ -666,8 +720,14 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
         events.append(("pattern", None))
         return pattern_solve(*args)
 
+    def recording_check(*args):
+        out = check(*args)
+        events.append(("residual", out[0]))
+        return out
+
     monkeypatch.setattr(cccp_module, "_curvature_search", recording_search)
     monkeypatch.setattr(cccp_module, "_subproblem_residual", recording_residual)
+    monkeypatch.setattr(cccp_module, "_check_pattern", recording_check)
     monkeypatch.setattr(cccp_module, "_pattern_solve", recording_pattern)
     tol = 1e-11
     gram_prob = _inner_stop_problem(0.0)
@@ -819,6 +879,35 @@ def test_objective_column_matches_the_objective_at_every_iterate(make):
     assert trace.converged and certify(trace).passed and trace.num_steps() > 5
     for F, w in zip(trace.objective, trace.iterates):
         assert abs(F - prob.objective(w)) <= 1e-12 * max(1.0, abs(F))
+
+
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
+                                  _logistic_ridge_problem])
+def test_run_evaluates_grad_v_once_per_iterate(make):
+    # the grad v of the linearization gap is the next step's linearization:
+    # K + 1 evaluations for K steps, each step the bits of a step that
+    # evaluates its own
+    _, prob = make()
+    cfg = CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300)
+    with mock.patch.object(DcProblem, "v_grad", autospec=True,
+                           side_effect=DcProblem.v_grad) as v_grad:
+        trace = run_cccp(prob, cfg)
+    assert trace.num_steps() > 5 and v_grad.call_count == trace.num_steps() + 1
+    for k, (w, w_next) in enumerate(zip(trace.iterates, trace.iterates[1:])):
+        out, info = cccp_step(w, prob, cfg)
+        np.testing.assert_array_equal(out, w_next)
+        assert info.residual == trace.meta["inner_residuals"][k]
+
+
+def test_nonfinite_objective_at_the_start_point_refused():
+    # f(0) = ||y||^2 / (2n) overflows for y of order 1e160
+    rng = np.random.default_rng(0)
+    loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(30, 5)),
+                                    y=rng.normal(size=30) * 1e160, task="regression"))
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.1, theta=3.7), box=(-1, 1))
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="^objective is not finite at the starting point$"):
+        run_cccp(prob, CccpConfig())
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,

@@ -831,6 +831,14 @@ def test_config_rejects_nonfinite_tol(tol):
         MmConfig(tol=tol)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, math.nan])
+def test_config_rejects_non_integer_max_iter(value):
+    # max_iter = 2.5 constructed, and run_mm then failed in range()
+    with pytest.raises(ValueError, match=f"^max_iter must be an integer, got {value!r}$"):
+        MmConfig(max_iter=value)
+    assert MmConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MmConfig(scheme="c")

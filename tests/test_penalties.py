@@ -460,7 +460,7 @@ def test_params_are_the_fields_and_rebuild_the_penalty(kind, pen, params):
     (LogPenalty, "theta", 1e200),           # the curvature scale * theta**2 overflows
     (LogPenalty, "theta", math.inf),
     (LogPenalty, "theta", math.nan),
-    (LogEpsilonPenalty, "eps", 1e-300),     # lam / eps**2 divides by zero
+    (LogEpsilonPenalty, "eps", 1e-300),     # lam / eps / eps overflows
     (LogEpsilonPenalty, "eps", 5e-324),
     (LogEpsilonPenalty, "eps", math.inf),
 ])
