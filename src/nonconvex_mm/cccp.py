@@ -240,31 +240,29 @@ class DcProblem:
         value f is already known; r(w) is the penalty's support sum, the
         formula of ``run_mm`` and ``reg_value``, and kappa*||w||_1 with no
         remainder."""
-        val = f + 0.5 * self.ridge * float(w @ w)
+        val = f + 0.5 * self.ridge * float(np.vdot(w, w))
         if self.remainder is None:
             return val + self.l1_weight * float(np.sum(np.abs(w)))
         return val + self.remainder.penalty._support_sum(w)[1]
 
 
-def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0,
-                            gamma_u: float | None = None) -> DcProblem:
+def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0) -> DcProblem:
     """DC problem whose objective is f + r (plus optional ridge and box).
 
-    ``gamma_u`` defaults to ridge plus, for least squares, the smallest
+    Its modulus ``gamma_u`` is ridge plus, for least squares, the smallest
     Gram eigenvalue; a ridge > 0 on a rank-deficient design is the
-    modulus by itself.  Pass ``gamma_u`` explicitly for other certified
-    moduli.
+    modulus by itself.  A caller with another certified modulus builds
+    ``DcProblem(..., gamma_u=...)`` directly.
     """
     kappa, remainder = dc_decompose(penalty)
-    if gamma_u is None:
-        gamma_u = ridge
-        if isinstance(loss, LeastSquaresLoss):
-            try:
-                gamma_u += least_squares_strong_convexity(loss.data)
-            except RankDeficientError:
-                # a singular Gram matrix adds nothing to the ridge's modulus
-                if not ridge > 0:
-                    raise
+    gamma_u = ridge
+    if isinstance(loss, LeastSquaresLoss):
+        try:
+            gamma_u += least_squares_strong_convexity(loss.data)
+        except RankDeficientError:
+            # a singular Gram matrix adds nothing to the ridge's modulus
+            if not ridge > 0:
+                raise
     return DcProblem(loss=loss, l1_weight=kappa, remainder=remainder,
                      gamma_u=gamma_u, ridge=ridge, box=box)
 
@@ -549,7 +547,8 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
             x, g = x_next, g_next
             if _norm(B) <= tol or it == cfg.inner_max_iter:
                 resid = _subproblem_residual(x, g, kappa, box)
-    return x, InnerSolveInfo(resid, it, resid > tol, evals, patterns, solved, g)
+    # not <=: a NaN residual (from a NaN start point) is no solve
+    return x, InnerSolveInfo(resid, it, not resid <= tol, evals, patterns, solved, g)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
@@ -619,7 +618,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             g_next = info.smooth_grad + g_v
             if prob.ridge:
                 g_next -= prob.ridge * w_next
-            f += 0.5 * float((g_f + g_next) @ delta)
+            f += 0.5 * float(np.vdot(g_f + g_next, delta))
             g_f = g_next
         else:
             f = prob.loss.value(w_next)

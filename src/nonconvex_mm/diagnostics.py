@@ -16,7 +16,10 @@ Everything here is a computable certificate:
 ``run_mm`` and ``cccp`` build their certificates from the same kernels:
 ``_step_subgradient`` (one step's subdifferential member),
 ``_interval_gap`` and its norm ``_interval_distance`` (the exact
-residual) and ``_norm``.
+residual) and ``_norm``.  ``_norm`` is the one vector norm of ``mm``,
+``cccp``, ``losses`` and this module, and ``np.vdot`` their one inner
+product of two vectors: the same BLAS dot as ``@``, so the same bits,
+but an overflowing sum is inf with no floating-point warning.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def rate_fit(trace) -> RateFit:
         return RateFit(UNDETERMINED, float("nan"), 0.0)
     wstar = W[-1]
     # one dense row at a time: W[:-1] would hold every row at once
-    errs = np.array([float(np.linalg.norm(W[k] - wstar)) for k in range(len(W) - 1)])
+    errs = np.array([_norm(W[k] - wstar) for k in range(len(W) - 1)])
     usable = errs[: max(len(errs) - 5, 0)]
     if len(usable) < 20:
         return RateFit(UNDETERMINED, float("nan"), 0.0)

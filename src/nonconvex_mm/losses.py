@@ -178,15 +178,15 @@ class Dataset:
 
 
 def _frobenius_sq(X) -> float:
-    """||X||_F^2 as one dot product, without an n x p temporary.
+    """||X||_F^2 as one ``np.vdot`` of the stored entries, without an n x p
+    temporary; an overflowing sum is inf, with no warning.
 
     Raises a ValueError when it is 0 or not finite: the design is all
     zero, or its scale is so small or so large that the sum of squares
     underflows or overflows in double precision.
     """
     x = _entries(X)
-    with np.errstate(over="ignore"):
-        fro2 = float(x @ x)
+    fro2 = float(np.vdot(x, x))
     if 0.0 < fro2 < np.inf:
         return fro2
     if not np.any(x):
@@ -272,7 +272,7 @@ class LeastSquaresLoss:
         w = _check_dim(w, self.data.p)
         r = np.asarray(self.data.X @ w).ravel() - self.data.y
         grad = np.asarray(self._xt @ r).ravel() / self.data.n
-        return float(r @ r) / (2.0 * self.data.n), grad
+        return float(np.vdot(r, r)) / (2.0 * self.data.n), grad
 
     def value(self, w) -> float:
         return self.value_and_grad(w)[0]

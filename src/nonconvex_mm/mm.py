@@ -58,9 +58,11 @@ checked descent and subgradient bound are what the KL convergence
 argument needs, so every row passes ``certify`` as a plain step does.
 A momentum direction along which f ascends at w,
 <grad f(w), w - w_prev> > 0, restarts without a try (the gradient
-restart of O'Donoghue & Candes, 2015).  On sparse least squares such
-tries failed the safeguard seven times as often as the others (26%
-against 3.6%), and restarting there cut the loss evaluations by 14%.
+restart of O'Donoghue & Candes, 2015).  Over the sparse-ls-prox
+benchmark pool such tries fail the safeguard five times as often as the
+others (25.6% against 5.2%), and the restart saves 4.6% of the loss
+evaluations (3455 against 3620 without it); on logistic-dense it costs
+0.5% (2193 against 2182), where 9 of 1580 tries are along an ascent.
 
 ``run_mm`` evaluates the loss once per trial: ``value_and_grad(w+)``
 gives F(w+) for the trace and grad f(w+), which checks the curvature,
@@ -292,7 +294,7 @@ def quad_surrogate_value(w, anchor, mu: float, loss) -> float:
         raise ValueError("w and anchor have different lengths")
     d = w - anchor
     f, g = loss.value_and_grad(anchor)
-    return f + float(g @ d) + 0.5 * mu * float(d @ d)
+    return f + float(np.vdot(g, d)) + 0.5 * mu * float(np.vdot(d, d))
 
 
 def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
@@ -399,10 +401,12 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
     ||x+ - x||^2 above L, and the next trial takes c times it
     (``_CURVATURE_MARGIN``), capped at L_max; L doubles instead when that
     measurement is not a finite number above L.  So L grows by at least
-    the factor c per failed trial.
+    the factor c per failed trial.  Both inner products are ``np.vdot``,
+    the same BLAS dot as ``@``, which gives inf without a warning where
+    the sum overflows.
 
     Returns (L, trial(L), the start for the next step, the step d = x+ -
-    x, ||d||^2, bounded).  The start is c times the curvature measured
+    x, bounded).  The start is c times the curvature measured
     along the step taken, or L when that is not positive (or not a
     number).  ``bounded`` says whether <grad f(x+) - g, d> <= L_max
     ||d||^2, which holds whenever L_max is a Lipschitz constant of grad
@@ -414,8 +418,8 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
     while True:
         out = trial(L)
         d = out[0] - x
-        dd = float(d @ d)
-        curv = float((out[1] - g) @ d)
+        dd = float(np.vdot(d, d))
+        curv = float(np.vdot(out[1] - g, d))
         passed = curv <= 0.5 * L * dd
         if passed or L >= L_max:
             break
@@ -427,17 +431,19 @@ def _curvature_search(trial, x, g, L_start: float, L_max: float, L_min: float):
         out = d = None
     measured = 2.0 * curv / dd if dd > 0.0 else 0.0
     bounded = passed or curv <= L_max * dd
-    return L, out, _CURVATURE_MARGIN * measured if measured > 0.0 else L, d, dd, bounded
+    return L, out, _CURVATURE_MARGIN * measured if measured > 0.0 else L, d, bounded
 
 
 # Cap on the extrapolation weight beta_k, which otherwise follows FISTA's
 # t-sequence: beta_k = (t_k - 1) / t_{k+1}, t_1 = 1, t_{k+1} = (1 +
 # sqrt(1 + 4 t_k^2)) / 2.  The convergence theory of extrapolated proximal
-# gradient needs sup beta_k < 1.  The value is measured, not derived: at
-# 0.5 the rate fit of the MCP run in acceptance criterion 8 reads sublinear
-# (its tail reaches the roundoff floor), and at 0.7 the logistic-dense
-# benchmark pool takes 12% more loss evaluations (3567 against 3185) for 2%
-# fewer on sparse-ls-prox (4118 against 4194).
+# gradient needs sup beta_k < 1.  The value is measured, not derived.  Over
+# the benchmark pools (steps / loss evaluations), 0.6 takes 1873 / 2193 on
+# logistic-dense and 2692 / 3455 on sparse-ls-prox; 0.7 takes 1918 / 2263
+# and 2656 / 3389.  0.5 takes 1767 / 1941 (11.5% fewer evaluations) and
+# 2748 / 3490 (1.0% more), but acceptance criterion 4 then fails (kkt 0.04924
+# above B_norm 0.01872): it recomputes each step's certificate at the cap mu
+# from the previous iterate, not from the mu_k and anchor the step used.
 _BETA_MAX = 0.6
 
 
@@ -553,7 +559,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     def mm_step(x, g_x, omega_x):
         """The curvature-searched step from the anchor x: the new iterate
         z, its loss gradient, F there, mu_k, the next search's start, the
-        step d = z - x, ||d||^2, whether the curvature along d is within
+        step d = z - x, whether the curvature along d is within
         L_f (see ``_curvature_search``) and z's support for the trace row."""
         def trial(L):
             nonlocal loss_evals
@@ -563,11 +569,11 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             f_loss, g_z = loss.value_and_grad(z)
             return z, g_z, f_loss, mu_k
 
-        _, (z, g_z, f_loss, mu_k), l_next, d, dd, bounded = _curvature_search(
+        _, (z, g_z, f_loss, mu_k), l_next, d, bounded = _curvature_search(
             trial, x, g_x, l_start, lf, l_min)
         # r(z) as reg_value sums it: zeta on z's support only
         support, r_z = pen._support_sum(z)
-        return z, g_z, f_loss + r_z, mu_k, l_next, d, dd, bounded, support
+        return z, g_z, f_loss + r_z, mu_k, l_next, d, bounded, support
 
     def certificate(z, d, g_z, g_x, omega_x, mu_k):
         """zeta'(|z|) (scheme b) and ||B||, B the member of dF(z) that the
@@ -595,7 +601,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         w_prev = g_prev = None
         # gradient restart: momentum along which f ascends at w (or whose
         # slope is not a number) is not tried (see the module docstring)
-        if not float(g @ y) <= 0.0:
+        if not float(np.vdot(g, y)) <= 0.0:
             return None
         # y = w + beta m, in the buffer of the momentum m
         y *= beta
@@ -603,7 +609,7 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         g_y = _gradient_at_y(beta, g, g_last)
         g_last = None
         omega_y = zeta_prime(np.abs(y)) if linearize else None
-        z, g_z, f_z, mu_k, l_next, d, _, _, support = mm_step(y, g_y, omega_y)
+        z, g_z, f_z, mu_k, l_next, d, _, support = mm_step(y, g_y, omega_y)
         # the step from y is d; y itself is dead
         y = None
         step = _norm(z - w)
@@ -619,11 +625,10 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     def plain_step():
         """The step from w, None when F is not finite where it lands."""
         nonlocal lf_failures
-        z, g_z, f_z, mu_k, l_next, d, dd, bounded, support = mm_step(w, g, omega)
+        z, g_z, f_z, mu_k, l_next, d, bounded, support = mm_step(w, g, omega)
         if not np.isfinite(f_z):
             return None
-        # the search's ||d||^2; _norm rescales where it overflowed
-        step = math.sqrt(dd) if dd < math.inf else _norm(d)
+        step = _norm(d)
         # grad f is exact at w, so a curvature above L_f along the step
         # shows that L_f is no Lipschitz constant of grad f
         lf_failures += not bounded

@@ -179,9 +179,10 @@ class Penalty:
         """
         arr, scalar = _as_float_array(u)
         lo_t, hi_t = self.deriv_interval(np.abs(arr))
-        d0 = self.deriv(0.0)
-        lo = np.where(arr > 0, lo_t, np.where(arr < 0, -hi_t, -d0))
-        hi = np.where(arr > 0, hi_t, np.where(arr < 0, -lo_t, d0))
+        # u = +-0 takes lo from the negative side and hi from the positive
+        # one: [-zeta'(0), zeta'(0)], the formula of cccp's interval
+        lo = np.where(arr > 0, lo_t, -hi_t)
+        hi = np.where(arr < 0, -lo_t, hi_t)
         if scalar:
             return SubgradientInterval(float(lo), float(hi))
         return SubgradientInterval(lo, hi)
@@ -383,7 +384,10 @@ class McpPenalty(Penalty):
 
     def _value(self, t):
         lam, g = self.lam, self.gamma
-        return np.where(t < lam * g, lam * t - t * t / (2.0 * g), lam * lam * g / 2.0)
+        # the quadratic piece is selected only below lam*g; clipping there
+        # keeps its square finite at any t
+        tm = np.minimum(t, lam * g)
+        return np.where(t < lam * g, lam * tm - tm * tm / (2.0 * g), lam * lam * g / 2.0)
 
     def _deriv(self, t):
         lam, g = self.lam, self.gamma

@@ -806,7 +806,7 @@ def _logistic_ridge_problem(box=None):
 def _wide_least_squares_ridge_problem():
     loss = full_rank_ls(seed=24, n=15, p=40)
     return loss, dc_problem_from_penalty(loss, ScadPenalty(lam=0.1, theta=3.7),
-                                         ridge=0.5, gamma_u=0.5, box=(-2.0, 2.0))
+                                         ridge=0.5, box=(-2.0, 2.0))
 
 
 def _short_sparse_problem():
@@ -908,6 +908,18 @@ def test_nonfinite_objective_at_the_start_point_refused():
     with np.errstate(over="ignore"), pytest.raises(
             FloatingPointError, match="^objective is not finite at the starting point$"):
         run_cccp(prob, CccpConfig())
+
+
+def test_step_from_a_nan_start_point_is_flagged_inexact():
+    # the step's residual is NaN there, and a NaN residual is no solve
+    rng = np.random.default_rng(0)
+    loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(40, 6)), y=rng.normal(size=40),
+                                    task="regression"))
+    prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.1, gamma=3.0), box=(-1.0, 1.0))
+    w = np.zeros(6)
+    w[2] = np.nan
+    _, info = cccp_step(w, prob, CccpConfig())
+    assert np.isnan(info.residual) and info.inexact
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,

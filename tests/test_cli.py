@@ -83,6 +83,16 @@ def test_solve_overflowing_noise_sd_exits_1(capsys, loss):
     assert "nonconvex-mm: error: noise_sd=1e+308 is too large" in capsys.readouterr().err
 
 
+def test_solve_with_a_nonfinite_start_objective_exits_1(capsys):
+    # ||y||^2 overflows: the residual's sum of squares is inf, with no
+    # RuntimeWarning, and main reports the objective by name
+    code = run_cli("solve", "--loss", "ls", "--penalty", "scad", "--scheme", "a", "--n", "60",
+                   "--p", "12", "--sparsity", "3", "--noise-sd", "1e155")
+    assert code == 1
+    assert ("nonconvex-mm: error: objective is not finite at the starting point"
+            in capsys.readouterr().err)
+
+
 def test_solve_budget_exhausted_exits_2(tmp_path):
     code = run_cli("solve", *SMALL, "--lambda", "0.2", "--epsilon", "1.0",
                    "--max-iter", "3", "--tol", "1e-14")

@@ -529,7 +529,7 @@ def test_curvature_search_jumps_to_the_curvature_a_failed_trial_measured():
     # the test measures twice a Rayleigh quotient of the Hessian, so 2 L_f
     # bounds it and the cap checks nothing here
     start, cap = 1e-6 * lf, 2.0 * lf
-    L, (x_next, _), l_next, d, dd, bounded = _curvature_search(trial, x, g, start, cap, 0.0)
+    L, (x_next, _), l_next, d, bounded = _curvature_search(trial, x, g, start, cap, 0.0)
     # the direction -g does not depend on L, so the curvature the failed
     # first trial measured is the one along the second, which passes
     d_first = -g / start
@@ -539,10 +539,10 @@ def test_curvature_search_jumps_to_the_curvature_a_failed_trial_measured():
     assert L == pytest.approx(mm_module._CURVATURE_MARGIN * measured, rel=1e-12)
     # the next start is c times the curvature along the accepted step: L again
     assert bounded and l_next == pytest.approx(L, rel=1e-12)
-    # the search hands back the step it took, and its squared norm
+    # the search hands back the step it took
     np.testing.assert_array_equal(d, x_next - x)
-    assert dd == float(d @ d)
     # the accepted L majorizes f at x_next
+    dd = float(d @ d)
     assert loss.value(x_next) <= f + float(g @ d) + 0.5 * L * dd + 1e-12
 
 

@@ -339,13 +339,15 @@ def test_prox_matches_enumeration_oracle(kind, data):
 
 
 # ------------------------------------------------------------ reg / interval
-def test_scad_value_far_past_the_flat_point_does_not_overflow():
-    # the middle piece squares its argument; it is not selected past
-    # theta*lam, so its argument is clipped there
-    pen = ScadPenalty(lam=0.7, theta=3.5)
+@pytest.mark.parametrize("pen,flat", [(ScadPenalty(lam=0.7, theta=3.5), 4.5 * 0.7 * 0.7 / 2.0),
+                                     (McpPenalty(lam=0.7, gamma=3.5), 0.7 * 0.7 * 3.5 / 2.0)],
+                         ids=["scad", "mcp"])
+def test_value_far_past_the_flat_point_does_not_overflow(pen, flat):
+    # the piece before the flat one squares its argument; it is not
+    # selected past the flat point, so its argument is clipped there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert pen.reg_value(np.array([1e160, -1e300])) == 2 * (4.5 * 0.7 * 0.7 / 2.0)
+        assert pen.reg_value(np.array([1e160, -1e300])) == 2 * flat
 
 
 def test_reg_value_examples():
@@ -399,13 +401,23 @@ def test_subdiff_interval_at_zero_and_kink():
 
 @pytest.mark.parametrize("pen", [ScadPenalty(lam=0.5, theta=3.0),
                                  CappedL1Penalty(lam=0.9, theta=1.5),
-                                 LogEpsilonPenalty(lam=0.4, eps=0.5)])
+                                 LogEpsilonPenalty(lam=0.4, eps=0.5),
+                                 McpPenalty(lam=0.5, gamma=2.0),
+                                 LogPenalty(lam=0.3, theta=2.0)])
 def test_subdiff_interval_array_matches_scalar(pen):
-    u = np.array([0.0, 1.5, -1.5, 2.0, -0.2, 7.0])
+    # +-0, +-inf, a subnormal and the capped-l1 kink (theta = 1.5)
+    u = np.array([0.0, -0.0, 1.5, -1.5, 2.0, -0.2, 7.0, np.inf, -np.inf, 5e-324, -5e-324])
     lo, hi = pen.subdiff_interval(u)
     assert lo.shape == hi.shape == u.shape
     for i, ui in enumerate(u):
         assert (lo[i], hi[i]) == tuple(pen.subdiff_interval(float(ui)))
+    # the two-branch formula against the interval written out piece by
+    # piece, with zeta'(0) at zero; the bytes compare the signs of zeros
+    lo_t, hi_t = pen.deriv_interval(np.abs(u))
+    d0 = pen.deriv(0.0)
+    ref_lo = np.where(u > 0, lo_t, np.where(u < 0, -hi_t, -d0))
+    ref_hi = np.where(u > 0, hi_t, np.where(u < 0, -lo_t, d0))
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
 
 
 # ------------------------------------------------------------------ factory

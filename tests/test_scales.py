@@ -1,6 +1,9 @@
 """Inputs at extreme scales fail with a clear error or return a trace."""
 
+import warnings
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from nonconvex_mm import (
     ScadPenalty,
     certify,
     dc_problem_from_penalty,
+    make_penalty,
     run_cccp,
     run_mm,
 )
@@ -124,3 +128,24 @@ def test_huge_scale_libsvm_solve_exits_2_and_diagnose_fails(tmp_path):
     args = ["--data", str(path), "--loss", "ls", "--penalty", "scad", "--scheme", "a"]
     assert main(["solve", *args]) == 2
     assert main(["diagnose", *args]) != 0
+
+
+@pytest.mark.parametrize("kind,shape,scheme", [("scad", {"theta": 3.7}, "a"),
+                                               ("mcp", {"gamma": 3.0}, "b"),
+                                               ("log_eps", {"eps": 1.0}, "b")],
+                         ids=["scad", "mcp", "log_eps"])
+def test_tiny_design_huge_target_run_emits_no_runtime_warning(kind, shape, scheme):
+    # ||d||^2 along a step overflows near 1e308 and MCP's quadratic piece
+    # squares iterates near 1e155: neither may warn, while the run ends on
+    # its budget with a trace
+    rng = np.random.default_rng(0)
+    loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(40, 8)) * 1e-10,
+                                    y=rng.normal(size=40) * 1e150, task="regression"))
+    prob = ProblemInstance(loss=loss, penalty=make_penalty(kind, 0.1, **shape))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=0))
+    ours = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+            if issubclass(w.category, RuntimeWarning) and "nonconvex_mm" in w.filename]
+    assert not ours, ours[:3]
+    assert trace.meta["stop_reason"] == "budget" and len(trace) == 61
