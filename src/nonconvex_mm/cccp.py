@@ -97,7 +97,6 @@ is the top of the same spectrum, so no Lanczos solve runs.
 from __future__ import annotations
 
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +104,7 @@ from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _interval_gap, _norm, _step_subgradient
 from .losses import LeastSquaresLoss, RankDeficientError, least_squares_strong_convexity
-from .mm import (IterateTrace, SparseIterates, _curvature_search, _soft_threshold,
+from .mm import (IterateTrace, SparseIterates, _curvature_search, _record, _soft_threshold,
                  _start_point)
 from .penalties import Penalty, UnsupportedPenaltyError
 
@@ -239,8 +238,9 @@ class DcProblem:
         """F(w) = f + (ridge/2)||w||^2 + r(w) for a feasible w whose loss
         value f is already known; r(w) is the penalty's support sum, the
         formula of ``run_mm`` and ``reg_value``, and kappa*||w||_1 with no
-        remainder."""
-        val = f + 0.5 * self.ridge * float(np.vdot(w, w))
+        remainder.  The ridge term is added only for a nonzero ridge: an
+        ||w||^2 that overflows would make 0 * inf = NaN of it."""
+        val = f + 0.5 * self.ridge * float(np.vdot(w, w)) if self.ridge else f
         if self.remainder is None:
             return val + self.l1_weight * float(np.sum(np.abs(w)))
         return val + self.remainder.penalty._support_sum(w)[1]
@@ -559,10 +559,18 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     objective at the new iterate, is at most ``cfg.tol``;
     ``trace.converged`` is set exactly then.
     ``trace.meta`` records the guarantee ``certify`` checks, ``tol``, the
-    ``stop_reason`` ("tol" or "budget"), ``kkt`` (the exact residual of
-    the DC objective at the final iterate) and, per inner solve, its
-    residual, proximal-gradient steps, gradient evaluations, active-set
-    patterns solved and whether the active-set point ended it.
+    ``stop_reason`` ("tol", "budget" or "nonfinite"), ``kkt`` (the exact
+    residual of the DC objective at the final iterate) and, per recorded
+    step, its inner solve's residual, proximal-gradient steps, gradient
+    evaluations, active-set patterns solved and whether the active-set
+    point ended it.
+
+    The rows are recorded by ``mm._record``, the run loop ``run_mm``
+    shares, with its stop rule.  A non-finite objective at the start
+    raises ``FloatingPointError``.  One later in the run ends it with
+    ``stop_reason="nonfinite"``: the trace keeps every finite row, with
+    ``final_w`` the last finite iterate, and that step's inner solve is
+    not listed in ``meta``.
 
     For least squares the objective column comes from one
     ``value_and_grad`` at the start point, carried forward by the exact
@@ -571,11 +579,12 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     every iterate.  Every row's F is ``DcProblem._objective_given_loss``
     of that loss value.  ``kkt`` evaluates nothing: the last inner solve's
     gradient plus the last linearization gap is the DC objective's smooth
-    gradient at the final iterate.  grad v is evaluated once per iterate,
+    gradient at the final iterate.  Only a run whose first step is not
+    finite spends one ``loss.gradient`` and one grad v on ``kkt`` at the
+    start point.  Otherwise grad v is evaluated once per iterate,
     K + 1 times for K steps: the grad v(w^(k)) of a linearization gap is
     handed to the next ``cccp_step``.
     """
-    w = prob.project(_start_point(w0, prob.p))
     trace = IterateTrace(iterates=SparseIterates())
     trace.meta = {
         "solver": "cccp",
@@ -583,57 +592,58 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "ridge": prob.ridge,
         "tol": cfg.tol,
         "inner_tol": cfg.inner_tol,
-        "inner_residuals": [],
-        "inner_iterations": [],
-        "inner_gradient_evals": [],
-        "inner_patterns": [],
-        "inner_active_set_solved": [],
-        "any_inexact": False,
+    }
+    carry = isinstance(prob.loss, LeastSquaresLoss)
+    # per step, its inner solve's (residual, iterations, gradient_evals,
+    # patterns, active_set_solved, inexact), without the p-vector gradient
+    inner = []
+
+    def rows(w):
+        """The start point's row, then one row per outer step (see
+        ``mm._record``)."""
+        f, g_f = prob.loss.value_and_grad(w) if carry else (prob.loss.value(w), None)
+        # no gradient: ``kkt`` forms it only if the run ends at w
+        yield w, None, prob._objective_given_loss(w, f), 0.0, 0.0, None, None, None, None
+        g_v = prob.v_grad(w)
+        while True:
+            w_next, info = cccp_step(w, prob, cfg, g_v)
+            inner.append((info.residual, info.iterations, info.gradient_evals,
+                          info.patterns, info.active_set_solved, info.inexact))
+            delta = w_next - w
+            if carry:
+                # grad f(w+) = grad s(w+) + grad v(w) - ridge * w+
+                g_next = info.smooth_grad + g_v
+                if prob.ridge:
+                    g_next -= prob.ridge * w_next
+                f += 0.5 * float(np.vdot(g_f + g_next, delta))
+                g_f = g_next
+            else:
+                f = prob.loss.value(w_next)
+            g_v_next = prob.v_grad(w_next)
+            gap = g_v - g_v_next
+            gap_norm = _norm(gap)
+            # grad s(w+) plus the gap is the DC objective's smooth gradient at w+
+            yield (w_next, info.smooth_grad + gap, prob._objective_given_loss(w_next, f),
+                   _norm(delta), gap_norm, None, None, None, gap_norm + info.residual)
+            w, g_v = w_next, g_v_next
+
+    def kkt(w, g):
+        """The exact residual at w; g, the smooth gradient there, is None
+        only at the start point."""
+        if g is None:
+            g = prob.loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
+        return _subproblem_residual(w, g, prob.l1_weight, prob.box)
+
+    _record(trace, rows(prob.project(_start_point(w0, prob.p))), cfg.max_iter, cfg.tol, kkt)
+    # a rejected row's inner solve is not the trace's
+    steps = inner[:trace.num_steps()]
+    residuals, iterations, evals, patterns, solved, inexact = (
+        [step[j] for step in steps] for j in range(6))
+    trace.meta.update(
+        inner_residuals=residuals, inner_iterations=iterations, inner_gradient_evals=evals,
+        inner_patterns=patterns, inner_active_set_solved=solved, any_inexact=any(inexact),
         # the guarantee certify() checks; an inexact inner solve may give
         # back up to 2 * inner_tol * ||Delta|| of the descent
-        "gamma": prob.gamma_u,
-        "residual_lipschitz": prob.v_lipschitz(),
-        "descent_slack": 2.0 * cfg.inner_tol, "descent_tol": 1e-12, "bound_tol": 1e-10,
-    }
-    t0 = time.perf_counter()
-    carry = isinstance(prob.loss, LeastSquaresLoss)
-    f, g_f = prob.loss.value_and_grad(w) if carry else (prob.loss.value(w), None)
-    f_curr = prob._objective_given_loss(w, f)
-    if not np.isfinite(f_curr):
-        raise FloatingPointError("objective is not finite at the starting point")
-    trace.append(0, f_curr, 0.0, 0.0, time.perf_counter() - t0, w)
-    g_v = prob.v_grad(w)
-
-    for k in range(cfg.max_iter):
-        w_next, info = cccp_step(w, prob, cfg, g_v)
-        trace.meta["inner_residuals"].append(info.residual)
-        trace.meta["inner_iterations"].append(info.iterations)
-        trace.meta["inner_gradient_evals"].append(info.gradient_evals)
-        trace.meta["inner_patterns"].append(info.patterns)
-        trace.meta["inner_active_set_solved"].append(info.active_set_solved)
-        trace.meta["any_inexact"] = trace.meta["any_inexact"] or info.inexact
-        delta = w_next - w
-        if carry:
-            # grad f(w+) = grad s(w+) + grad v(w) - ridge * w+
-            g_next = info.smooth_grad + g_v
-            if prob.ridge:
-                g_next -= prob.ridge * w_next
-            f += 0.5 * float(np.vdot(g_f + g_next, delta))
-            g_f = g_next
-        else:
-            f = prob.loss.value(w_next)
-        g_v_next = prob.v_grad(w_next)
-        gap = g_v - g_v_next
-        gap_norm = _norm(gap)
-        trace.append(k + 1, prob._objective_given_loss(w_next, f), _norm(delta), gap_norm,
-                     time.perf_counter() - t0, w_next)
-        w, g_v = w_next, g_v_next
-        if gap_norm + info.residual <= cfg.tol:
-            trace.converged = True
-            break
-
-    trace.final_w = w
-    trace.meta["stop_reason"] = "tol" if trace.converged else "budget"
-    trace.meta["kkt"] = _subproblem_residual(w, info.smooth_grad + gap, prob.l1_weight,
-                                             prob.box)
+        gamma=prob.gamma_u, residual_lipschitz=prob.v_lipschitz(),
+        descent_slack=2.0 * cfg.inner_tol, descent_tol=1e-12, bound_tol=1e-10)
     return trace

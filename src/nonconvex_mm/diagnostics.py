@@ -299,34 +299,40 @@ def certify(trace) -> Certificate:
     residual, plus for CCCP the last inner residual, the pair bounding the
     KKT distance at the final iterate.  A recorded final ``kkt`` must not
     exceed it by 1e-8, and a run that stopped on ``"tol"`` fails when it
-    exceeds ``meta["tol"]``.
+    exceeds ``meta["tol"]``.  Each test passes only on a number inside its
+    bound, so a NaN margin, residual, ``kkt`` or stop quantity fails.
+    (gamma/2)||Delta_k||^2 is formed as 0.5 * gamma * ||Delta_k|| *
+    ||Delta_k||, the MM safeguard's formula, which stays finite wherever
+    the term is, where squaring a step norm from about 1.3e154 up
+    overflows.
     """
     meta = trace.meta
     gamma = meta["gamma"]
     total, tail = finite_length(trace)
     obj = np.asarray(trace.objective, dtype=float)
     steps = np.asarray(trace.step_norm[1:], dtype=float)
-    descent = obj[:-1] - obj[1:] - 0.5 * gamma * steps**2
+    descent = obj[:-1] - obj[1:] - 0.5 * gamma * steps * steps
     bound = meta["residual_lipschitz"] * steps - np.asarray(trace.residual[1:], dtype=float)
     worst_descent = float(descent.min()) if len(steps) else 0.0
     worst_bound = float(bound.min()) if len(steps) else 0.0
     kkt = meta.get("kkt")
-    stopped = trace.residual[-1] + meta.get("inner_residuals", [0.0])[-1]
+    # a CCCP trace of no step has no inner residual
+    stopped = trace.residual[-1] + (meta.get("inner_residuals") or [0.0])[-1]
 
     failures = []
     if gamma <= 0:
         # only an MM surrogate weight can get here: DcProblem refuses gamma_u <= 0
         failures.append(f"majorization: mu={meta['mu']:.6g} <= L_f={meta['lipschitz']:.6g} "
                         "(gamma <= 0)")
-    if np.any(descent < -(meta["descent_slack"] * steps + meta["descent_tol"])):
+    if not np.all(descent >= -(meta["descent_slack"] * steps + meta["descent_tol"])):
         failures.append(f"descent: worst margin {worst_descent:.3e} "
                         f"< {_neg_tol(meta['descent_tol'])}")
-    if worst_bound < -meta["bound_tol"]:
+    if not worst_bound >= -meta["bound_tol"]:
         failures.append(f"subgradient bound: worst margin {worst_bound:.3e} "
                         f"< {_neg_tol(meta['bound_tol'])}")
-    if kkt is not None and len(steps) and kkt > stopped + 1e-8:
+    if kkt is not None and len(steps) and not kkt <= stopped + 1e-8:
         failures.append(f"kkt residual {kkt:.3e} exceeds certificate {stopped:.3e}")
-    if meta.get("stop_reason") == "tol" and stopped > meta["tol"]:
+    if meta.get("stop_reason") == "tol" and not stopped <= meta["tol"]:
         failures.append(f"stopped on tol at a certified residual {stopped:.3e} "
                         f"> tol {meta['tol']:.3e}")
     rate = None if trace.iterates is None else rate_fit(trace)

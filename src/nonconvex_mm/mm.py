@@ -478,6 +478,42 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     return mu, lf
 
 
+def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt) -> None:
+    """Run a solver's row generator into ``trace``: the one run loop of
+    ``run_mm`` and ``run_cccp``.
+
+    ``rows`` yields the start point's row, then one row per step:
+    (w, gradient, F, step norm, residual, mu_k, beta_k, support, stop
+    quantity), the first row's stop quantity unread.  A row is recorded
+    with its elapsed time since the first row was asked for.  A row whose
+    F is not finite is not recorded: at the start point it raises
+    ``FloatingPointError``, later it ends the run with
+    ``stop_reason="nonfinite"``.  Otherwise the run ends on ``"tol"``, with
+    ``trace.converged`` set, at the first step whose stop quantity is at
+    most tol, or on ``"budget"`` after max_iter steps.  ``rows`` is resumed
+    only once its last row is recorded, so a rejected row commits nothing.
+    ``final_w`` is the last recorded w and ``meta["kkt"]`` is kkt(w,
+    gradient) of its row, computed once ``rows`` is closed and has freed
+    its step's arrays.
+    """
+    t0 = time.perf_counter()
+    stop_reason = "budget"
+    for k, (w, g, f, step, res, mu_k, beta, support, stop) in zip(range(max_iter + 1), rows):
+        if not math.isfinite(f):
+            if not k:
+                raise FloatingPointError("objective is not finite at the starting point")
+            stop_reason = "nonfinite"
+            break
+        trace.append(k, f, step, res, time.perf_counter() - t0, w, mu_k, beta, support=support)
+        last = w, g
+        if k and stop <= tol:
+            trace.converged, stop_reason = True, "tol"
+            break
+    rows.close()
+    trace.final_w = last[0]
+    trace.meta.update(stop_reason=stop_reason, kkt=kkt(*last))
+
+
 def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     """Run the majorize-minimize loop until a step's certified residual
     drops to ``config.tol`` or ``config.max_iter`` steps were taken.
@@ -504,10 +540,13 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     can only be low) is no Lipschitz constant of grad f.  Extrapolated
     tries do not count: their gradient g_y is an estimate.
 
-    A non-finite objective at the start raises ``FloatingPointError``.
-    One later in the run ends it with ``stop_reason="nonfinite"``: the
-    trace keeps every finite row, so the non-finite objective belongs to
-    iteration ``len(trace)`` and ``final_w`` is the last finite iterate.
+    The rows are recorded by ``_record``, the run loop ``run_cccp``
+    shares, which sets the stop rule: ``stop_reason`` is "tol", "budget"
+    or "nonfinite".  A non-finite objective at the start raises
+    ``FloatingPointError``.  One later in the run ends it with
+    ``stop_reason="nonfinite"``: the trace keeps every finite row, so the
+    non-finite objective belongs to iteration ``len(trace)`` and
+    ``final_w`` is the last finite iterate, where ``kkt`` is evaluated.
 
     Beyond the data and the trace, a run holds about 8.4 arrays of
     length p at its peak for scheme "a" and 10.4 for scheme "b" (see
@@ -516,9 +555,6 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     mu, lf = _resolve_mu(prob, config)
     loss, pen = prob.loss, prob.penalty
     linearize = config.scheme == "b"
-    # a copy: with no finite step, final_w is the start point
-    w = _start_point(w0, prob.p).copy()
-
     trace = IterateTrace(iterates=SparseIterates() if config.record_iterates else None)
     trace.meta = {
         "scheme": config.scheme,
@@ -529,144 +565,139 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         "penalty": {"kind": pen.kind, **pen.params()},
         "loss": loss.kind,
     }
-    t0 = time.perf_counter()
-    f_loss, g = loss.value_and_grad(w)
-    support, r_w = pen._support_sum(w)
-    f_curr = f_loss + r_w
-    if not np.isfinite(f_curr):
-        raise FloatingPointError("objective is not finite at the starting point")
-    trace.append(0, f_curr, 0.0, _kkt_distance(w, g, pen), time.perf_counter() - t0, w,
-                 support=support)
-    _check_step(mu, pen, linearize)
     # zeta' from the penalty's formula: every argument below is np.abs of a
     # float array, which the public deriv would only convert and sign-check
     zeta_prime = pen._deriv
-    # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
-    omega = zeta_prime(np.abs(w)) if linearize else None
     # mu_k = L_k + gamma keeps the descent slack of mu = L_f + gamma; without
     # slack the search is pinned at L_f and no step is extrapolated
     gamma = mu - lf
     l_min = 0.0 if gamma > 0 else lf
-    l_start = lf
     loss_evals = extrapolated = restarts = lf_failures = 0
-    # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
-    # enters only when r is linearized
-    lz = pen.deriv_lipschitz() if linearize else 0.0
-    bound_lipschitz = mu + lf + lz
-    t = 1.0
-    w_prev = g_prev = None
+    bound_lipschitz = None
 
-    def mm_step(x, g_x, omega_x):
-        """The curvature-searched step from the anchor x: the new iterate
-        z, its loss gradient, F there, mu_k, the next search's start, the
-        step d = z - x, whether the curvature along d is within
-        L_f (see ``_curvature_search``) and z's support for the trace row."""
-        def trial(L):
-            nonlocal loss_evals
-            loss_evals += 1
-            mu_k = mu if L >= lf else L + gamma
-            z = _mm_update(x, g_x, mu_k, pen, omega_x)
-            f_loss, g_z = loss.value_and_grad(z)
-            return z, g_z, f_loss, mu_k
-
-        _, (z, g_z, f_loss, mu_k), l_next, d, bounded = _curvature_search(
-            trial, x, g_x, l_start, lf, l_min)
-        # r(z) as reg_value sums it: zeta on z's support only
-        support, r_z = pen._support_sum(z)
-        return z, g_z, f_loss + r_z, mu_k, l_next, d, bounded, support
-
-    def certificate(z, d, g_z, g_x, omega_x, mu_k):
-        """zeta'(|z|) (scheme b) and ||B||, B the member of dF(z) that the
-        step d = z - x from the anchor x gives: grad f(z) plus its prox
-        optimality term.  Overwrites d and omega_x, which no later step
-        reads."""
-        omega_z = None
-        if linearize:
-            omega_z = zeta_prime(np.abs(z))
-            omega_x -= omega_z
-        _, B = _step_subgradient(z, d, g_z, g_x, mu_k, omega_x)
-        return omega_z, _norm(B)
-
-    # Each step below returns its row (z, grad f(z), F(z), zeta'(|z|), mu_k,
-    # the next search's start, ||z - w||, ||B||, z's support) or None; the
-    # arrays of a rejected try or a finished certificate die on return.
-
-    def extrapolated_step(beta):
-        """The safeguarded step from y = w + beta (w - w_prev), None when the
-        gradient restart skips it or the safeguard rejects it.  It drops
-        w_prev and g_prev: they serve y and g_y only, and the next step's
-        are w and g."""
-        nonlocal w_prev, g_prev
-        y, g_last = w - w_prev, g_prev
+    def rows(w):
+        """The start point's row, then one row per step from it (see
+        ``_record``).  The run's state lives in this generator, so closing
+        it frees every array of the last step."""
+        nonlocal extrapolated, restarts, bound_lipschitz
+        f_loss, g = loss.value_and_grad(w)
+        support, r_w = pen._support_sum(w)
+        f_curr = f_loss + r_w
+        yield w, g, f_curr, 0.0, _kkt_distance(w, g, pen), None, None, support, None
+        _check_step(mu, pen, linearize)
+        # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
+        omega = zeta_prime(np.abs(w)) if linearize else None
+        # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
+        # enters only when r is linearized
+        bound_lipschitz = mu + lf + (pen.deriv_lipschitz() if linearize else 0.0)
+        l_start, t = lf, 1.0
         w_prev = g_prev = None
-        # gradient restart: momentum along which f ascends at w (or whose
-        # slope is not a number) is not tried (see the module docstring)
-        if not float(np.vdot(g, y)) <= 0.0:
-            return None
-        # y = w + beta m, in the buffer of the momentum m
-        y *= beta
-        y += w
-        g_y = _gradient_at_y(beta, g, g_last)
-        g_last = None
-        omega_y = zeta_prime(np.abs(y)) if linearize else None
-        z, g_z, f_z, mu_k, l_next, d, _, support = mm_step(y, g_y, omega_y)
-        # the step from y is d; y itself is dead
-        y = None
-        step = _norm(z - w)
-        # the safeguard: the descent and the subgradient bound of a plain
-        # step, checked exactly; a non-finite F(z) fails the first
-        if not f_z <= f_curr - 0.5 * gamma * step * step:
-            return None
-        omega_z, res = certificate(z, d, g_z, g_y, omega_y, mu_k)
-        if not res <= bound_lipschitz * step:
-            return None
-        return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
 
-    def plain_step():
-        """The step from w, None when F is not finite where it lands."""
-        nonlocal lf_failures
-        z, g_z, f_z, mu_k, l_next, d, bounded, support = mm_step(w, g, omega)
-        if not np.isfinite(f_z):
-            return None
-        step = _norm(d)
-        # grad f is exact at w, so a curvature above L_f along the step
-        # shows that L_f is no Lipschitz constant of grad f
-        lf_failures += not bounded
-        omega_z, res = certificate(z, d, g_z, g, omega, mu_k)
-        return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+        def mm_step(x, g_x, omega_x):
+            """The curvature-searched step from the anchor x: the new iterate
+            z, its loss gradient, F there, mu_k, the next search's start, the
+            step d = z - x, whether the curvature along d is within
+            L_f (see ``_curvature_search``) and z's support for the trace row."""
+            def trial(L):
+                nonlocal loss_evals
+                loss_evals += 1
+                mu_k = mu if L >= lf else L + gamma
+                z = _mm_update(x, g_x, mu_k, pen, omega_x)
+                f_loss, g_z = loss.value_and_grad(z)
+                return z, g_z, f_loss, mu_k
 
-    stop_reason = "budget"
-    for k in range(config.max_iter):
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = min((t - 1.0) / t_next, _BETA_MAX) if gamma > 0 else 0.0
-        row = None
-        if beta > 0.0:
-            row = extrapolated_step(beta)
-            if row is not None:
-                extrapolated += 1
-            else:
-                # restart the momentum (t = 1) and take the plain step
-                restarts += 1
-                beta, t_next = 0.0, 1.0
-        if row is None:
-            row = plain_step()
+            _, (z, g_z, f_loss, mu_k), l_next, d, bounded = _curvature_search(
+                trial, x, g_x, l_start, lf, l_min)
+            # r(z) as reg_value sums it: zeta on z's support only
+            support, r_z = pen._support_sum(z)
+            return z, g_z, f_loss + r_z, mu_k, l_next, d, bounded, support
+
+        def certificate(z, d, g_z, g_x, omega_x, mu_k):
+            """zeta'(|z|) (scheme b) and ||B||, B the member of dF(z) that the
+            step d = z - x from the anchor x gives: grad f(z) plus its prox
+            optimality term.  Overwrites d and omega_x, which no later step
+            reads."""
+            omega_z = None
+            if linearize:
+                omega_z = zeta_prime(np.abs(z))
+                omega_x -= omega_z
+            _, B = _step_subgradient(z, d, g_z, g_x, mu_k, omega_x)
+            return omega_z, _norm(B)
+
+        # Each step below returns its row (z, grad f(z), F(z), zeta'(|z|), mu_k,
+        # the next search's start, ||z - w||, ||B||, z's support); the arrays
+        # of a rejected try or a finished certificate die on return.
+
+        def extrapolated_step(beta):
+            """The safeguarded step from y = w + beta (w - w_prev), None when the
+            gradient restart skips it or the safeguard rejects it.  It drops
+            w_prev and g_prev: they serve y and g_y only, and the next step's
+            are w and g."""
+            nonlocal w_prev, g_prev
+            y, g_last = w - w_prev, g_prev
+            w_prev = g_prev = None
+            # gradient restart: momentum along which f ascends at w (or whose
+            # slope is not a number) is not tried (see the module docstring)
+            if not float(np.vdot(g, y)) <= 0.0:
+                return None
+            # y = w + beta m, in the buffer of the momentum m
+            y *= beta
+            y += w
+            g_y = _gradient_at_y(beta, g, g_last)
+            g_last = None
+            omega_y = zeta_prime(np.abs(y)) if linearize else None
+            z, g_z, f_z, mu_k, l_next, d, _, support = mm_step(y, g_y, omega_y)
+            # the step from y is d; y itself is dead
+            y = None
+            step = _norm(z - w)
+            # the safeguard: the descent and the subgradient bound of a plain
+            # step, checked exactly; a non-finite F(z) fails the first
+            if not f_z <= f_curr - 0.5 * gamma * step * step:
+                return None
+            omega_z, res = certificate(z, d, g_z, g_y, omega_y, mu_k)
+            if not res <= bound_lipschitz * step:
+                return None
+            return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+
+        def plain_step():
+            """The step from w; where F is not finite, it ends the run (see
+            ``_record``) and no certificate is built."""
+            nonlocal lf_failures
+            z, g_z, f_z, mu_k, l_next, d, bounded, support = mm_step(w, g, omega)
+            if not np.isfinite(f_z):
+                return z, g_z, f_z, None, mu_k, l_next, math.nan, math.nan, support
+            step = _norm(d)
+            # grad f is exact at w, so a curvature above L_f along the step
+            # shows that L_f is no Lipschitz constant of grad f
+            lf_failures += not bounded
+            omega_z, res = certificate(z, d, g_z, g, omega, mu_k)
+            return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+
+        while True:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = min((t - 1.0) / t_next, _BETA_MAX) if gamma > 0 else 0.0
+            row = None
+            if beta > 0.0:
+                row = extrapolated_step(beta)
+                if row is not None:
+                    extrapolated += 1
+                else:
+                    # restart the momentum (t = 1) and take the plain step
+                    restarts += 1
+                    beta, t_next = 0.0, 1.0
             if row is None:
-                stop_reason = "nonfinite"
-                break
-        z, g_z, f_z, omega_z, mu_k, l_next, step, res, support = row
-        trace.append(k + 1, f_z, step, res, time.perf_counter() - t0, z, mu_k, beta,
-                     support=support)
-        w_prev, g_prev = w, g
-        w, g, omega, f_curr = z, g_z, omega_z, f_z
-        t, l_start = t_next, l_next
-        if res <= config.tol:
-            trace.converged = True
-            stop_reason = "tol"
-            break
+                row = plain_step()
+            z, g_z, f_z, omega_z, mu_k, l_next, step, res, support = row
+            yield z, g_z, f_z, step, res, mu_k, beta, support, res
+            w_prev, g_prev = w, g
+            w, g, omega, f_curr = z, g_z, omega_z, f_z
+            t, l_start = t_next, l_next
 
-    trace.final_w = w
-    trace.meta.update(stop_reason=stop_reason, kkt=_kkt_distance(w, g, pen),
-                      gamma=gamma, residual_lipschitz=bound_lipschitz,
+    # the start point is a copy, held by the generator only: with no finite
+    # step, final_w is the start point
+    _record(trace, rows(_start_point(w0, prob.p).copy()), config.max_iter, config.tol,
+            lambda w, g: _kkt_distance(w, g, pen))
+    trace.meta.update(gamma=gamma, residual_lipschitz=bound_lipschitz,
                       descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8,
                       loss_evals=loss_evals, extrapolated_steps=extrapolated,
                       restarts=restarts, lf_curvature_failures=lf_failures)

@@ -280,8 +280,10 @@ class LogPenalty(Penalty):
 
     def _deriv(self, t):
         # scale*theta / (1 + theta*t), built in its output buffer; out= keeps
-        # a 0-d t an array, where a bare ufunc would return a scalar
-        out = np.multiply(self.theta, t, out=np.empty_like(t))
+        # a 0-d t an array, where a bare ufunc would return a scalar.  A
+        # theta*t beyond the largest double is inf, where zeta' is a finite 0
+        with np.errstate(over="ignore"):
+            out = np.multiply(self.theta, t, out=np.empty_like(t))
         out += 1.0
         return np.divide(self._scale * self.theta, out, out=out)
 

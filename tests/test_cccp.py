@@ -980,6 +980,34 @@ def test_run_records_the_face_solves_of_every_inner_solve(make):
         assert sum(patterns) == 0
 
 
+@pytest.mark.parametrize("bad_call", [2, 4], ids=["step-1", "step-3"])
+def test_nonfinite_objective_after_the_start_ends_the_run(bad_call):
+    # loss.value is called once per iterate, the start point's first; from
+    # its bad_call-th call on it returns inf, and that row is not recorded
+    loss, prob = _logistic_ridge_problem()
+    value, calls = loss.value, [0]
+
+    def value_inf_from_bad_call(w):
+        calls[0] += 1
+        return np.inf if calls[0] >= bad_call else value(w)
+
+    loss.value = value_inf_from_bad_call
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.meta["stop_reason"] == "nonfinite" and not trace.converged
+    assert trace.num_steps() == bad_call - 2
+    assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.residual))
+    np.testing.assert_array_equal(trace.final_w, trace.iterates[-1])
+    # the rejected step's inner solve is not the trace's
+    assert len(trace.meta["inner_residuals"]) == trace.num_steps()
+    w = trace.final_w
+    grad = loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
+    kkt = trace.meta["kkt"]
+    assert np.isfinite(kkt)
+    assert abs(kkt - cccp_module._subproblem_residual(w, grad, prob.l1_weight,
+                                                      prob.box)) <= 1e-12
+    assert certify(trace).passed
+
+
 @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
 def test_start_point_of_the_wrong_length_is_refused(box):
     loss = full_rank_ls(seed=31, n=40, p=10)

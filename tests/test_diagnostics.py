@@ -312,6 +312,36 @@ def test_certify_catches_violated_residual_bound():
     assert cert.failures == ("subgradient bound: worst margin -5.000e-01 < -1e-8",)
 
 
+@pytest.mark.parametrize("field, index, failed", [
+    ("objective", 2, ["descent"]),
+    ("residual", 1, ["subgradient bound"]),
+    ("residual", 2, ["subgradient bound", "kkt residual", "stopped on tol"]),
+    ("inner_residuals", 1, ["kkt residual", "stopped on tol"]),
+    ("kkt", None, ["kkt residual"]),
+])
+def test_certify_fails_a_nan(field, index, failed):
+    # each test passes only on a number inside its bound: a NaN margin,
+    # residual, inner residual or kkt fails the trace
+    trace = guarded_trace([3.0, 2.0, 1.5], [0.0, 1.0, 0.5], [0.0, 1.5, 1.0])
+    trace.meta.update(kkt=0.5, inner_residuals=[0.0, 0.0], stop_reason="tol", tol=2.0)
+    assert certify(trace).passed
+    if index is None:
+        trace.meta[field] = np.nan
+    else:
+        column = trace.meta[field] if field == "inner_residuals" else getattr(trace, field)
+        column[index] = np.nan
+    names = ("descent", "subgradient bound", "kkt residual", "stopped on tol")
+    got = [next(n for n in names if f.startswith(n)) for f in certify(trace).failures]
+    assert got == failed
+
+
+def test_certify_judges_a_cccp_trace_without_steps():
+    # a CCCP run whose first step is not finite records the start row only
+    trace = guarded_trace([3.0], [0.0], [0.0])
+    trace.meta.update(kkt=0.5, inner_residuals=[], stop_reason="nonfinite", tol=1e-8)
+    assert certify(trace).passed
+
+
 def test_certify_single_row_trace_is_vacuous():
     cert = certify(guarded_trace([3.0], [0.0], [0.7]))
     assert cert.passed

@@ -34,7 +34,7 @@ from nonconvex_mm import (
 )
 
 from nonconvex_mm import mm as mm_module
-from nonconvex_mm.mm import _curvature_search
+from nonconvex_mm.mm import IterateTrace, SparseIterates, _curvature_search, _record
 
 from helpers import soft_threshold_bisect
 
@@ -300,6 +300,39 @@ def test_nonfinite_abort_when_mu_too_small():
     assert trace.meta["kkt"] == kkt_residual(trace.final_w, prob)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(prob.objective(step_a(trace.final_w, prob, trace.meta["mu"])))
+
+
+def _scripted_rows(objectives, stops, made):
+    """Rows of a scripted run, row k at w = [k, k]; ``made`` gets k as row k
+    is built and "closed" when the run closes the generator."""
+    try:
+        for k, (f, stop) in enumerate(zip(objectives, stops)):
+            made.append(k)
+            yield np.full(2, float(k)), np.ones(2), f, 1.0, 0.5, None, None, None, stop
+    finally:
+        made.append("closed")
+
+
+@pytest.mark.parametrize("objectives, stops, max_iter, reason, rows", [
+    ([3.0, 2.0, 1.0, 0.5], [None, 1.0, 1e-9, 0.0], 10, "tol", 3),
+    ([3.0, 2.0, 1.0, 0.5], [None, 1.0, 1.0, 1.0], 2, "budget", 3),
+    ([3.0, 2.0, math.inf, 0.5], [None, 1.0, 1.0, 0.0], 10, "nonfinite", 2),
+    ([3.0, math.nan, 1.0], [None, 1.0, 1.0], 10, "nonfinite", 1),
+], ids=["tol", "budget", "inf", "nan-at-step-1"])
+def test_record_resumes_the_rows_only_after_recording_one(objectives, stops, max_iter,
+                                                          reason, rows):
+    # _record asks for no row past the one that ends the run, then closes
+    # the generator before kkt reads the last recorded row
+    made, seen = [], []
+    trace = IterateTrace(iterates=SparseIterates())
+    _record(trace, _scripted_rows(objectives, stops, made), max_iter, 1e-8,
+            lambda w, g: seen.append(list(made)) or float(w[0]))
+    assert made == [*range(rows + (reason == "nonfinite")), "closed"]
+    assert seen == [made]
+    assert trace.meta["stop_reason"] == reason and trace.converged == (reason == "tol")
+    assert trace.objective == objectives[:rows] and trace.iters == list(range(rows))
+    np.testing.assert_array_equal(trace.final_w, trace.iterates[-1])
+    assert trace.meta["kkt"] == rows - 1
 
 
 def test_nonfinite_objective_at_start_raises():

@@ -399,6 +399,15 @@ def test_subdiff_interval_at_zero_and_kink():
     assert smooth.lo == smooth.hi == pytest.approx(pen.deriv(2.0))
 
 
+def test_log_derivative_past_the_largest_double_is_zero_without_a_warning():
+    # theta * t overflows to inf at t = 1e308, where zeta' is a finite 0
+    pen = LogPenalty(lam=0.3, theta=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = pen.subdiff_interval(np.array([1e308, -1e308]))
+    assert lo.tolist() == hi.tolist() == [0.0, -0.0]
+
+
 @pytest.mark.parametrize("pen", [ScadPenalty(lam=0.5, theta=3.0),
                                  CappedL1Penalty(lam=0.9, theta=1.5),
                                  LogEpsilonPenalty(lam=0.4, eps=0.5),

@@ -15,11 +15,13 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     ScadPenalty,
+    SyntheticSpec,
     certify,
     dc_problem_from_penalty,
     make_penalty,
     run_cccp,
     run_mm,
+    synth_generate,
 )
 from nonconvex_mm.cli import main
 from nonconvex_mm.data_io import write_libsvm
@@ -145,7 +147,29 @@ def test_tiny_design_huge_target_run_emits_no_runtime_warning(kind, shape, schem
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=0))
+        # step norms reach 1e158, whose squares overflow
+        cert = certify(trace)
     ours = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
             if issubclass(w.category, RuntimeWarning) and "nonconvex_mm" in w.filename]
     assert not ours, ours[:3]
     assert trace.meta["stop_reason"] == "budget" and len(trace) == 61
+    assert np.isfinite(cert.worst_descent)
+
+
+@pytest.mark.parametrize("kind, shape", [("scad", {"theta": 3.7}), ("mcp", {"gamma": 3.0})],
+                         ids=["scad", "mcp"])
+def test_tiny_design_huge_target_cccp_run_has_a_finite_objective_column(kind, shape):
+    # an iterate near -7e299 overflows ||w||^2; with no ridge that term is
+    # not formed, where 0 * inf made F NaN and the NaN rows passed certify
+    d, _ = synth_generate(SyntheticSpec(n=80, p=10, sparsity=3, noise_sd=0.1, seed=0,
+                                        task="regression"))
+    data = Dataset(X=d.X * 1e-150, y=d.y * 1e150, task="regression")
+    prob = dc_problem_from_penalty(LeastSquaresLoss(data), make_penalty(kind, 0.1, **shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_cccp(prob, CccpConfig(max_iter=200))
+        cert = certify(trace)
+    assert trace.meta["stop_reason"] == "tol" and trace.num_steps() == 2
+    assert np.all(np.isfinite(trace.objective)) and trace.objective[-1] > 1e297
+    assert np.isfinite(prob.objective(trace.final_w))
+    assert cert.passed and np.isfinite(cert.worst_descent)
