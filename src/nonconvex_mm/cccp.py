@@ -103,9 +103,9 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .diagnostics import _interval_distance, _interval_gap, _norm, _step_subgradient
-from .losses import LeastSquaresLoss, RankDeficientError, least_squares_strong_convexity
-from .mm import (IterateTrace, SparseIterates, _curvature_search, _record, _soft_threshold,
-                 _start_point)
+from .losses import (LeastSquaresLoss, RankDeficientError, _vector,
+                     least_squares_strong_convexity)
+from .mm import IterateTrace, SparseIterates, _curvature_search, _record, _soft_threshold
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -211,12 +211,12 @@ class DcProblem:
     def p(self) -> int:
         return self.loss.data.p
 
-    def project(self, w: np.ndarray) -> np.ndarray:
+    def project(self, w) -> np.ndarray:
         """The point of the box nearest w, as a new array."""
-        return np.clip(w, *self.box)
+        return np.clip(_vector(w, self.p), *self.box)
 
     def feasible(self, w) -> bool:
-        lo, hi = self.box
+        w, (lo, hi) = _vector(w, self.p), self.box
         return bool(np.all(w >= lo) and np.all(w <= hi))
 
     def v_grad(self, w) -> np.ndarray:
@@ -229,7 +229,7 @@ class DcProblem:
 
     def objective(self, w) -> float:
         """Full DC objective; +inf outside the box."""
-        w = np.asarray(w, dtype=float).ravel()
+        w = _vector(w, self.p)
         if not self.feasible(w):
             return float("inf")
         return self._objective_given_loss(w, self.loss.value(w))
@@ -504,7 +504,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
     returned flagged inexact if it misses ``cfg.inner_tol``.  The
     returned info carries grad s at the returned point.
     """
-    w = _start_point(w, prob.p, "w")
+    w = _vector(w, prob.p)
     g_v = prob.v_grad(w) if g_v is None else g_v
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     gram = prob.loss.data.gram if isinstance(prob.loss, LeastSquaresLoss) else None
@@ -634,7 +634,8 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             g = prob.loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
         return _subproblem_residual(w, g, prob.l1_weight, prob.box)
 
-    _record(trace, rows(prob.project(_start_point(w0, prob.p))), cfg.max_iter, cfg.tol, kkt)
+    w0 = np.zeros(prob.p) if w0 is None else _vector(w0, prob.p, "w0")
+    _record(trace, rows(prob.project(w0)), cfg.max_iter, cfg.tol, kkt)
     # a rejected row's inner solve is not the trace's
     steps = inner[:trace.num_steps()]
     residuals, iterations, evals, patterns, solved, inexact = (

@@ -16,27 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .data_io import SyntheticSpec, read_libsvm, synth_generate, write_trace
 from .diagnostics import certify
-from .losses import make_loss
+from .losses import _LOSSES, make_loss
 from .mm import IterateTrace, MmConfig, ProblemInstance, run_mm
-from .penalties import make_penalty
+from .penalties import _KINDS, make_penalty
 
 __all__ = ["main", "build_parser"]
-
-# CLI name -> (make_penalty kind, shape field, flag setting it, value when
-# the flag is unset); only --theta is unset by default
-_PENALTIES = {
-    "log": ("log", "theta", "theta", 1.0),
-    "log-eps": ("log_eps", "eps", "epsilon", None),
-    "scad": ("scad", "theta", "theta", 3.7),
-    "mcp": ("mcp", "gamma", "gamma", None),
-    "capped-l1": ("capped_l1", "theta", "theta", 1.0),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,14 +50,16 @@ def _add_common(sub: argparse.ArgumentParser, one_trace: bool) -> None:
     data.add_argument("--seed", type=int, default=0, help="generator seed")
 
     model = sub.add_argument_group("model")
-    model.add_argument("--loss", choices=("ls", "logistic"), default="logistic")
-    model.add_argument("--penalty", choices=tuple(_PENALTIES), default="log-eps")
+    model.add_argument("--loss", choices=tuple(_LOSSES), default="logistic")
+    model.add_argument("--penalty", choices=[k.replace("_", "-") for k in _KINDS],
+                       default="log-eps")
     model.add_argument("--lambda", dest="lam", type=float, default=0.1,
                        help="penalty weight")
-    model.add_argument("--theta", type=float, default=None,
-                       help="shape for log / scad / capped-l1")
-    model.add_argument("--gamma", type=float, default=3.0, help="mcp shape")
-    model.add_argument("--epsilon", type=float, default=0.5, help="log-eps offset")
+    # each shape flag's dest is a penalty field; unset, the penalty's default applies
+    model.add_argument("--theta", type=float, help="shape for log / scad / capped-l1")
+    model.add_argument("--gamma", type=float, help="mcp shape")
+    model.add_argument("--epsilon", dest="eps", metavar="EPSILON", type=float,
+                       help="log-eps offset")
 
     solver = sub.add_argument_group("solver")
     if one_trace:
@@ -107,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_problem(args) -> ProblemInstance:
-    task = "regression" if args.loss == "ls" else "classification"
+    task = _LOSSES[args.loss].task
     if args.data:
         data = read_libsvm(args.data, task=task)
     else:
         spec = SyntheticSpec(n=args.n, p=args.p, sparsity=args.sparsity,
                              noise_sd=args.noise_sd, seed=args.seed, task=task)
         data, _ = synth_generate(spec)
-    kind, field, flag, unset = _PENALTIES[args.penalty]
-    shape = getattr(args, flag)
-    penalty = make_penalty(kind, args.lam, **{field: unset if shape is None else shape})
-    return ProblemInstance(loss=make_loss(args.loss, data), penalty=penalty)
+    kind = args.penalty.replace("-", "_")
+    # lam and the shape field; an unset shape flag takes the penalty's default
+    params = {f.name: v for f in fields(_KINDS[kind]) if (v := getattr(args, f.name)) is not None}
+    return ProblemInstance(loss=make_loss(args.loss, data), penalty=make_penalty(kind, **params))
 
 
 def _solve(prob: ProblemInstance, args, scheme: str | None = None,

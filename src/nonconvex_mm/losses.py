@@ -16,9 +16,10 @@ immutable after construction, so instances can be shared freely across
 concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
 loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are
 its two halves, and the solvers need nothing else of a loss (the
-gradient at an extrapolated MM anchor is formed in ``run_mm``).  Each
-loss builds the transposed design once, so a sparse CSR design does
-not build a new CSC view on every gradient.
+gradient at an extrapolated MM anchor is formed in ``run_mm``).  Both
+share one constructor, which refuses data of another ``task`` than the
+loss's (a class attribute) and builds the transposed design once, so a
+sparse CSR design does not build a new CSC view on every gradient.
 
 A ``Dataset`` caches the least-squares Gram pair (X^T X / n, X^T y / n),
 its spectrum and its top eigenvalue the first time each is asked for.
@@ -249,36 +250,47 @@ def least_squares_strong_convexity(data: Dataset) -> float:
     return float(data.gram_spectrum[0])
 
 
-def _check_dim(w: np.ndarray, p: int) -> np.ndarray:
+def _vector(w, p: int, name: str = "w") -> np.ndarray:
+    """w as a flat float array, refused unless it has length p; w itself
+    when it already is one."""
     w = np.asarray(w, dtype=float).ravel()
     if w.shape[0] != p:
-        raise ValueError(f"weight vector has length {w.shape[0]}, expected {p}")
+        raise ValueError(f"{name} has length {w.shape[0]}, expected {p}")
     return w
 
 
-class LeastSquaresLoss:
-    """f(w) = ||X w - y||^2 / (2n) on regression data."""
-
-    kind = "ls"
+class _Loss:
+    """What both losses share: ``data``, whose ``Dataset.task`` must be the
+    loss's class attribute ``task`` (else ``_wrong_task`` is raised), the
+    transposed design ``_xt``, and ``value`` and ``gradient``, the two
+    halves of the subclass's ``value_and_grad``."""
 
     def __init__(self, data: Dataset):
-        if data.task != "regression":
-            raise ValueError("least-squares loss needs regression targets")
+        if data.task != self.task:
+            raise ValueError(self._wrong_task)
         self.data = data
         self._xt = data.X.T
-
-    def value_and_grad(self, w) -> tuple[float, np.ndarray]:
-        """f(w) and grad f(w) from one residual r = X w - y."""
-        w = _check_dim(w, self.data.p)
-        r = np.asarray(self.data.X @ w).ravel() - self.data.y
-        grad = np.asarray(self._xt @ r).ravel() / self.data.n
-        return float(np.vdot(r, r)) / (2.0 * self.data.n), grad
 
     def value(self, w) -> float:
         return self.value_and_grad(w)[0]
 
     def gradient(self, w) -> np.ndarray:
         return self.value_and_grad(w)[1]
+
+
+class LeastSquaresLoss(_Loss):
+    """f(w) = ||X w - y||^2 / (2n) on regression data."""
+
+    kind = "ls"
+    task = "regression"
+    _wrong_task = "least-squares loss needs regression targets"
+
+    def value_and_grad(self, w) -> tuple[float, np.ndarray]:
+        """f(w) and grad f(w) from one residual r = X w - y."""
+        w = _vector(w, self.data.p)
+        r = np.asarray(self.data.X @ w).ravel() - self.data.y
+        grad = np.asarray(self._xt @ r).ravel() / self.data.n
+        return float(np.vdot(r, r)) / (2.0 * self.data.n), grad
 
     @property
     def lipschitz(self) -> float:
@@ -287,21 +299,20 @@ class LeastSquaresLoss:
         return self.data.gram_top_eigenvalue
 
 
-class LogisticLoss:
+class LogisticLoss(_Loss):
     """f(w) = mean(log(1 + exp(-y_i x_i^T w))) on {-1,+1} labels."""
 
     kind = "logistic"
+    task = "classification"
+    _wrong_task = "logistic loss needs classification labels"
 
-    def __init__(self, data: Dataset):
-        if data.task != "classification":
-            raise ValueError("logistic loss needs classification labels")
-        self.data = data
-        self._xt = data.X.T
-        self._neg_y = -data.y
+    @cached_property
+    def _neg_y(self) -> np.ndarray:
+        return -self.data.y
 
     def value_and_grad(self, w) -> tuple[float, np.ndarray]:
         """f(w) and grad f(w) from one set of margins y_i x_i^T w."""
-        w = _check_dim(w, self.data.p)
+        w = _vector(w, self.data.p)
         n = self.data.n
         # z = -y * (X w), in place in the fresh product
         z = np.asarray(self.data.X @ w).ravel()
@@ -321,12 +332,6 @@ class LogisticLoss:
         sigmoid *= self._neg_y
         sigmoid /= n
         return float(np.add.reduce(z) / n), np.asarray(self._xt @ sigmoid).ravel()
-
-    def value(self, w) -> float:
-        return self.value_and_grad(w)[0]
-
-    def gradient(self, w) -> np.ndarray:
-        return self.value_and_grad(w)[1]
 
     @cached_property
     def lipschitz(self) -> float:

@@ -100,6 +100,7 @@ import numpy as np
 # importable from this module: perfbench/tracer.py patches them on it
 from .diagnostics import (_kkt_distance, _norm, _step_subgradient,  # noqa: F401
                           kkt_residual, subgradient_residual)
+from .losses import _vector
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -452,15 +453,6 @@ def _gradient_at_y(beta: float, g: np.ndarray, g_prev: np.ndarray) -> np.ndarray
     return (1.0 + beta) * g - beta * g_prev
 
 
-def _start_point(w0, p: int, name: str = "w0") -> np.ndarray:
-    """The start point w0 as a flat float array (zeros when None), refused
-    unless it has length p; w0 itself when it already is one."""
-    w = np.zeros(p) if w0 is None else np.asarray(w0, dtype=float).ravel()
-    if w.shape[0] != p:
-        raise ValueError(f"{name} has length {w.shape[0]}, expected {p}")
-    return w
-
-
 def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     lf = prob.loss.lipschitz
     mu = config.mu_override if config.mu_override is not None else config.rho * lf
@@ -695,8 +687,8 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
 
     # the start point is a copy, held by the generator only: with no finite
     # step, final_w is the start point
-    _record(trace, rows(_start_point(w0, prob.p).copy()), config.max_iter, config.tol,
-            lambda w, g: _kkt_distance(w, g, pen))
+    _record(trace, rows(np.zeros(prob.p) if w0 is None else _vector(w0, prob.p, "w0").copy()),
+            config.max_iter, config.tol, lambda w, g: _kkt_distance(w, g, pen))
     trace.meta.update(gamma=gamma, residual_lipschitz=bound_lipschitz,
                       descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8,
                       loss_evals=loss_evals, extrapolated_steps=extrapolated,

@@ -75,9 +75,10 @@ def _as_float_array(t) -> tuple[np.ndarray, bool]:
 class Penalty:
     """Base class: scalar penalty with value, derivative, and exact prox.
 
-    Subclasses are frozen dataclasses whose fields are ``lam`` and the
-    shape parameters, each required positive and finite; a linearizable
-    penalty's ``deriv_lipschitz()`` must be finite too.
+    Subclasses are frozen dataclasses whose fields are ``lam`` and one
+    shape parameter with its default value, each required positive and
+    finite; so must be the knot where SCAD and MCP turn flat and a
+    linearizable penalty's ``deriv_lipschitz()``.
     """
 
     kind = "base"
@@ -93,7 +94,7 @@ class Penalty:
         # NaN passes the sign test; a float ** or / may raise on overflow
         # (LogPenalty's scale overflows into its deriv_lipschitz)
         try:
-            constants = [*params.values()]
+            constants = [*params.values(), self._knot()]
             if self.supports_linearization:
                 constants.append(self.deriv_lipschitz())
             finite = all(map(math.isfinite, constants))
@@ -103,9 +104,14 @@ class Penalty:
             shape = ", ".join(f"{k}={v!r}" for k, v in params.items() if k != "lam")
             raise ValueError(
                 f"{type(self).__name__}: {shape} with lam={self.lam!r} is out of range: "
-                "every parameter and, for a linearizable penalty, the Lipschitz constant "
+                "every parameter, the knot where SCAD (theta*lam) or MCP (lam*gamma) "
+                "turns flat and, for a linearizable penalty, the Lipschitz constant "
                 "of its derivative must be finite in double precision"
             )
+
+    def _knot(self) -> float:
+        """The argument from which zeta is flat, for SCAD and MCP; 0 else."""
+        return 0.0
 
     # --- subclass surface -------------------------------------------------
     def _value(self, t: np.ndarray) -> np.ndarray:
@@ -267,7 +273,7 @@ class LogPenalty(Penalty):
     """Normalized log penalty lam * log(1 + theta*t) / log(theta + 1)."""
 
     lam: float
-    theta: float
+    theta: float = 1.0
     kind = "log"
 
     @property
@@ -276,7 +282,14 @@ class LogPenalty(Penalty):
         return self.lam / math.log1p(self.theta)
 
     def _value(self, t):
-        return self._scale * np.log1p(self.theta * t)
+        if self.theta <= 1.0:
+            return self._scale * np.log1p(self.theta * t)
+        # theta*t may pass the largest double, where log1p(theta*t) is still
+        # finite: log(t) + log(theta)
+        with np.errstate(over="ignore", divide="ignore"):
+            u = self.theta * t
+            log1p_u = np.where(u < np.inf, np.log1p(u), np.log(t) + math.log(self.theta))
+        return self._scale * log1p_u
 
     def _deriv(self, t):
         # scale*theta / (1 + theta*t), built in its output buffer; out= keeps
@@ -305,11 +318,17 @@ class LogEpsilonPenalty(Penalty):
     """
 
     lam: float
-    eps: float
+    eps: float = 0.5
     kind = "log_eps"
 
     def _value(self, t):
-        return self.lam * np.log1p(t / self.eps)
+        if self.eps >= 1.0:
+            return self.lam * np.log1p(t / self.eps)
+        # as in LogPenalty: t/eps may overflow where log1p(t/eps) is finite
+        with np.errstate(over="ignore", divide="ignore"):
+            u = t / self.eps
+            log1p_u = np.where(u < np.inf, np.log1p(u), np.log(t) - math.log(self.eps))
+        return self.lam * log1p_u
 
     def _deriv(self, t):
         return self.lam / (t + self.eps)
@@ -328,7 +347,7 @@ class ScadPenalty(Penalty):
     """SCAD: linear up to lam, quadratic blend, then flat at (theta+1)*lam^2/2."""
 
     lam: float
-    theta: float
+    theta: float = 3.7
     kind = "scad"
 
     def __post_init__(self):
@@ -352,6 +371,9 @@ class ScadPenalty(Penalty):
 
     def deriv_lipschitz(self) -> float:
         return 1.0 / (self.theta - 1.0)
+
+    def _knot(self):
+        return self.theta * self.lam
 
     def _prox_magnitude(self, a, alpha):
         lam, th = self.lam, self.theta
@@ -381,7 +403,7 @@ class McpPenalty(Penalty):
     """MCP: lam*(t - t^2/(2*lam*gamma)) up to lam*gamma, then flat."""
 
     lam: float
-    gamma: float
+    gamma: float = 3.0
     kind = "mcp"
 
     def _value(self, t):
@@ -393,10 +415,14 @@ class McpPenalty(Penalty):
 
     def _deriv(self, t):
         lam, g = self.lam, self.gamma
-        return np.where(t < lam * g, lam - t / g, 0.0)
+        # clipped as in _value: t / g of a t past lam*g may overflow
+        return np.where(t < lam * g, lam - np.minimum(t, lam * g) / g, 0.0)
 
     def deriv_lipschitz(self) -> float:
         return 1.0 / self.gamma
+
+    def _knot(self):
+        return self.lam * self.gamma
 
     def _prox_magnitude(self, a, alpha):
         lam, g = self.lam, self.gamma
@@ -417,7 +443,7 @@ class CappedL1Penalty(Penalty):
     """Capped l1 penalty lam * min(t, theta); nondifferentiable at theta."""
 
     lam: float
-    theta: float
+    theta: float = 1.0
     kind = "capped_l1"
     supports_linearization = False
 

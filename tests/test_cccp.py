@@ -1024,6 +1024,18 @@ def test_inner_start_point_of_the_wrong_length_is_refused():
         cccp_step(np.zeros(3), prob, CccpConfig())
 
 
+@pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
+def test_box_methods_refuse_a_vector_of_the_wrong_length(box):
+    # project returned p clamped copies of a length-1 vector, and feasible
+    # compared it by broadcasting, True whatever p
+    loss = full_rank_ls(seed=31, n=40, p=6)
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=box)
+    for method, w in ((prob.project, [5.0]), (prob.feasible, [0.0]), (prob.objective, [0.0])):
+        with pytest.raises(ValueError, match="^w has length 1, expected 6$"):
+            method(np.array(w))
+    assert prob.feasible(np.zeros(6)) and prob.project(np.zeros((6, 1))).shape == (6,)
+
+
 def test_pure_convex_case_matches_reference_solver():
     loss = full_rank_ls(seed=3, n=60, p=10)
     kappa = 0.3

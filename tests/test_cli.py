@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from nonconvex_mm.cli import main
+from nonconvex_mm import (
+    CappedL1Penalty,
+    LogEpsilonPenalty,
+    LogPenalty,
+    McpPenalty,
+    ScadPenalty,
+)
+from nonconvex_mm.cli import _build_problem, build_parser, main
 
 from helpers import read_csv_columns
 
@@ -40,6 +47,42 @@ def test_solve_missing_file_exits_1(capsys):
 def test_bad_flag_exits_1(capsys):
     assert run_cli("solve", "--scheme", "z") == 1
     assert run_cli("nope") == 1
+
+
+# ------------------------------------------------------------ penalty flags
+def _penalty(*flags):
+    args = build_parser().parse_args(["solve", *SMALL, "--loss", "ls", *flags])
+    return _build_problem(args).penalty
+
+
+def test_penalty_flag_offers_the_five_families_in_order():
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    action = next(a for a in command.choices["solve"]._actions if a.dest == "penalty")
+    assert list(action.choices) == ["log", "log-eps", "scad", "mcp", "capped-l1"]
+    assert action.default == "log-eps"
+
+
+# each family, the penalty it gets with no shape flag, its own shape flag
+# and field, and the shape flags of the other families
+_FAMILIES = [
+    ("log", LogPenalty(lam=0.2, theta=1.0), "--theta", "theta", ["--gamma", "--epsilon"]),
+    ("log-eps", LogEpsilonPenalty(lam=0.2, eps=0.5), "--epsilon", "eps", ["--theta", "--gamma"]),
+    ("scad", ScadPenalty(lam=0.2, theta=3.7), "--theta", "theta", ["--gamma", "--epsilon"]),
+    ("mcp", McpPenalty(lam=0.2, gamma=3.0), "--gamma", "gamma", ["--theta", "--epsilon"]),
+    ("capped-l1", CappedL1Penalty(lam=0.2, theta=1.0), "--theta", "theta",
+     ["--gamma", "--epsilon"]),
+]
+
+
+@pytest.mark.parametrize("name, default, flag, field, others", _FAMILIES,
+                         ids=[f[0] for f in _FAMILIES])
+def test_penalty_flags_build_the_family_with_its_shape(name, default, flag, field, others):
+    assert _penalty("--penalty", name, "--lambda", "0.2") == default
+    assert _penalty("--penalty", name, "--lambda", "0.2", flag, "4.5") == type(default)(
+        lam=0.2, **{field: 4.5})
+    # another family's flag is ignored, whatever its value
+    ignored = [arg for other in others for arg in (other, "9")]
+    assert _penalty("--penalty", name, "--lambda", "0.2", *ignored) == default
 
 
 def test_solve_capped_l1_scheme_b_rejected(capsys):

@@ -574,6 +574,12 @@ def test_dataset_validation():
         LeastSquaresLoss(labels)
 
 
+@pytest.mark.parametrize("kind, task", [("ls", "regression"), ("logistic", "classification")])
+def test_loss_names_the_task_of_the_data_it_takes(kind, task):
+    loss = make_loss(kind, Dataset(X=np.eye(2), y=np.array([1.0, -1.0]), task=task))
+    assert loss.task == type(loss).task == task and loss.kind == kind
+
+
 def test_dimension_mismatch_rejected():
     d = regression(np.eye(3), np.ones(3))
     loss = LeastSquaresLoss(d)

@@ -408,6 +408,35 @@ def test_log_derivative_past_the_largest_double_is_zero_without_a_warning():
     assert lo.tolist() == hi.tolist() == [0.0, -0.0]
 
 
+@pytest.mark.parametrize("pen, huge", [
+    # lam / log1p(theta) * (log(t) + log(theta)) and lam * (log(t) - log(eps))
+    (LogPenalty(lam=0.3, theta=2.0), 0.3 / math.log1p(2.0) * (math.log(1e308) + math.log(2.0))),
+    (LogEpsilonPenalty(lam=0.3, eps=0.5), 0.3 * (math.log(1e308) - math.log(0.5))),
+], ids=["log", "log_eps"])
+def test_log_value_past_the_largest_double_is_finite_without_a_warning(pen, huge):
+    # theta * t (t / eps) overflows to inf at t = 1e308, where zeta is finite
+    t = np.array([1e308, 0.0, 1e-3, 1.0, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = pen.value(t)
+        single = pen.value(1e308)
+    assert values[0] == single == pytest.approx(huge, rel=1e-15)
+    assert round(single, 2) == (193.85 if pen.kind == "log" else 212.97)
+    # below the overflow, the formula and its bits are those of log1p
+    u = 2.0 * t[1:]
+    below = pen._scale * np.log1p(u) if pen.kind == "log" else pen.lam * np.log1p(u)
+    assert values[1:].tolist() == below.tolist()
+
+
+def test_mcp_derivative_past_a_tiny_knot_is_zero_without_a_warning():
+    # t / gamma overflowed at t = 1e10 with gamma = 1e-300, past the knot
+    pen = McpPenalty(lam=1.0, gamma=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pen.deriv(1e10) == 0.0
+        assert pen.deriv(np.array([1e10, 5e-301, 0.0])).tolist() == [0.0, 0.5, 1.0]
+
+
 @pytest.mark.parametrize("pen", [ScadPenalty(lam=0.5, theta=3.0),
                                  CappedL1Penalty(lam=0.9, theta=1.5),
                                  LogEpsilonPenalty(lam=0.4, eps=0.5),
@@ -512,6 +541,20 @@ def test_nonfinite_parameter_or_curvature_rejected(capfd, make, kwargs, shown):
     with pytest.raises(ValueError, match="is out of range"):
         make_penalty(make.kind, **kwargs)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, kwargs, shown", [
+    # theta*lam is inf: deriv(1e11) and value(1e11) read inf, not 1e10 and 1e21
+    (ScadPenalty, {"lam": 1e10, "theta": 1e300}, "theta=1e+300 with lam=10000000000.0"),
+    # lam*gamma is inf: value(1e160) read NaN
+    (McpPenalty, {"lam": 1e200, "gamma": 1e200}, "gamma=1e+200 with lam=1e+200"),
+])
+def test_penalty_whose_knot_overflows_rejected(make, kwargs, shown):
+    with pytest.raises(ValueError, match=re.escape(f"{make.__name__}: {shown} is out of range")
+                       ) as err:
+        make(**kwargs)
+    assert "the knot where SCAD (theta*lam) or MCP (lam*gamma) turns flat" in str(err.value)
 
 
 @pytest.mark.filterwarnings("error")
