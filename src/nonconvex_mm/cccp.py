@@ -40,7 +40,9 @@ nonzero entries of the vector whose norm is the exact residual, grad s
 plus the point of the subgradient interval nearest -grad s, and an
 entry's sign gives the side; so one vector per pattern point serves the
 stop test and the exchange rule.  The pivoting starts from the
-pattern of the start point and exchanges every violator; after 3
+pattern of the start point.  A start point with no free coordinate is
+that pattern's point and is checked as the first; at any other start
+point grad s is not formed.  It exchanges every violator; after 3
 exchanges that do not lower the fewest violators seen, it exchanges only
 the last violator (Murty's rule) until the count falls below that.  It ends
 when the pattern's point has an exact residual, from one Gram matvec, at
@@ -69,15 +71,19 @@ residual runs only at the start point, to confirm a stop on ||B|| <=
 inner_tol, and at the budget, so the residual an inner solve reports is
 always the exact one.
 
-For least squares the outer objective is carried, not re-evaluated: one
-``value_and_grad`` at the start point gives f(w_0) and grad f(w_0), and
-each outer step adds the exact quadratic identity
+For least squares the outer objective is carried, not re-evaluated:
+f(w_0) and grad f(w_0) are taken once, and each outer step adds the
+exact quadratic identity
 
     f(w+) = f(w) + <grad f(w) + grad f(w+), w+ - w> / 2,
 
 with grad f(w+) = grad s(w+) + grad v(w) - ridge*w+ from the inner
-solve's last gradient.  So a least-squares solve makes one full-design
-pass outside the inner loop.  The identity has no ||y||^2 term, so it
+solve's last gradient.  At the zero start f(0) = ||y||^2 / (2n) and
+grad f(0) = -b come from the Gram pair: the residual there is -y, and
+X^T (-y) is the exact negation of X^T y, so they are the bits
+``value_and_grad(0)`` returns.  Any other start point takes one
+``value_and_grad``.  So a least-squares solve makes at most one
+full-design pass, and none from 0.  The identity has no ||y||^2 term, so it
 does not cancel when the fit is tight, as the Gram form w^T G w / 2 -
 b^T w + ||y||^2 / (2n) would.  Other losses make one ``loss.value`` call
 at every outer iterate.
@@ -232,18 +238,22 @@ class DcProblem:
         w = _vector(w, self.p)
         if not self.feasible(w):
             return float("inf")
-        return self._objective_given_loss(w, self.loss.value(w))
+        return self._objective_given_loss(w, self.loss.value(w))[1]
 
-    def _objective_given_loss(self, w: np.ndarray, f: float) -> float:
-        """F(w) = f + (ridge/2)||w||^2 + r(w) for a feasible w whose loss
-        value f is already known; r(w) is the penalty's support sum, the
-        formula of ``run_mm`` and ``reg_value``, and kappa*||w||_1 with no
-        remainder.  The ridge term is added only for a nonzero ridge: an
-        ||w||^2 that overflows would make 0 * inf = NaN of it."""
+    def _objective_given_loss(self, w: np.ndarray, f: float) -> tuple[tuple | None, float]:
+        """(support, F(w)), F = f + (ridge/2)||w||^2 + r(w) for a feasible w
+        whose loss value f is already known; r(w) is the penalty's support
+        sum, the formula of ``run_mm`` and ``reg_value``, and kappa*||w||_1
+        with no remainder.  The support is the pair (indices, values) of
+        w's nonzero entries that the support sum found, for a trace row;
+        None with no remainder, which scans no support.  The ridge term is
+        added only for a nonzero ridge: an ||w||^2 that overflows would
+        make 0 * inf = NaN of it."""
         val = f + 0.5 * self.ridge * float(np.vdot(w, w)) if self.ridge else f
         if self.remainder is None:
-            return val + self.l1_weight * float(np.sum(np.abs(w)))
-        return val + self.remainder.penalty._support_sum(w)[1]
+            return None, val + self.l1_weight * float(np.sum(np.abs(w)))
+        support, r = self.remainder.penalty._support_sum(w)
+        return support, val + r
 
 
 def dc_problem_from_penalty(loss, penalty: Penalty, box=None, ridge: float = 0.0) -> DcProblem:
@@ -430,19 +440,24 @@ def _check_pattern(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.nd
 
 
 def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, box,
-                      x0: np.ndarray, g0: np.ndarray, grad_s, tol: float, budget: int):
+                      x0: np.ndarray, g0: np.ndarray | None, grad_s, tol: float,
+                      budget: int):
     """Block principal pivoting (module docstring) from the pattern of the
     start point x0, where the smooth gradient is g0.
 
-    Each pattern's point is checked once, by ``_check_pattern``.  Returns
-    ((x, g, residual), patterns) for the first pattern whose point has an
-    exact residual at most ``tol`` or no violator, or (None, patterns)
-    after ``budget`` patterns or at a free block that is not numerically
-    positive definite.
+    Each pattern's point is checked once, by ``_check_pattern``.  A start
+    point with no free coordinate is its own pattern's point, so it is
+    checked as the first; only there is g0 read, and a g0 of None is then
+    formed by one ``grad_s`` call.  Returns ((x, g, residual), patterns)
+    for the first pattern whose point has an exact residual at most
+    ``tol`` or no violator, or (None, patterns) after ``budget`` patterns
+    or at a free block that is not numerically positive definite.
     """
     state = _pattern_of(x0, box)
-    # with no free coordinate the start point is its pattern's point
-    x, g = (None, None) if (state & 1).any() else (x0, g0)
+    if (state & 1).any():
+        x = g = None
+    else:
+        x, g = x0, grad_s(x0) if g0 is None else g0
     fewest, backup, allowed = x0.size + 1, 3, None
     for patterns in range(1, budget + 1):
         if x is None:
@@ -482,19 +497,20 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
     least squares, whatever the design, the smooth gradient is
     G x - (b + grad v(w)) + ridge*x from the data set's cached Gram pair
     and ``loss.gradient`` is never called; for other losses every
-    evaluation calls ``loss.gradient``.  The exact residual runs first at
-    the projected start point, which may already be a solution.  For
-    least squares the active-set solve of the module docstring then runs
-    from the start point's pattern, with at most ``cfg.inner_max_iter``
-    patterns, and its point is returned when its exact residual is at
+    evaluation calls ``loss.gradient``.  For least squares the active-set
+    solve of the module docstring runs from the pattern of the projected
+    start point, with at most ``cfg.inner_max_iter`` patterns; it checks
+    the start point, as its pattern's point, only when no coordinate of
+    it is free.  Its point is returned when its exact residual is at
     most ``cfg.inner_tol`` or it has no violator; in the second case it
     is flagged inexact if it misses ``cfg.inner_tol``, and no proximal
     gradient step follows.
 
     When the pattern budget runs out or a free block is not numerically
     positive definite, and for every other loss, proximal gradient runs
-    from the start point.  The prox part kappa*|.|_1 + delta_box has the
-    exact clamp-after-soft-threshold prox.
+    from the start point, whose exact residual it computes first: the
+    start point may already be a solution.  The prox part kappa*|.|_1 +
+    delta_box has the exact clamp-after-soft-threshold prox.
     Each step x -> prox(x - grad s(x) / L_k) takes its curvature L_k in
     [gamma_u, L_f + ridge] from ``_curvature_search``, starting at
     L_f + ridge.  The loop stops once the step's certificate
@@ -528,17 +544,19 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
         return x_next, grad_s(x_next)
 
     x = prob.project(w)
-    g = grad_s(x)
-    resid = _subproblem_residual(x, g, kappa, box)
-    if gram is not None and resid > tol:
-        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, g, grad_s,
-                                             tol, cfg.inner_max_iter)
+    if gram is not None:
+        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, None,
+                                             grad_s, tol, cfg.inner_max_iter)
         if answer is not None:
             (x, g, resid), solved = answer, 1
     it = 0
-    if resid > tol and not solved:
-        # only proximal gradient needs L_f, which may cost a Lanczos solve
-        L = lip = prob.loss.lipschitz + ridge
+    if not solved:
+        # proximal gradient, from the start point, which may already solve
+        g = grad_s(x)
+        resid = _subproblem_residual(x, g, kappa, box)
+        if resid > tol:
+            # only proximal gradient steps need L_f, which may cost a Lanczos solve
+            L = lip = prob.loss.lipschitz + ridge
         while resid > tol and it < cfg.inner_max_iter:
             it += 1
             L_step, (x_next, g_next), L, d, *_ = _curvature_search(trial, x, g, L, lip,
@@ -572,12 +590,14 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     ``final_w`` the last finite iterate, and that step's inner solve is
     not listed in ``meta``.
 
-    For least squares the objective column comes from one
-    ``value_and_grad`` at the start point, carried forward by the exact
+    For least squares the objective column starts from f and grad f at
+    the start point, from the Gram pair when that point is 0 and else
+    from one ``value_and_grad``, and is carried forward by the exact
     quadratic identity of the module docstring with the gradient each
     inner solve returns; other losses make one ``loss.value`` call at
-    every iterate.  Every row's F is ``DcProblem._objective_given_loss``
-    of that loss value.  ``kkt`` evaluates nothing: the last inner solve's
+    every iterate.  Every row's F, and the support of its iterate that
+    the trace stores, come from ``DcProblem._objective_given_loss`` of
+    that loss value.  ``kkt`` evaluates nothing: the last inner solve's
     gradient plus the last linearization gap is the DC objective's smooth
     gradient at the final iterate.  Only a run whose first step is not
     finite spends one ``loss.gradient`` and one grad v on ``kkt`` at the
@@ -601,9 +621,18 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     def rows(w):
         """The start point's row, then one row per outer step (see
         ``mm._record``)."""
-        f, g_f = prob.loss.value_and_grad(w) if carry else (prob.loss.value(w), None)
+        if not carry:
+            f, g_f = prob.loss.value(w), None
+        elif w.any():
+            f, g_f = prob.loss.value_and_grad(w)
+        else:
+            # at 0 the residual is -y: f(0) = ||y||^2 / (2n) and grad f(0) = -b
+            # are the bits value_and_grad(0) returns, with no pass over X
+            data = prob.loss.data
+            f, g_f = float(np.vdot(data.y, data.y)) / (2.0 * data.n), -data.gram[1]
+        support, F = prob._objective_given_loss(w, f)
         # no gradient: ``kkt`` forms it only if the run ends at w
-        yield w, None, prob._objective_given_loss(w, f), 0.0, 0.0, None, None, None, None
+        yield w, None, F, 0.0, 0.0, None, None, support, None
         g_v = prob.v_grad(w)
         while True:
             w_next, info = cccp_step(w, prob, cfg, g_v)
@@ -622,9 +651,10 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             g_v_next = prob.v_grad(w_next)
             gap = g_v - g_v_next
             gap_norm = _norm(gap)
+            support, F = prob._objective_given_loss(w_next, f)
             # grad s(w+) plus the gap is the DC objective's smooth gradient at w+
-            yield (w_next, info.smooth_grad + gap, prob._objective_given_loss(w_next, f),
-                   _norm(delta), gap_norm, None, None, None, gap_norm + info.residual)
+            yield (w_next, info.smooth_grad + gap, F, _norm(delta), gap_norm, None, None,
+                   support, gap_norm + info.residual)
             w, g_v = w_next, g_v_next
 
     def kkt(w, g):

@@ -94,7 +94,12 @@ class Penalty:
         # NaN passes the sign test; a float ** or / may raise on overflow
         # (LogPenalty's scale overflows into its deriv_lipschitz)
         try:
-            constants = [*params.values(), self._knot()]
+            knot = self._knot()
+            constants = [*params.values(), knot]
+            if knot:
+                # every product in the SCAD and MCP value formulas is at most
+                # 2*max(knot, lam)^2, so no finite t makes zeta(t) overflow
+                constants.append(2.0 * max(knot, self.lam) ** 2)
             if self.supports_linearization:
                 constants.append(self.deriv_lipschitz())
             finite = all(map(math.isfinite, constants))
@@ -105,8 +110,9 @@ class Penalty:
             raise ValueError(
                 f"{type(self).__name__}: {shape} with lam={self.lam!r} is out of range: "
                 "every parameter, the knot where SCAD (theta*lam) or MCP (lam*gamma) "
-                "turns flat and, for a linearizable penalty, the Lipschitz constant "
-                "of its derivative must be finite in double precision"
+                "turns flat, 2*max(knot, lam)**2, which bounds every product in their "
+                "values, and, for a linearizable penalty, the Lipschitz constant of "
+                "its derivative must be finite in double precision"
             )
 
     def _knot(self) -> float:

@@ -701,7 +701,8 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
     # proximal gradient stops at the first step whose ||B|| passes; its
     # exact residual runs at the start, to confirm a stop and at the budget.
     # The active-set solve checks the exact residual of each pattern's
-    # point and stops at the first that passes
+    # point and stops at the first that passes; a start point with a free
+    # coordinate is not a pattern's point, and is not checked
     search, exact = cccp_module._curvature_search, cccp_module._subproblem_residual
     pattern_solve, check = cccp_module._pattern_solve, cccp_module._check_pattern
     events = []
@@ -739,7 +740,6 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
         kinds = [kind for kind, _ in events]
         certs = [v for kind, v in events if kind == "cert"]
         residuals = [v for kind, v in events if kind == "residual"]
-        assert kinds[0] == "residual" and residuals[0] > tol
         # every exact residual but the last missed; the last one stopped it
         assert all(r > tol for r in residuals[:-1])
         assert residuals[-1] == info.residual <= tol
@@ -748,9 +748,10 @@ def test_inner_solve_stops_at_the_first_step_its_certificate_passes(monkeypatch)
             # w has no zero and no coordinate at a bound: every pattern is
             # solved, and each solve is followed by its residual
             assert info.iterations == 0 and info.active_set_solved == 1
-            assert kinds[1:] == ["pattern", "residual"] * info.patterns
+            assert kinds == ["pattern", "residual"] * info.patterns
             assert info.patterns > 1
         else:
+            assert kinds[0] == "residual" and residuals[0] > tol
             assert info.patterns == info.active_set_solved == 0 and len(certs) > 1
             for before, kind in zip(events, kinds[1:]):
                 if kind == "residual":
@@ -928,16 +929,60 @@ def test_step_from_a_nan_start_point_is_flagged_inexact():
 def test_least_squares_run_evaluates_the_loss_once_outside_the_inner_loop(make):
     # a wide design (p > n) and a sparse one with p*p > nnz(X) too: every
     # least-squares inner solve works on the Gram pair, with no loss
-    # evaluation and no proximal-gradient step
+    # evaluation and no proximal-gradient step.  The start point is 0,
+    # whose f and grad f come from the Gram pair, so the loss is never
+    # evaluated
     loss, prob = make()
     evals = count_calls(loss, "value_and_grad")
     values = count_calls(loss, "value")
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     assert trace.converged and trace.num_steps() > 5
-    assert values[0] == 0 and evals[0] == 1
+    assert values[0] == 0 and evals[0] == 0
     assert trace.meta["inner_iterations"] == [0] * trace.num_steps()
     # only proximal gradient reads L_f, and its eigen-solve never runs
     assert "gram_top_eigenvalue" not in loss.data.__dict__
+
+
+@pytest.mark.parametrize("make", [_tall_boxed_problem, _short_sparse_problem],
+                         ids=["dense", "csr"])
+def test_zero_start_takes_the_bits_of_value_and_grad_from_the_gram_pair(make):
+    # at 0 the residual is -y, and X^T (-y) is the exact negation of X^T y
+    # in the dense and the sparse kernel: the first row's F and grad f are
+    # those of value_and_grad(0), and the second row's F, which carries
+    # grad f(0) forward, is too
+    loss, prob = make()
+    zero = np.zeros(prob.p)
+    f0, g0 = loss.value_and_grad(zero)
+    np.testing.assert_array_equal(-loss.data.gram[1], g0)
+    np.testing.assert_array_equal(np.signbit(-loss.data.gram[1]), np.signbit(g0))
+    evals = count_calls(loss, "value_and_grad")
+    cfg = CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300)
+    trace = run_cccp(prob, cfg)
+    assert evals[0] == 0 and trace.num_steps() > 1
+    assert trace.objective[0] == prob._objective_given_loss(zero, f0)[1]
+    w1, info = cccp_step(zero, prob, cfg)
+    # grad f(w1) = grad s(w1) + grad v(0), with no ridge
+    f1 = f0 + 0.5 * float(np.vdot(g0 + info.smooth_grad + prob.v_grad(zero), w1))
+    assert trace.objective[1] == prob._objective_given_loss(w1, f1)[1]
+
+
+@pytest.mark.parametrize("start", ["nonzero-w0", "box-excludes-0"])
+def test_least_squares_run_from_a_nonzero_start_evaluates_the_loss_once(start):
+    loss = full_rank_ls(seed=29)
+    pen = McpPenalty(lam=0.25, gamma=3.0)
+    if start == "nonzero-w0":
+        prob = dc_problem_from_penalty(loss, pen, box=(-0.3, 0.3))
+        w0 = np.full(prob.p, 0.1)
+    else:
+        # the zero start projects onto the lower bound 0.05
+        prob = dc_problem_from_penalty(loss, pen, box=(0.05, 0.3))
+        w0 = None
+    evals = count_calls(loss, "value_and_grad")
+    trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300), w0)
+    assert evals[0] == 1 and trace.converged
+    start_point = prob.project(np.zeros(prob.p) if w0 is None else w0)
+    assert start_point.all()
+    assert trace.objective[0] == prob.objective(start_point)
 
 
 @pytest.mark.parametrize("make", [_tall_boxed_problem, _tall_ridge_problem,
@@ -974,7 +1019,8 @@ def test_run_records_the_face_solves_of_every_inner_solve(make):
         # whatever the design's shape or sparsity
         assert solved == [int(t > 0) for t in patterns] and sum(solved) > 0
         assert meta["inner_iterations"] == [0] * steps
-        assert evals[0] == 1
+        # the zero start takes f and grad f from the Gram pair
+        assert evals[0] == 0
     else:
         # other losses run proximal gradient only
         assert sum(patterns) == 0

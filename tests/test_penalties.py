@@ -558,6 +558,26 @@ def test_penalty_whose_knot_overflows_rejected(make, kwargs, shown):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, kwargs, shown", [
+    # value([1e159, 2e160]) read NaN: the quadratic piece and lam*lam overflow
+    (McpPenalty, {"lam": 1e160, "gamma": 3.0}, "gamma=3.0 with lam=1e+160"),
+    # value(2e160) read NaN
+    (ScadPenalty, {"lam": 1e160, "theta": 3.7}, "theta=3.7 with lam=1e+160"),
+    # value(1e160) read NaN, where the flat value 5e299 is finite
+    (ScadPenalty, {"lam": 1e140, "theta": 1e20}, "theta=1e+20 with lam=1e+140"),
+    # value(1e150) read inf with no warning, where zeta is 5e299
+    (McpPenalty, {"lam": 1e155, "gamma": 1e-10}, "gamma=1e-10 with lam=1e+155"),
+])
+def test_penalty_whose_value_products_overflow_rejected(make, kwargs, shown):
+    # each knot is finite; 2*max(knot, lam)^2, which bounds every product in
+    # the SCAD and MCP values, is not
+    with pytest.raises(ValueError, match=re.escape(f"{make.__name__}: {shown} is out of range")
+                       ) as err:
+        make(**kwargs)
+    assert "2*max(knot, lam)**2, which bounds every product in their values" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error")
 def test_log_penalty_with_tiny_theta_is_the_l1_limit(capfd):
     # log(theta + 1.0) is 0 here; log1p keeps the normalizer, and the prox
     # root never squares 1/theta, so nothing overflows
