@@ -103,7 +103,8 @@ is the top of the same spectrum, so no Lanczos solve runs.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -111,7 +112,8 @@ from scipy.linalg.lapack import dposv
 from .diagnostics import _interval_distance, _interval_gap, _norm, _step_subgradient
 from .losses import (LeastSquaresLoss, RankDeficientError, _vector,
                      least_squares_strong_convexity)
-from .mm import IterateTrace, SparseIterates, _curvature_search, _record, _soft_threshold
+from .mm import (IterateTrace, SparseIterates, _curvature_search, _record, _Row,
+                 _soft_threshold, _start_point)
 from .penalties import Penalty, UnsupportedPenaltyError
 
 __all__ = [
@@ -309,22 +311,24 @@ class CccpConfig:
                              "the outer stop may never pass; use tol = 0 to run the budget")
 
 
-@dataclass(frozen=True)
-class InnerSolveInfo:
+class InnerSolveInfo(NamedTuple):
     """How an inner solve ended.  ``residual`` is the exact first-order
     residual of the subproblem at the returned point, and ``smooth_grad``
     the gradient of its smooth part there.  ``iterations`` counts the
-    proximal-gradient steps; ``patterns`` the patterns of the active-set
-    solve, the start point's included, and ``active_set_solved`` (0 or 1)
-    whether the returned point is its answer."""
+    proximal-gradient steps, ``gradient_evals`` the smooth-gradient
+    evaluations; ``patterns`` the patterns of the active-set solve, the
+    start point's included, and ``active_set_solved`` (0 or 1) whether the
+    returned point is its answer.  ``inexact`` says whether the residual
+    misses ``inner_tol``.  The fields before ``smooth_grad`` are, in their
+    order, the inner-solve facts of a ``run_cccp`` row (``mm._Row``)."""
 
     residual: float
     iterations: int
-    inexact: bool
     gradient_evals: int
-    patterns: int = 0
-    active_set_solved: int = 0
-    smooth_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
+    patterns: int
+    active_set_solved: int
+    inexact: bool
+    smooth_grad: np.ndarray
 
 
 def _subdiff_interval(x: np.ndarray, kappa: float, box):
@@ -566,7 +570,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
             if _norm(B) <= tol or it == cfg.inner_max_iter:
                 resid = _subproblem_residual(x, g, kappa, box)
     # not <=: a NaN residual (from a NaN start point) is no solve
-    return x, InnerSolveInfo(resid, it, not resid <= tol, evals, patterns, solved, g)
+    return x, InnerSolveInfo(resid, it, evals, patterns, solved, not resid <= tol, g)
 
 
 def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
@@ -581,14 +585,20 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     residual of the DC objective at the final iterate) and, per recorded
     step, its inner solve's residual, proximal-gradient steps, gradient
     evaluations, active-set patterns solved and whether the active-set
-    point ended it.
+    point ended it (``inner_residuals`` and the four lists after it), and
+    ``any_inexact``.  Each step's row carries its inner solve's info as
+    its inner facts (``mm._Row``), and the lists are those facts over the
+    recorded steps.
 
     The rows are recorded by ``mm._record``, the run loop ``run_mm``
-    shares, with its stop rule.  A non-finite objective at the start
-    raises ``FloatingPointError``.  One later in the run ends it with
-    ``stop_reason="nonfinite"``: the trace keeps every finite row, with
-    ``final_w`` the last finite iterate, and that step's inner solve is
-    not listed in ``meta``.
+    shares, with its stop rule.  The start point is the projection of w0
+    onto the box, and one that is not finite is refused with
+    ``ValueError`` before any evaluation; a finite box clamps an
+    infinite entry of w0 to its bound.  A non-finite objective at the
+    start raises ``FloatingPointError``.  One later in the run ends it
+    with ``stop_reason="nonfinite"``: the trace keeps every finite row,
+    with ``final_w`` the last finite iterate, and that step's inner
+    solve, whose row is not recorded, is not listed in ``meta``.
 
     For least squares the objective column starts from f and grad f at
     the start point, from the Gram pair when that point is 0 and else
@@ -614,9 +624,6 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
         "inner_tol": cfg.inner_tol,
     }
     carry = isinstance(prob.loss, LeastSquaresLoss)
-    # per step, its inner solve's (residual, iterations, gradient_evals,
-    # patterns, active_set_solved, inexact), without the p-vector gradient
-    inner = []
 
     def rows(w):
         """The start point's row, then one row per outer step (see
@@ -632,12 +639,10 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             f, g_f = float(np.vdot(data.y, data.y)) / (2.0 * data.n), -data.gram[1]
         support, F = prob._objective_given_loss(w, f)
         # no gradient: ``kkt`` forms it only if the run ends at w
-        yield w, None, F, 0.0, 0.0, None, None, support, None
+        yield _Row(w, None, F, support=support)
         g_v = prob.v_grad(w)
         while True:
             w_next, info = cccp_step(w, prob, cfg, g_v)
-            inner.append((info.residual, info.iterations, info.gradient_evals,
-                          info.patterns, info.active_set_solved, info.inexact))
             delta = w_next - w
             if carry:
                 # grad f(w+) = grad s(w+) + grad v(w) - ridge * w+
@@ -650,11 +655,12 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
                 f = prob.loss.value(w_next)
             g_v_next = prob.v_grad(w_next)
             gap = g_v - g_v_next
-            gap_norm = _norm(gap)
             support, F = prob._objective_given_loss(w_next, f)
-            # grad s(w+) plus the gap is the DC objective's smooth gradient at w+
-            yield (w_next, info.smooth_grad + gap, F, _norm(delta), gap_norm, None, None,
-                   support, gap_norm + info.residual)
+            # grad s(w+) plus the gap is the DC objective's smooth gradient at
+            # w+, and the gap's norm is the residual; the inner solve's info
+            # but its gradient is the row's inner facts
+            yield _Row(w_next, info.smooth_grad + gap, F, _norm(delta), _norm(gap), None, None,
+                       support, None, None, *info[:-1])
             w, g_v = w_next, g_v_next
 
     def kkt(w, g):
@@ -664,17 +670,13 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             g = prob.loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
         return _subproblem_residual(w, g, prob.l1_weight, prob.box)
 
-    w0 = np.zeros(prob.p) if w0 is None else _vector(w0, prob.p, "w0")
-    _record(trace, rows(prob.project(w0)), cfg.max_iter, cfg.tol, kkt)
-    # a rejected row's inner solve is not the trace's
-    steps = inner[:trace.num_steps()]
-    residuals, iterations, evals, patterns, solved, inexact = (
-        [step[j] for step in steps] for j in range(6))
+    # the guarantee: an inexact inner solve may give back up to 2 * inner_tol
+    # * ||Delta|| of the descent
+    facts = _record(trace, rows(_start_point(w0, prob.p, prob.project)), cfg.max_iter, cfg.tol,
+                    kkt, (prob.gamma_u, prob.v_lipschitz(), 2.0 * cfg.inner_tol, 1e-12, 1e-10))
     trace.meta.update(
-        inner_residuals=residuals, inner_iterations=iterations, inner_gradient_evals=evals,
-        inner_patterns=patterns, inner_active_set_solved=solved, any_inexact=any(inexact),
-        # the guarantee certify() checks; an inexact inner solve may give
-        # back up to 2 * inner_tol * ||Delta|| of the descent
-        gamma=prob.gamma_u, residual_lipschitz=prob.v_lipschitz(),
-        descent_slack=2.0 * cfg.inner_tol, descent_tol=1e-12, bound_tol=1e-10)
+        inner_residuals=facts["inner_residual"], inner_iterations=facts["inner_iterations"],
+        inner_gradient_evals=facts["inner_gradient_evals"], inner_patterns=facts["inner_patterns"],
+        inner_active_set_solved=facts["inner_active_set_solved"],
+        any_inexact=any(facts["inner_inexact"]))
     return trace

@@ -83,6 +83,18 @@ hands back its step d = w+ - anchor, in which the certificate scales by
 mu_k in place; y is built in the buffer of the momentum w - w_prev.  A
 failed trial's outputs, a rejected try's arrays and, once y and g_y are
 built, w_prev and grad f(w_prev) are dropped before the next trial.
+
+``run_mm`` and ``cccp.run_cccp`` each yield their rows as one named row
+type, ``_Row``, and record them through one run loop, ``_record``.  A row
+carries the iterate, its gradient, F, the step norm, the residual, mu_k,
+beta_k and the iterate's support, and then the facts of the step that
+produced it: here whether the step restarted the momentum and whether it
+proved L_f too low, for CCCP how its inner solve ended.  ``_record``
+commits a row's facts only when it records the row, so a row the stop
+rule rejects leaves no trace, and each solver reads its ``meta`` counts
+and lists off the facts of the recorded steps.  A new per-row fact is a
+field of ``_Row`` that the solver's generator fills; ``_record`` needs no
+change.
 """
 
 from __future__ import annotations
@@ -91,6 +103,7 @@ import math
 import numbers
 import time
 import warnings
+from collections import defaultdict, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -101,7 +114,7 @@ import numpy as np
 from .diagnostics import (_kkt_distance, _norm, _step_subgradient,  # noqa: F401
                           kkt_residual, subgradient_residual)
 from .losses import _vector
-from .penalties import Penalty, UnsupportedPenaltyError
+from .penalties import LogEpsilonPenalty, Penalty, UnsupportedPenaltyError
 
 __all__ = [
     "ProblemInstance",
@@ -370,11 +383,13 @@ def reweighted_l1_weights(w, epsilon: float, lam: float) -> np.ndarray:
     """Classical re-weighted-l1 weights lam / (|w_i| + epsilon).
 
     These are exactly zeta'(|w_i|) for ``LogEpsilonPenalty(lam, epsilon)``,
-    so scheme "b" under that penalty IS the re-weighted-l1 method.
+    so scheme "b" under that penalty IS the re-weighted-l1 method.  They
+    are that penalty's derivative, so its parameter checks apply: lam
+    must be positive and finite, and lam / epsilon^2 finite.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return lam / (np.abs(np.asarray(w, dtype=float)) + epsilon)
+    return LogEpsilonPenalty(lam, epsilon).deriv(np.abs(np.asarray(w, dtype=float)))
 
 
 # The margin c of the curvature search: a search starts at c times the
@@ -470,40 +485,91 @@ def _resolve_mu(prob: ProblemInstance, config: MmConfig) -> tuple[float, float]:
     return mu, lf
 
 
-def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt) -> None:
-    """Run a solver's row generator into ``trace``: the one run loop of
-    ``run_mm`` and ``run_cccp``.
+def _start_point(w0, p: int, project=np.copy) -> np.ndarray:
+    """The point a run starts from, a new array: w0 (0 when None) through
+    ``project``, a copy for ``run_mm`` and the box projection for
+    ``run_cccp``.  It is refused unless finite, before any evaluation."""
+    w = project(np.zeros(p) if w0 is None else _vector(w0, p, "w0"))
+    if not np.isfinite(w).all():
+        raise ValueError("w0 must be finite where the run starts")
+    return w
 
-    ``rows`` yields the start point's row, then one row per step:
-    (w, gradient, F, step norm, residual, mu_k, beta_k, support, stop
-    quantity), the first row's stop quantity unread.  A row is recorded
-    with its elapsed time since the first row was asked for.  A row whose
-    F is not finite is not recorded: at the start point it raises
-    ``FloatingPointError``, later it ends the run with
-    ``stop_reason="nonfinite"``.  Otherwise the run ends on ``"tol"``, with
-    ``trace.converged`` set, at the first step whose stop quantity is at
-    most tol, or on ``"budget"`` after max_iter steps.  ``rows`` is resumed
-    only once its last row is recorded, so a rejected row commits nothing.
-    ``final_w`` is the last recorded w and ``meta["kkt"]`` is kkt(w,
-    gradient) of its row, computed once ``rows`` is closed and has freed
-    its step's arrays.
+
+# One row of a run, as a solver's generator yields it to ``_record``: the
+# iterate w, the gradient g that ``kkt`` reads there, F(w), the step norm,
+# the residual, the step's surrogate and extrapolation weights mu and beta,
+# and w's nonzero pair for the trace (see ``SparseIterates.append``).  The
+# fields from ``restart`` on are facts of the step that produced the row,
+# None where the step has none to report:
+# - run_mm: True where the step restarted the momentum, and True where its
+#   plain step measured a curvature above L_f, so that the run keeps no
+#   fact of an ordinary step;
+# - run_cccp: how the step's inner solve ended, the fields of its
+#   ``InnerSolveInfo`` but the gradient, in their order.
+# A generator that runs hot builds its rows positionally: by keyword a row
+# costs twice as much (0.95 against 0.46 us, Python 3.11 on a 2-vCPU VM),
+# and a tuple 0.08 us.  step and res default to 0.0 and the 11 fields after
+# them to None, so a new fact adds its name and one None.
+_Row = namedtuple("_Row", "w g f step res mu beta support restart lf_failure inner_residual "
+                  "inner_iterations inner_gradient_evals inner_patterns inner_active_set_solved "
+                  "inner_inexact", defaults=(0.0, 0.0) + (None,) * 11)
+
+# the index of a row's first step fact, and the facts of a row that has none
+_FACTS = _Row._fields.index("restart")
+_NO_FACTS = (None,) * (len(_Row._fields) - _FACTS)
+
+# The meta keys of the guarantee ``certify`` checks, which ``_record`` writes
+_GUARANTEE = ("gamma", "residual_lipschitz", "descent_slack", "descent_tol", "bound_tol")
+
+
+def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt, guarantee: tuple) -> dict:
+    """Run a solver's generator of ``_Row``s into ``trace``: the one run
+    loop of ``run_mm`` and ``run_cccp``.
+
+    ``rows`` yields the start point's row, which fills no step fact, then
+    one row per step.  A row is recorded with its elapsed time since the
+    first row was asked for.  A row whose F is not finite is not
+    recorded: at the start point it raises ``FloatingPointError``, later
+    it ends the run with ``stop_reason="nonfinite"``.  Otherwise the run
+    ends on ``"tol"``, with ``trace.converged`` set, at the first step
+    whose stop quantity, its residual plus its inner residual where it
+    has one (the quantity ``certify`` reads), is at most tol, or on
+    ``"budget"`` after max_iter steps.  ``rows`` is resumed only once its
+    last row is recorded, and a row commits its step facts only when it
+    is recorded, so a rejected row commits nothing.  ``final_w`` is the
+    last recorded w and ``meta["kkt"]`` is kkt(w, g) of its row, computed
+    once ``rows`` is closed and has freed its step's arrays.  ``meta``
+    then takes the ``guarantee`` that ``certify`` checks, the values of
+    the keys ``_GUARANTEE`` in their order.
+
+    Returns the step facts of the recorded steps: a ``defaultdict(list)``
+    from each fact's field name to its values, in row order, over the
+    steps that filled it, so a fact no step filled reads as [].
     """
     t0 = time.perf_counter()
     stop_reason = "budget"
-    for k, (w, g, f, step, res, mu_k, beta, support, stop) in zip(range(max_iter + 1), rows):
-        if not math.isfinite(f):
+    facts = defaultdict(list)
+    for k, row in zip(range(max_iter + 1), rows):
+        if not math.isfinite(row.f):
             if not k:
                 raise FloatingPointError("objective is not finite at the starting point")
             stop_reason = "nonfinite"
             break
-        trace.append(k, f, step, res, time.perf_counter() - t0, w, mu_k, beta, support=support)
-        last = w, g
-        if k and stop <= tol:
+        trace.append(k, row.f, row.step, row.res, time.perf_counter() - t0, row.w, row.mu,
+                     row.beta, row.support)
+        last = row
+        if row[_FACTS:] != _NO_FACTS:
+            for name, fact in zip(_Row._fields[_FACTS:], row[_FACTS:]):
+                if fact is not None:
+                    facts[name].append(fact)
+        if k and row.res + (row.inner_residual or 0.0) <= tol:
             trace.converged, stop_reason = True, "tol"
             break
     rows.close()
-    trace.final_w = last[0]
-    trace.meta.update(stop_reason=stop_reason, kkt=kkt(*last))
+    trace.final_w = last.w
+    trace.meta.update(stop_reason=stop_reason, kkt=kkt(last.w, last.g))
+    trace.meta.update(zip(_GUARANTEE, guarantee))
+    return facts
 
 
 def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
@@ -523,21 +589,25 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     step).  ``trace.meta`` records why the run stopped
     (``stop_reason``), the guarantee ``certify`` checks, ``kkt`` at the
     final iterate, ``loss_evals`` (the loss evaluations of the curvature
-    searches, one per trial), ``extrapolated_steps`` (the
-    accepted ones), ``restarts`` (the momentum resets: rejected tries
-    and those skipped by the gradient restart) and
+    searches, one per trial, the rejected last step's included) and,
+    counted over the recorded steps, ``extrapolated_steps`` (those with
+    beta_k > 0), ``restarts`` (the momentum resets: rejected tries and
+    those skipped by the gradient restart) and
     ``lf_curvature_failures``: the plain steps taken unchecked at L_k =
     L_f along which <grad f(w+) - grad f(w), w+ - w> > L_f ||w+ - w||^2,
     each a proof that L_f (for least squares a Lanczos estimate, which
     can only be low) is no Lipschitz constant of grad f.  Extrapolated
-    tries do not count: their gradient g_y is an estimate.
+    tries do not count: their gradient g_y is an estimate.  The last two
+    are the ``restart`` and ``lf_failure`` facts of the rows (``_Row``).
 
     The rows are recorded by ``_record``, the run loop ``run_cccp``
     shares, which sets the stop rule: ``stop_reason`` is "tol", "budget"
-    or "nonfinite".  A non-finite objective at the start raises
-    ``FloatingPointError``.  One later in the run ends it with
-    ``stop_reason="nonfinite"``: the trace keeps every finite row, so the
-    non-finite objective belongs to iteration ``len(trace)`` and
+    or "nonfinite".  A w0 that is not finite, a mu that is not positive
+    and finite and a scheme "b" whose penalty cannot be linearized are
+    refused before the loss is evaluated, and a non-finite objective at
+    the start raises ``FloatingPointError``.  One later in the run ends it
+    with ``stop_reason="nonfinite"``: the trace keeps every finite row, so
+    the non-finite objective belongs to iteration ``len(trace)`` and
     ``final_w`` is the last finite iterate, where ``kkt`` is evaluated.
 
     Beyond the data and the trace, a run holds about 8.4 arrays of
@@ -564,26 +634,27 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     # slack the search is pinned at L_f and no step is extrapolated
     gamma = mu - lf
     l_min = 0.0 if gamma > 0 else lf
-    loss_evals = extrapolated = restarts = lf_failures = 0
-    bound_lipschitz = None
+    # refused before any evaluation: a mu that is not positive and finite, and
+    # scheme b with a penalty that cannot be linearized
+    _check_step(mu, pen, linearize)
+    # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
+    # enters only when r is linearized
+    bound_lipschitz = mu + lf + (pen.deriv_lipschitz() if linearize else 0.0)
+    loss_evals = 0
 
     def rows(w):
         """The start point's row, then one row per step from it (see
         ``_record``).  The run's state lives in this generator, so closing
         it frees every array of the last step."""
-        nonlocal extrapolated, restarts, bound_lipschitz
         f_loss, g = loss.value_and_grad(w)
         support, r_w = pen._support_sum(w)
         f_curr = f_loss + r_w
-        yield w, g, f_curr, 0.0, _kkt_distance(w, g, pen), None, None, support, None
-        _check_step(mu, pen, linearize)
+        yield _Row(w, g, f_curr, 0.0, _kkt_distance(w, g, pen), support=support)
         # the step from w needs g = grad f(w) and, for scheme b, omega = zeta'(|w|)
         omega = zeta_prime(np.abs(w)) if linearize else None
-        # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
-        # enters only when r is linearized
-        bound_lipschitz = mu + lf + (pen.deriv_lipschitz() if linearize else 0.0)
+        # w_prev and g_prev are set once a step is taken, before any try reads
+        # them: the first step has t = 1, so beta = 0
         l_start, t = lf, 1.0
-        w_prev = g_prev = None
 
         def mm_step(x, g_x, omega_x):
             """The curvature-searched step from the anchor x: the new iterate
@@ -616,9 +687,9 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             _, B = _step_subgradient(z, d, g_z, g_x, mu_k, omega_x)
             return omega_z, _norm(B)
 
-        # Each step below returns its row (z, grad f(z), F(z), zeta'(|z|), mu_k,
-        # the next search's start, ||z - w||, ||B||, z's support); the arrays
-        # of a rejected try or a finished certificate die on return.
+        # Each step below returns its row, zeta'(|z|) for scheme b and the
+        # next search's start; the arrays of a rejected try or a finished
+        # certificate die on return.
 
         def extrapolated_step(beta):
             """The safeguarded step from y = w + beta (w - w_prev), None when the
@@ -649,48 +720,41 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             omega_z, res = certificate(z, d, g_z, g_y, omega_y, mu_k)
             if not res <= bound_lipschitz * step:
                 return None
-            return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+            # g_y is an estimate, so its curvature proves nothing about L_f
+            return _Row(z, g_z, f_z, step, res, mu_k, beta, support), omega_z, l_next
 
-        def plain_step():
-            """The step from w; where F is not finite, it ends the run (see
-            ``_record``) and no certificate is built."""
-            nonlocal lf_failures
+        def plain_step(restart):
+            """The step from w, after a restart of the momentum (``restart``
+            True) or not (None); where F is not finite, it ends the run (see
+            ``_record``) and no certificate is built.  grad f is exact at w,
+            so a curvature above L_f along the step shows that L_f is no
+            Lipschitz constant of grad f (the row's ``lf_failure``)."""
             z, g_z, f_z, mu_k, l_next, d, bounded, support = mm_step(w, g, omega)
             if not np.isfinite(f_z):
-                return z, g_z, f_z, None, mu_k, l_next, math.nan, math.nan, support
+                return _Row(z, g_z, f_z), None, l_next
             step = _norm(d)
-            # grad f is exact at w, so a curvature above L_f along the step
-            # shows that L_f is no Lipschitz constant of grad f
-            lf_failures += not bounded
             omega_z, res = certificate(z, d, g_z, g, omega, mu_k)
-            return z, g_z, f_z, omega_z, mu_k, l_next, step, res, support
+            return (_Row(z, g_z, f_z, step, res, mu_k, 0.0, support, restart,
+                         None if bounded else True), omega_z, l_next)
 
         while True:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = min((t - 1.0) / t_next, _BETA_MAX) if gamma > 0 else 0.0
-            row = None
-            if beta > 0.0:
-                row = extrapolated_step(beta)
-                if row is not None:
-                    extrapolated += 1
-                else:
-                    # restart the momentum (t = 1) and take the plain step
-                    restarts += 1
-                    beta, t_next = 0.0, 1.0
-            if row is None:
-                row = plain_step()
-            z, g_z, f_z, omega_z, mu_k, l_next, step, res, support = row
-            yield z, g_z, f_z, step, res, mu_k, beta, support, res
+            # a try that is skipped or rejected restarts the momentum (t = 1),
+            # and the plain step is taken
+            out = extrapolated_step(beta) if beta > 0.0 else None
+            row, omega, l_start = out or plain_step(beta > 0.0 or None)
+            yield row
             w_prev, g_prev = w, g
-            w, g, omega, f_curr = z, g_z, omega_z, f_z
-            t, l_start = t_next, l_next
+            w, g, f_curr, t = row.w, row.g, row.f, 1.0 if row.restart else t_next
 
-    # the start point is a copy, held by the generator only: with no finite
-    # step, final_w is the start point
-    _record(trace, rows(np.zeros(prob.p) if w0 is None else _vector(w0, prob.p, "w0").copy()),
-            config.max_iter, config.tol, lambda w, g: _kkt_distance(w, g, pen))
-    trace.meta.update(gamma=gamma, residual_lipschitz=bound_lipschitz,
-                      descent_slack=0.0, descent_tol=1e-9, bound_tol=1e-8,
-                      loss_evals=loss_evals, extrapolated_steps=extrapolated,
-                      restarts=restarts, lf_curvature_failures=lf_failures)
+    # the start point is held by the generator only: with no finite step,
+    # final_w is the start point
+    facts = _record(trace, rows(_start_point(w0, prob.p)), config.max_iter, config.tol,
+                    lambda w, g: _kkt_distance(w, g, pen),
+                    (gamma, bound_lipschitz, 0.0, 1e-9, 1e-8))
+    # a step's beta is positive exactly when it is extrapolated
+    trace.meta.update(loss_evals=loss_evals, extrapolated_steps=sum(b > 0 for b in trace.beta[1:]),
+                      restarts=len(facts["restart"]),
+                      lf_curvature_failures=len(facts["lf_failure"]))
     return trace

@@ -1062,6 +1062,41 @@ def test_start_point_of_the_wrong_length_is_refused(box):
         run_cccp(prob, CccpConfig(), w0=np.zeros(11))
 
 
+@pytest.mark.parametrize("solver", ["mm", "cccp"])
+@pytest.mark.parametrize("loss_kind", ["ls", "logistic"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_nonfinite_start_point_is_refused_before_any_evaluation(solver, loss_kind, bad):
+    # a least-squares solve evaluated X @ w0 first, where inf * 0 warns
+    # "invalid value encountered in matmul", and only then refused the
+    # objective with FloatingPointError
+    task = "regression" if loss_kind == "ls" else "classification"
+    data, _ = synth_generate(SyntheticSpec(n=60, p=12, sparsity=3, noise_sd=0.2, seed=1,
+                                           task=task))
+    loss = LeastSquaresLoss(data) if loss_kind == "ls" else LogisticLoss(data)
+    pen = ScadPenalty(lam=0.2, theta=3.7)
+    calls = [count_calls(loss, name) for name in ("value_and_grad", "value", "gradient")]
+    w0 = np.zeros(12)
+    w0[5] = bad
+    with pytest.raises(ValueError, match="^w0 must be finite"):
+        if solver == "mm":
+            run_mm(ProblemInstance(loss=loss, penalty=pen), MmConfig(), w0)
+        else:
+            ridge = 0.0 if loss_kind == "ls" else 0.1
+            run_cccp(dc_problem_from_penalty(loss, pen, ridge=ridge), CccpConfig(), w0)
+    assert calls == [[0]] * 3
+
+
+def test_infinite_start_entry_clamped_by_the_box_is_a_legal_start():
+    # the point CCCP evaluates first is the projection of w0 onto the box
+    loss = full_rank_ls(seed=31, n=40, p=10)
+    prob = dc_problem_from_penalty(loss, ScadPenalty(lam=0.2, theta=3.7), box=(-1.0, 1.0))
+    w0 = np.zeros(10)
+    w0[3], w0[7] = np.inf, -np.inf
+    trace = run_cccp(prob, CccpConfig(), w0=w0)
+    assert trace.iterates[0][3] == 1.0 and trace.iterates[0][7] == -1.0
+    assert trace.converged and certify(trace).passed
+
+
 def test_inner_start_point_of_the_wrong_length_is_refused():
     # numpy refused it, with a broadcasting error
     loss = full_rank_ls(seed=31, n=40, p=6)

@@ -34,7 +34,7 @@ from nonconvex_mm import (
 )
 
 from nonconvex_mm import mm as mm_module
-from nonconvex_mm.mm import IterateTrace, SparseIterates, _curvature_search, _record
+from nonconvex_mm.mm import IterateTrace, SparseIterates, _Row, _curvature_search, _record
 
 from helpers import soft_threshold_bisect
 
@@ -192,11 +192,15 @@ def test_reweighted_weights():
     assert reweighted_l1_weights(np.array([0.5]), 0.5, 1.0)[0] == pytest.approx(1.0)
     pen = LogEpsilonPenalty(lam=0.7, eps=0.2)
     w = np.array([0.0, 0.4, -1.3])
-    np.testing.assert_allclose(reweighted_l1_weights(w, 0.2, 0.7),
-                               pen.deriv(np.abs(w)), rtol=1e-15)
-    for epsilon in (0.0, -0.5):
+    np.testing.assert_array_equal(reweighted_l1_weights(w, 0.2, 0.7), pen.deriv(np.abs(w)))
+    for epsilon in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="^epsilon must be positive$"):
             reweighted_l1_weights(w, epsilon, 0.7)
+    # the penalty's own parameter checks: each of these returned NaN,
+    # negative, zero or (1e299) overflowing weights
+    for epsilon, lam in ((0.2, math.nan), (0.2, -1.0), (math.inf, 0.7), (1e-300, 0.7)):
+        with pytest.raises(ValueError):
+            reweighted_l1_weights(w, epsilon, lam)
 
 
 # ------------------------------------------------------------------ run_mm
@@ -302,13 +306,43 @@ def test_nonfinite_abort_when_mu_too_small():
         assert not np.isfinite(prob.objective(step_a(trace.final_w, prob, trace.meta["mu"])))
 
 
+def test_nonfinite_stop_counts_the_rejected_steps_work():
+    # the run of test_nonfinite_abort_when_mu_too_small: every step is one
+    # trial, the rejected step's included, and no step is extrapolated
+    base = ls_problem(np.random.default_rng(9), n=40, p=10)
+    loss = CountingLoss(base.loss)
+    prob = ProblemInstance(loss=loss, penalty=base.penalty)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning):
+        trace = run_mm(prob, MmConfig(scheme="a", rho=0.05, max_iter=2000, tol=0.0))
+    meta = trace.meta
+    assert meta["stop_reason"] == "nonfinite"
+    # the start point's evaluation, then one per trial
+    assert sum(loss.calls.values()) == meta["loss_evals"] + 1
+    assert meta["loss_evals"] == trace.num_steps() + 1
+    assert meta["extrapolated_steps"] == np.count_nonzero(trace.beta[1:]) == 0
+    assert meta["restarts"] == 0
+    # the recorded steps along which the curvature exceeds L_f: the iterates
+    # diverge along the top eigenvector, where the Lanczos L_f, which can
+    # only be low, is exceeded by rounding
+    W, lf = trace.iterates, meta["lipschitz"]
+    over = 0
+    for w, z in zip(W, W[1:]):
+        d = z - w
+        curv = float(np.vdot(base.loss.gradient(z) - base.loss.gradient(w), d))
+        over += curv > lf * float(np.vdot(d, d))
+    assert meta["lf_curvature_failures"] == over > 0
+
+
 def _scripted_rows(objectives, stops, made):
-    """Rows of a scripted run, row k at w = [k, k]; ``made`` gets k as row k
-    is built and "closed" when the run closes the generator."""
+    """Rows of a scripted run, row k at w = [k, k] with residual stops[k]
+    (the stop quantity) and, past the start row, the step fact
+    inner_iterations = 10 k; ``made`` gets k as row k is built and
+    "closed" when the run closes the generator."""
     try:
         for k, (f, stop) in enumerate(zip(objectives, stops)):
             made.append(k)
-            yield np.full(2, float(k)), np.ones(2), f, 1.0, 0.5, None, None, None, stop
+            yield _Row(np.full(2, float(k)), np.ones(2), f, 1.0, 0.5 if stop is None else stop,
+                       inner_iterations=10 * k or None)
     finally:
         made.append("closed")
 
@@ -325,14 +359,21 @@ def test_record_resumes_the_rows_only_after_recording_one(objectives, stops, max
     # the generator before kkt reads the last recorded row
     made, seen = [], []
     trace = IterateTrace(iterates=SparseIterates())
-    _record(trace, _scripted_rows(objectives, stops, made), max_iter, 1e-8,
-            lambda w, g: seen.append(list(made)) or float(w[0]))
+    guarantee = (0.5, 2.0, 0.0, 1e-9, 1e-8)
+    facts = _record(trace, _scripted_rows(objectives, stops, made), max_iter, 1e-8,
+                    lambda w, g: seen.append(list(made)) or float(w[0]), guarantee)
     assert made == [*range(rows + (reason == "nonfinite")), "closed"]
     assert seen == [made]
     assert trace.meta["stop_reason"] == reason and trace.converged == (reason == "tol")
     assert trace.objective == objectives[:rows] and trace.iters == list(range(rows))
     np.testing.assert_array_equal(trace.final_w, trace.iterates[-1])
     assert trace.meta["kkt"] == rows - 1
+    assert tuple(trace.meta[key] for key in mm_module._GUARANTEE) == guarantee
+    # a step fact is committed with its row only, so a rejected row's is
+    # not; a fact no row fills has no value
+    expected = dict.fromkeys(_Row._fields[mm_module._FACTS:], [])
+    expected["inner_iterations"] = [10 * k for k in range(1, rows)]
+    assert {name: facts[name] for name in expected} == expected
 
 
 def test_nonfinite_objective_at_start_raises():
@@ -832,11 +873,12 @@ def test_solve_holds_few_p_vectors_at_its_peak(kind, shape, scheme, bound):
 
 
 def test_capped_l1_scheme_b_rejected_before_the_loop():
+    # refused before the start point is evaluated
     loss = CountingLoss(ls_problem(np.random.default_rng(13)).loss)
     prob = ProblemInstance(loss=loss, penalty=CappedL1Penalty(lam=0.5, theta=1.0))
     with pytest.raises(UnsupportedPenaltyError, match="use scheme 'a'"):
         run_mm(prob, MmConfig(scheme="b"))
-    assert loss.calls == {"value_and_grad": 1}
+    assert loss.calls == {}
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])
