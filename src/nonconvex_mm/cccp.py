@@ -109,7 +109,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .diagnostics import _interval_distance, _interval_gap, _norm, _step_subgradient
+from .diagnostics import _interval_gap, _norm, _step_subgradient
 from .losses import (LeastSquaresLoss, RankDeficientError, _vector,
                      least_squares_strong_convexity)
 from .mm import (IterateTrace, SparseIterates, _curvature_search, _record, _Row,
@@ -342,12 +342,22 @@ def _subdiff_interval(x: np.ndarray, kappa: float, box):
     return lo, hi
 
 
-def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
-    """Exact distance from 0 to grad_s + kappa * d|x| + N_box(x); +inf
-    outside the box, where the subproblem has no subgradient."""
+def _subproblem_gap(x: np.ndarray, grad_s: np.ndarray, kappa: float, box):
+    """(residual, r) of the subproblem at x: r the ``_interval_gap`` of
+    grad_s and the ``_subdiff_interval`` at x, and the residual the exact
+    distance from 0 to grad_s + kappa * d|x| + N_box(x), which is ||r||
+    inside the box and +inf outside it, where the subproblem has no
+    subgradient.  A NaN entry of x is not outside, so it gives NaN."""
+    r = _interval_gap(grad_s, *_subdiff_interval(x, kappa, box))
     if (x < box[0]).any() or (x > box[1]).any():
-        return float("inf")
-    return _interval_distance(grad_s, *_subdiff_interval(x, kappa, box))
+        return float("inf"), r
+    return _norm(r), r
+
+
+def _subproblem_residual(x: np.ndarray, grad_s: np.ndarray, kappa: float, box) -> float:
+    """The residual of ``_subproblem_gap``: exact distance from 0 to
+    grad_s + kappa * d|x| + N_box(x), +inf outside the box."""
+    return _subproblem_gap(x, grad_s, kappa, box)[0]
 
 
 # The states of a coordinate in an active-set pattern, in the order of the
@@ -422,8 +432,8 @@ def _check_pattern(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.nd
     coordinates whose pattern state is violated, and for each whether it
     must move up the line (else down).
 
-    Both come from one vector r = ``_interval_gap`` of g and the
-    ``_subdiff_interval`` at x, whose norm is the residual.  A fixed
+    Both come from ``_subproblem_gap``: its residual, and its vector r,
+    the ``_interval_gap`` of g and the ``_subdiff_interval`` at x.  A fixed
     coordinate violates where r_i < 0 or r_i > 0, the signs of the
     directional derivatives g_i + hi_i and g_i + lo_i of the subproblem
     along +e_i and -e_i there, and moves up where r_i < 0.  A free one
@@ -431,8 +441,7 @@ def _check_pattern(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.nd
     negative and (max(lo, 0), hi) if positive.
     """
     lo, hi = box
-    r = _interval_gap(g, *_subdiff_interval(x, kappa, box))
-    resid = float("inf") if (x < lo).any() or (x > hi).any() else _norm(r)
+    resid, r = _subproblem_gap(x, g, kappa, box)
     up, down = r < 0.0, r > 0.0
     free = (state & 1).astype(bool)
     if free.any():

@@ -281,24 +281,25 @@ def write_libsvm(data: Dataset, path) -> None:
 
 
 def write_trace(trace: IterateTrace, fmt: str, path) -> None:
-    """Serialize a trace as CSV or JSON (fmt: 'csv' | 'json')."""
+    """Serialize a trace as CSV or JSON (fmt: 'csv' | 'json').
+
+    Both write the columns ``TRACE_COLUMNS`` in their order, each the
+    trace's list of that name (``iter`` is ``IterateTrace.iters``): CSV
+    as a header line and one line per row, the iteration as an integer
+    and the rest in shortest round-trip decimal; JSON as one list per
+    column, followed by ``mu`` and ``beta``, the run's outcome and its
+    configuration echo.
+    """
+    columns = [trace.iters] + [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for k in range(len(trace.iters)):
-                fh.write(
-                    f"{trace.iters[k]},{_fmt(trace.objective[k])},"
-                    f"{_fmt(trace.step_norm[k])},{_fmt(trace.residual[k])},"
-                    f"{_fmt(trace.elapsed_sec[k])}\n"
-                )
+            for k, *row in zip(*columns, strict=True):
+                fh.write(",".join([str(k), *map(_fmt, row)]) + "\n")
     elif fmt == "json":
         meta = trace.meta or {}
         payload = {
-            "iter": list(trace.iters),
-            "objective": list(trace.objective),
-            "step_norm": list(trace.step_norm),
-            "residual": list(trace.residual),
-            "elapsed_sec": list(trace.elapsed_sec),
+            **{name: list(column) for name, column in zip(TRACE_COLUMNS, columns)},
             "mu": list(trace.mu),
             "beta": list(trace.beta),
             "converged": bool(trace.converged),

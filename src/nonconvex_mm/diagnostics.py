@@ -19,7 +19,10 @@ Everything here is a computable certificate:
 residual) and ``_norm``.  ``_norm`` is the one vector norm of ``mm``,
 ``cccp``, ``losses`` and this module, and ``np.vdot`` their one inner
 product of two vectors: the same BLAS dot as ``@``, so the same bits,
-but an overflowing sum is inf with no floating-point warning.
+but an overflowing sum is inf with no floating-point warning.  The
+solvers' run rules and ``certify`` share two definitions:
+``_descent_margin``, which the MM safeguard tests, and
+``_stop_quantity``, which the run loop stops on.
 """
 
 from __future__ import annotations
@@ -285,6 +288,34 @@ class Certificate:
         return not self.failures
 
 
+def _descent_margin(f_prev, f_next, step, gamma: float):
+    """The sufficient-descent margin of a step of norm ``step`` from
+    F_k = f_prev to F_{k+1} = f_next, as floats or as arrays of steps:
+    (F_k - (gamma/2) ||Delta_k||^2) - F_{k+1}.
+
+    The one arithmetic of the descent test: ``run_mm``'s safeguard accepts
+    a step where it is at least 0, and ``certify`` fails a step where it is
+    below minus its slack, so a step the safeguard accepted never reads a
+    negative margin.  The subtraction a - b of two floats is at least 0
+    exactly when b <= a, so the safeguard's test is F_{k+1} <= F_k -
+    (gamma/2) ||Delta_k||^2.  A decrease (gamma/2) ||Delta_k||^2 too
+    small to change F_k in floating point rounds away, so a step whose F
+    does not rise then reads 0 or more: the floats cannot show that its
+    descent failed.  (gamma/2) ||Delta_k||^2 is formed as 0.5 * gamma *
+    ||Delta_k|| * ||Delta_k||, which stays finite wherever the term is,
+    where squaring a step norm from about 1.3e154 up overflows.
+    """
+    return f_prev - 0.5 * gamma * step * step - f_next
+
+
+def _stop_quantity(residual: float, inner_residual: float | None) -> float:
+    """The quantity a solver's stop rule tests against ``tol``: a row's
+    residual plus, for CCCP, its inner residual (None for an MM row).  The
+    pair bounds the KKT distance at the row's iterate; ``mm._record``
+    stops on it and ``certify`` checks the last recorded row's."""
+    return residual + (inner_residual or 0.0)
+
+
 def _neg_tol(tol: float) -> str:
     return "-" + np.format_float_scientific(tol, trim="-", exp_digits=1)
 
@@ -292,32 +323,30 @@ def _neg_tol(tol: float) -> str:
 def certify(trace) -> Certificate:
     """Check every step of a trace against the guarantee in ``trace.meta``.
 
-    Descent margin F_k - F_{k+1} - (gamma/2)||Delta_k||^2 fails below
+    The descent margin ``_descent_margin`` (F_k - (gamma/2)||Delta_k||^2)
+    - F_{k+1}, the one the MM safeguard tests, fails below
     -(descent_slack * ||Delta_k|| + descent_tol); bound margin
     residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol.
-    The stop quantity is the one the solver's stop rule tests: the last
-    residual, plus for CCCP the last inner residual, the pair bounding the
-    KKT distance at the final iterate.  A recorded final ``kkt`` must not
-    exceed it by 1e-8, and a run that stopped on ``"tol"`` fails when it
-    exceeds ``meta["tol"]``.  Each test passes only on a number inside its
-    bound, so a NaN margin, residual, ``kkt`` or stop quantity fails.
-    (gamma/2)||Delta_k||^2 is formed as 0.5 * gamma * ||Delta_k|| *
-    ||Delta_k||, the MM safeguard's formula, which stays finite wherever
-    the term is, where squaring a step norm from about 1.3e154 up
-    overflows.
+    The stop quantity is ``_stop_quantity`` of the last row, the one the
+    solver's stop rule tests: the last residual, plus for CCCP the last
+    inner residual, the pair bounding the KKT distance at the final
+    iterate.  A recorded final ``kkt`` must not exceed it by 1e-8, and a
+    run that stopped on ``"tol"`` fails when it exceeds ``meta["tol"]``.
+    Each test passes only on a number inside its bound, so a NaN margin,
+    residual, ``kkt`` or stop quantity fails.
     """
     meta = trace.meta
     gamma = meta["gamma"]
     total, tail = finite_length(trace)
     obj = np.asarray(trace.objective, dtype=float)
     steps = np.asarray(trace.step_norm[1:], dtype=float)
-    descent = obj[:-1] - obj[1:] - 0.5 * gamma * steps * steps
+    descent = _descent_margin(obj[:-1], obj[1:], steps, gamma)
     bound = meta["residual_lipschitz"] * steps - np.asarray(trace.residual[1:], dtype=float)
     worst_descent = float(descent.min()) if len(steps) else 0.0
     worst_bound = float(bound.min()) if len(steps) else 0.0
     kkt = meta.get("kkt")
     # a CCCP trace of no step has no inner residual
-    stopped = trace.residual[-1] + (meta.get("inner_residuals") or [0.0])[-1]
+    stopped = _stop_quantity(trace.residual[-1], (meta.get("inner_residuals") or [None])[-1])
 
     failures = []
     if gamma <= 0:

@@ -29,8 +29,11 @@ modulus (bottom eigenvalue) and the curvature bound (top eigenvalue),
 and by the CCCP inner loop, which for every least-squares design uses
 the pair in place of ``LeastSquaresLoss.gradient``.  A loss that is only
 asked for its curvature (an MM set-up) gets it from Lanczos, which
-costs about 20 matvec pairs, vectors of length min(n, p) and no p x p
-memory.
+costs vectors of length min(n, p), no p x p memory and a number of
+matvec pairs that depends on the spectrum (how far the top eigenvalue
+stands apart from the rest): 71 on each CSR design of the
+``sparse-ls-prox`` benchmark (n 300, p 2000, 5% nonzero), counted as
+calls of its ``LinearOperator``.
 """
 
 from __future__ import annotations
@@ -61,11 +64,14 @@ class Dataset:
     """Design matrix plus targets.
 
     ``task`` is "regression" (real targets) or "classification" (labels
-    exactly in {-1, +1}).  The fields are never reassigned, so the
-    least-squares Gram pair ``gram``, its spectrum ``gram_spectrum`` and
-    the top eigenvalue ``gram_top_eigenvalue`` are each computed at most
-    once and then shared by every loss and problem made from this data
-    set.
+    exactly in {-1, +1}).  X is held as a float ndarray, or as a float64
+    CSR matrix in canonical form (sorted indices, no duplicate entries):
+    a sparse X of another format, dtype or form is converted to a new
+    one, and a canonical float64 CSR is kept as given, without a copy.
+    The fields are never reassigned, so the least-squares Gram pair
+    ``gram``, its spectrum ``gram_spectrum`` and the top eigenvalue
+    ``gram_top_eigenvalue`` are each computed at most once and then
+    shared by every loss and problem made from this data set.
     """
 
     X: object  # (n, p) ndarray or scipy sparse matrix
@@ -80,12 +86,15 @@ class Dataset:
             X = np.asarray(X, dtype=float)
             if X.ndim != 2:
                 raise ValueError("design matrix must be 2-dimensional")
-            if not np.all(np.isfinite(X)):
-                raise ValueError("design matrix has non-finite entries")
-            object.__setattr__(self, "X", X)
-        else:
-            if not np.all(np.isfinite(X.data)):
-                raise ValueError("design matrix has non-finite entries")
+        elif not (X.format == "csr" and X.dtype == np.float64 and X.has_canonical_format):
+            # the stored entries are what the curvature constants and the Gram
+            # pair read, so a sparse X is held as a float64 CSR with each entry
+            # stored once: a new matrix, which leaves the caller's as it was
+            X = X.astype(np.float64).tocsr()
+            X.sum_duplicates()
+        if not np.all(np.isfinite(_entries(X))):
+            raise ValueError("design matrix has non-finite entries")
+        object.__setattr__(self, "X", X)
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "y", y)
         n, p = self.X.shape

@@ -56,6 +56,9 @@ the plain step from w is taken.  This is the
 monotone accelerated proximal gradient safeguard (Li & Lin, 2015); the
 checked descent and subgradient bound are what the KL convergence
 argument needs, so every row passes ``certify`` as a plain step does.
+The descent is tested as ``certify`` reads it, a margin
+(``diagnostics._descent_margin``) of at least 0, so an accepted row
+never reads a negative descent margin there.
 A momentum direction along which f ascends at w,
 <grad f(w), w - w_prev> > 0, restarts without a try (the gradient
 restart of O'Donoghue & Candes, 2015).  Over the sparse-ls-prox
@@ -111,8 +114,9 @@ import numpy as np
 
 # kkt_residual and subgradient_residual are not called here, but stay
 # importable from this module: perfbench/tracer.py patches them on it
-from .diagnostics import (_kkt_distance, _norm, _step_subgradient,  # noqa: F401
-                          kkt_residual, subgradient_residual)
+from .diagnostics import (_descent_margin, _kkt_distance, _norm,  # noqa: F401
+                          _step_subgradient, _stop_quantity, kkt_residual,
+                          subgradient_residual)
 from .losses import _vector
 from .penalties import LogEpsilonPenalty, Penalty, UnsupportedPenaltyError
 
@@ -532,15 +536,16 @@ def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt, guarantee
     recorded: at the start point it raises ``FloatingPointError``, later
     it ends the run with ``stop_reason="nonfinite"``.  Otherwise the run
     ends on ``"tol"``, with ``trace.converged`` set, at the first step
-    whose stop quantity, its residual plus its inner residual where it
-    has one (the quantity ``certify`` reads), is at most tol, or on
-    ``"budget"`` after max_iter steps.  ``rows`` is resumed only once its
-    last row is recorded, and a row commits its step facts only when it
-    is recorded, so a rejected row commits nothing.  ``final_w`` is the
-    last recorded w and ``meta["kkt"]`` is kkt(w, g) of its row, computed
-    once ``rows`` is closed and has freed its step's arrays.  ``meta``
-    then takes the ``guarantee`` that ``certify`` checks, the values of
-    the keys ``_GUARANTEE`` in their order.
+    whose stop quantity, ``diagnostics._stop_quantity`` of its residual
+    and its inner residual (the quantity ``certify`` reads of the last
+    row), is at most tol, or on ``"budget"`` after max_iter steps.
+    ``rows`` is resumed only once its last row is recorded, and a row
+    commits its step facts only when it is recorded, so a rejected row
+    commits nothing.  ``final_w`` is the last recorded w and
+    ``meta["kkt"]`` is kkt(w, g) of its row, computed once ``rows`` is
+    closed and has freed its step's arrays.  ``meta`` then takes the
+    ``guarantee`` that ``certify`` checks, the values of the keys
+    ``_GUARANTEE`` in their order.
 
     Returns the step facts of the recorded steps: a ``defaultdict(list)``
     from each fact's field name to its values, in row order, over the
@@ -562,7 +567,7 @@ def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt, guarantee
             for name, fact in zip(_Row._fields[_FACTS:], row[_FACTS:]):
                 if fact is not None:
                     facts[name].append(fact)
-        if k and row.res + (row.inner_residual or 0.0) <= tol:
+        if k and _stop_quantity(row.res, row.inner_residual) <= tol:
             trace.converged, stop_reason = True, "tol"
             break
     rows.close()
@@ -714,8 +719,9 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
             y = None
             step = _norm(z - w)
             # the safeguard: the descent and the subgradient bound of a plain
-            # step, checked exactly; a non-finite F(z) fails the first
-            if not f_z <= f_curr - 0.5 * gamma * step * step:
+            # step, checked exactly in certify's arithmetic; a non-finite F(z)
+            # fails the first
+            if not _descent_margin(f_curr, f_z, step, gamma) >= 0.0:
                 return None
             omega_z, res = certificate(z, d, g_z, g_y, omega_y, mu_k)
             if not res <= bound_lipschitz * step:

@@ -505,6 +505,7 @@ def test_one_row_trace_round_trips_exactly(tmp_path):
     tr.append(0, 1.2345678901234567, 0.0, 3.3e-7, 0.015625)
     path = tmp_path / "one.csv"
     write_trace(tr, "csv", path)
+    assert path.read_text().splitlines()[1] == "0,1.2345678901234567,0.0,3.3e-07,0.015625"
     cols = read_trace_csv(path)
     assert cols["iter"][0] == 0.0
     assert cols["objective"][0] == 1.2345678901234567

@@ -305,6 +305,31 @@ def test_certify_catches_insufficient_descent():
     assert cert.failures == ("descent: worst margin -4.000e-01 < -1e-9",)
 
 
+def test_certify_reads_the_descent_margin_in_the_safeguards_arithmetic():
+    # (F_k - (gamma/2)||Delta||^2) - F_{k+1}: 1.0 - 5e-20 rounds to 1.0, so
+    # no decrease is asked for below the rounding of F; F_k - F_{k+1} - 5e-20
+    # read -5e-20
+    cert = certify(guarded_trace([1.0, 1.0], [0.0, 1e-9], [0.0, 0.0], gamma=0.1))
+    assert cert.worst_descent == 0.0 and cert.passed
+
+
+def test_a_step_the_safeguard_accepted_reads_no_negative_descent_margin():
+    # the logistic-dense benchmark's pool instance 2: its extrapolated step 41
+    # passed the safeguard F_41 <= F_40 - (gamma/2)||Delta||^2, and read a
+    # margin of -2.8e-17 where certify formed F_40 - F_41 - (gamma/2)||Delta||^2
+    data, _ = synth_generate(SyntheticSpec(n=500, p=100, sparsity=10, noise_sd=0.5, seed=2,
+                                           task="classification"))
+    prob = ProblemInstance(loss=LogisticLoss(data),
+                           penalty=make_penalty("log_eps", lam=0.1, eps=1.0))
+    trace = run_mm(prob, MmConfig(scheme="b", tol=1e-8, max_iter=200_000))
+    extrapolated = [k for k in range(1, len(trace)) if trace.beta[k] > 0]
+    assert 41 in extrapolated
+    for k in extrapolated:
+        step = guarded_trace(trace.objective[k - 1:k + 1], [0.0, trace.step_norm[k]],
+                             [0.0, 0.0], gamma=trace.meta["gamma"])
+        assert certify(step).worst_descent >= 0.0
+
+
 def test_certify_catches_violated_residual_bound():
     cert = certify(guarded_trace([3.0, 2.0], [0.0, 1.0], [0.0, 2.5]))
     assert not cert.passed

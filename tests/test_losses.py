@@ -548,6 +548,59 @@ def test_sparse_design_matches_dense():
     assert sparse.value(w) == pytest.approx(dense.value(w), rel=1e-14)
     np.testing.assert_allclose(sparse.gradient(w), dense.gradient(w), rtol=1e-14)
     assert sparse.lipschitz == pytest.approx(dense.lipschitz, rel=1e-12)
+    # a canonical float64 CSR is held as given, without a copy
+    assert sparse.data.X.data is Dataset(X=sparse.data.X, y=y, task="regression").X.data
+
+
+def _split_in_halves(M, fmt):
+    """M (canonical CSR) with each entry stored twice, as two halves: a COO,
+    or a CSR whose rows list the halves in reversed column order."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    if fmt == "coo":
+        return sp.coo_matrix((np.tile(M.data / 2, 2), (np.tile(rows, 2), np.tile(M.indices, 2))),
+                             shape=M.shape)
+    order = np.lexsort((-M.indices, rows))
+    data = np.repeat(M.data[order] / 2, 2)
+    indices = np.repeat(M.indices[order], 2)
+    return sp.csr_matrix((data, indices, 2 * M.indptr), shape=M.shape)
+
+
+def _stored_arrays(A):
+    """The arrays that hold the entries of a COO or CSR matrix A."""
+    return (A.data, *((A.row, A.col) if A.format == "coo" else (A.indices, A.indptr)))
+
+
+@pytest.mark.parametrize("case", ["bool", "int64", "coo_duplicates", "noncanonical_csr"])
+def test_sparse_design_is_read_as_the_dense_matrix_it_stores(case):
+    # the curvature constants and the Gram pair read a sparse design's stored
+    # entries: a bool design read 0.00125 for the logistic L_f (2.226 dense),
+    # an int64 one summed its squares in wrapping int64 arithmetic, and one
+    # whose entries are stored twice as halves read half of L_f
+    rng = np.random.default_rng(5)
+    n, p = 200, 30
+    M = sp.random(n, p, density=0.3, format="csr", random_state=rng)
+    if case == "bool":
+        S = M.astype(bool)
+    elif case == "int64":
+        S = sp.csr_matrix(M.multiply(4e9).astype(np.int64))
+    else:
+        S = _split_in_halves(M, "coo" if case == "coo_duplicates" else "csr")
+    stored = [a.copy() for a in _stored_arrays(S)]
+    X = S.toarray().astype(float)
+    y = rng.choice([-1.0, 1.0], size=n)
+    w = rng.normal(size=p) / np.abs(X).max()
+    for task, cls in (("regression", LeastSquaresLoss), ("classification", LogisticLoss)):
+        sparse, dense = cls(Dataset(X=S, y=y, task=task)), cls(Dataset(X=X, y=y, task=task))
+        assert sparse.lipschitz == pytest.approx(dense.lipschitz, rel=1e-12)
+        f_s, g_s = sparse.value_and_grad(w)
+        f_d, g_d = dense.value_and_grad(w)
+        assert f_s == pytest.approx(f_d, rel=1e-12)
+        np.testing.assert_allclose(g_s, g_d, rtol=1e-12, atol=1e-12 * np.abs(g_d).max())
+    (G_s, b_s), (G_d, b_d) = sparse.data.gram, dense.data.gram
+    np.testing.assert_allclose(G_s, G_d, rtol=1e-12, atol=1e-12 * G_d.max())
+    np.testing.assert_allclose(b_s, b_d, rtol=1e-12, atol=1e-12 * np.abs(b_d).max())
+    # the caller's matrix is not changed
+    assert all(map(np.array_equal, stored, _stored_arrays(S)))
 
 
 def test_dataset_validation():
