@@ -85,8 +85,8 @@ X^T (-y) is the exact negation of X^T y, so they are the bits
 ``value_and_grad``.  So a least-squares solve makes at most one
 full-design pass, and none from 0.  The identity has no ||y||^2 term, so it
 does not cancel when the fit is tight, as the Gram form w^T G w / 2 -
-b^T w + ||y||^2 / (2n) would.  Other losses make one ``loss.value`` call
-at every outer iterate.
+b^T w + ||y||^2 / (2n) would.  Other losses make one ``value_and_grad``
+call at the start point and one ``loss.value`` call per outer step.
 
 The inner gradient of a least-squares loss is G x - (b + grad v(w)) +
 ridge*x, with the Gram pair (G, b) = (X^T X / n, X^T y / n) cached on
@@ -453,15 +453,15 @@ def _check_pattern(x: np.ndarray, g: np.ndarray, kappa: float, box, state: np.nd
 
 
 def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, box,
-                      x0: np.ndarray, g0: np.ndarray | None, grad_s, tol: float,
-                      budget: int):
+                      x0: np.ndarray, grad_s, tol: float, budget: int):
     """Block principal pivoting (module docstring) from the pattern of the
-    start point x0, where the smooth gradient is g0.
+    start point x0.
 
     Each pattern's point is checked once, by ``_check_pattern``.  A start
     point with no free coordinate is its own pattern's point, so it is
-    checked as the first; only there is g0 read, and a g0 of None is then
-    formed by one ``grad_s`` call.  Returns ((x, g, residual), patterns)
+    checked as the first, with the smooth gradient there from one
+    ``grad_s`` call; at any other start point no gradient is formed.
+    Returns ((x, g, residual), patterns)
     for the first pattern whose point has an exact residual at most
     ``tol`` or no violator, or (None, patterns) after ``budget`` patterns
     or at a free block that is not numerically positive definite.
@@ -470,7 +470,7 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
     if (state & 1).any():
         x = g = None
     else:
-        x, g = x0, grad_s(x0) if g0 is None else g0
+        x, g = x0, grad_s(x0)
     fewest, backup, allowed = x0.size + 1, 3, None
     for patterns in range(1, budget + 1):
         if x is None:
@@ -504,7 +504,8 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
     """Solve the linearized convex subproblem at w: for least squares by
     block principal pivoting, else (or when that misses) by proximal
     gradient.  ``g_v``, when given, is grad v(w), and the step uses it in
-    place of ``prob.v_grad(w)``; it returns the same bits either way.
+    place of ``prob.v_grad(w)``; it returns the same bits either way.  A
+    ``g_v`` whose length is not p is refused, as w is.
 
     The smooth part s is f + ridge minus the linearization of v.  For
     least squares, whatever the design, the smooth gradient is
@@ -534,7 +535,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
     returned info carries grad s at the returned point.
     """
     w = _vector(w, prob.p)
-    g_v = prob.v_grad(w) if g_v is None else g_v
+    g_v = prob.v_grad(w) if g_v is None else _vector(g_v, prob.p, "g_v")
     ridge, kappa, box, tol = prob.ridge, prob.l1_weight, prob.box, cfg.inner_tol
     gram = prob.loss.data.gram if isinstance(prob.loss, LeastSquaresLoss) else None
     b = None if gram is None else gram[1] + g_v
@@ -558,8 +559,8 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
 
     x = prob.project(w)
     if gram is not None:
-        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, None,
-                                             grad_s, tol, cfg.inner_max_iter)
+        answer, patterns = _active_set_solve(gram[0], ridge, kappa, b, box, x, grad_s,
+                                             tol, cfg.inner_max_iter)
         if answer is not None:
             (x, g, resid), solved = answer, 1
     it = 0
@@ -609,20 +610,20 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     with ``final_w`` the last finite iterate, and that step's inner
     solve, whose row is not recorded, is not listed in ``meta``.
 
-    For least squares the objective column starts from f and grad f at
-    the start point, from the Gram pair when that point is 0 and else
-    from one ``value_and_grad``, and is carried forward by the exact
-    quadratic identity of the module docstring with the gradient each
-    inner solve returns; other losses make one ``loss.value`` call at
-    every iterate.  Every row's F, and the support of its iterate that
-    the trace stores, come from ``DcProblem._objective_given_loss`` of
-    that loss value.  ``kkt`` evaluates nothing: the last inner solve's
-    gradient plus the last linearization gap is the DC objective's smooth
-    gradient at the final iterate.  Only a run whose first step is not
-    finite spends one ``loss.gradient`` and one grad v on ``kkt`` at the
-    start point.  Otherwise grad v is evaluated once per iterate,
-    K + 1 times for K steps: the grad v(w^(k)) of a linearization gap is
-    handed to the next ``cccp_step``.
+    Every run starts from f and grad f at the start point: for a
+    least-squares start at 0 from the Gram pair, and else from one
+    ``value_and_grad``.  For least squares the objective column is then
+    carried forward by the exact quadratic identity of the module
+    docstring with the gradient each inner solve returns; other losses
+    make one ``loss.value`` call per outer step.  Every row's F, and the
+    support of its iterate that the trace stores, come from
+    ``DcProblem._objective_given_loss`` of that loss value.  Every row
+    carries the DC objective's smooth gradient at its iterate: grad f +
+    ridge*w - grad v at the start point, and the inner solve's gradient
+    plus the linearization gap after a step.  ``kkt`` reads the last
+    row's, so it evaluates nothing.  grad v is evaluated once per
+    iterate, K + 1 times for K steps: the grad v(w^(k)) of a
+    linearization gap is handed to the next ``cccp_step``.
     """
     trace = IterateTrace(iterates=SparseIterates())
     trace.meta = {
@@ -637,19 +638,18 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
     def rows(w):
         """The start point's row, then one row per outer step (see
         ``mm._record``)."""
-        if not carry:
-            f, g_f = prob.loss.value(w), None
-        elif w.any():
-            f, g_f = prob.loss.value_and_grad(w)
-        else:
+        if carry and not w.any():
             # at 0 the residual is -y: f(0) = ||y||^2 / (2n) and grad f(0) = -b
             # are the bits value_and_grad(0) returns, with no pass over X
             data = prob.loss.data
             f, g_f = float(np.vdot(data.y, data.y)) / (2.0 * data.n), -data.gram[1]
-        support, F = prob._objective_given_loss(w, f)
-        # no gradient: ``kkt`` forms it only if the run ends at w
-        yield _Row(w, None, F, support=support)
+        else:
+            f, g_f = prob.loss.value_and_grad(w)
         g_v = prob.v_grad(w)
+        support, F = prob._objective_given_loss(w, f)
+        # the DC objective's smooth gradient at w, which ``kkt`` reads if the
+        # run ends there
+        yield _Row(w, g_f + prob.ridge * w - g_v, F, support=support)
         while True:
             w_next, info = cccp_step(w, prob, cfg, g_v)
             delta = w_next - w
@@ -673,10 +673,7 @@ def run_cccp(prob: DcProblem, cfg: CccpConfig, w0=None) -> IterateTrace:
             w, g_v = w_next, g_v_next
 
     def kkt(w, g):
-        """The exact residual at w; g, the smooth gradient there, is None
-        only at the start point."""
-        if g is None:
-            g = prob.loss.gradient(w) + prob.ridge * w - prob.v_grad(w)
+        """The exact residual at w, where the row's g is the smooth gradient."""
         return _subproblem_residual(w, g, prob.l1_weight, prob.box)
 
     # the guarantee: an inexact inner solve may give back up to 2 * inner_tol

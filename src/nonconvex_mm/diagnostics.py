@@ -22,7 +22,9 @@ product of two vectors: the same BLAS dot as ``@``, so the same bits,
 but an overflowing sum is inf with no floating-point warning.  The
 solvers' run rules and ``certify`` share two definitions:
 ``_descent_margin``, which the MM safeguard tests, and
-``_stop_quantity``, which the run loop stops on.
+``_stop_quantity``, which the run loop stops on.  ``_check_mu`` refuses
+a surrogate weight that is not positive and finite, for every MM step
+and for ``subgradient_residual``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,13 @@ def _step_subgradient(w_next: np.ndarray, delta: np.ndarray, g_next: np.ndarray,
     return b, A
 
 
+def _check_mu(mu: float) -> None:
+    """Refuse a surrogate weight mu that is not positive and finite: the
+    one check of every MM step and certificate that takes a mu."""
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu:g}")
+
+
 def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualReport:
     """Certificate produced by one MM step from w to w_next.
 
@@ -158,7 +167,9 @@ def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualRep
     nonincreasing, so the whole sweep stays inside the subdifferential)
     and makes the report the tightest available.  The bound gains the
     penalty curvature term:  ||B|| <= (mu + L_f + L_zeta) ||Delta||.
+    A mu that is not positive and finite is refused, as by every MM step.
     """
+    _check_mu(mu)
     if scheme not in ("a", "b"):
         raise ValueError("scheme must be 'a' or 'b'")
     w_next = np.asarray(w_next, dtype=float).ravel()
@@ -316,17 +327,17 @@ def _stop_quantity(residual: float, inner_residual: float | None) -> float:
     return residual + (inner_residual or 0.0)
 
 
-def _neg_tol(tol: float) -> str:
-    return "-" + np.format_float_scientific(tol, trim="-", exp_digits=1)
-
-
 def certify(trace) -> Certificate:
     """Check every step of a trace against the guarantee in ``trace.meta``.
 
-    The descent margin ``_descent_margin`` (F_k - (gamma/2)||Delta_k||^2)
-    - F_{k+1}, the one the MM safeguard tests, fails below
-    -(descent_slack * ||Delta_k|| + descent_tol); bound margin
-    residual_lipschitz * ||Delta_k|| - residual_k fails below -bound_tol.
+    One rule judges descent and the subgradient bound: step k fails where
+    its margin is below minus its allowance, and the failure names the
+    first such step, its margin and its allowance.  The descent margin is
+    ``_descent_margin`` (F_{k-1} - (gamma/2)||Delta_k||^2) - F_k, the one
+    the MM safeguard tests, with the allowance descent_slack *
+    ||Delta_k|| + descent_tol; the bound margin is residual_lipschitz *
+    ||Delta_k|| - residual_k, with the allowance bound_tol.
+    ``worst_descent`` and ``worst_bound`` are the smallest margins.
     The stop quantity is ``_stop_quantity`` of the last row, the one the
     solver's stop rule tests: the last residual, plus for CCCP the last
     inner residual, the pair bounding the KKT distance at the final
@@ -340,10 +351,13 @@ def certify(trace) -> Certificate:
     total, tail = finite_length(trace)
     obj = np.asarray(trace.objective, dtype=float)
     steps = np.asarray(trace.step_norm[1:], dtype=float)
-    descent = _descent_margin(obj[:-1], obj[1:], steps, gamma)
-    bound = meta["residual_lipschitz"] * steps - np.asarray(trace.residual[1:], dtype=float)
-    worst_descent = float(descent.min()) if len(steps) else 0.0
-    worst_bound = float(bound.min()) if len(steps) else 0.0
+    # (name, margin, allowance) per step
+    rules = (("descent", _descent_margin(obj[:-1], obj[1:], steps, gamma),
+              meta["descent_slack"] * steps + meta["descent_tol"]),
+             ("subgradient bound",
+              meta["residual_lipschitz"] * steps - np.asarray(trace.residual[1:], dtype=float),
+              np.full(steps.shape, meta["bound_tol"])))
+    worst_descent, worst_bound = (float(m.min()) if len(steps) else 0.0 for _, m, _ in rules)
     kkt = meta.get("kkt")
     # a CCCP trace of no step has no inner residual
     stopped = _stop_quantity(trace.residual[-1], (meta.get("inner_residuals") or [None])[-1])
@@ -353,12 +367,12 @@ def certify(trace) -> Certificate:
         # only an MM surrogate weight can get here: DcProblem refuses gamma_u <= 0
         failures.append(f"majorization: mu={meta['mu']:.6g} <= L_f={meta['lipschitz']:.6g} "
                         "(gamma <= 0)")
-    if not np.all(descent >= -(meta["descent_slack"] * steps + meta["descent_tol"])):
-        failures.append(f"descent: worst margin {worst_descent:.3e} "
-                        f"< {_neg_tol(meta['descent_tol'])}")
-    if not worst_bound >= -meta["bound_tol"]:
-        failures.append(f"subgradient bound: worst margin {worst_bound:.3e} "
-                        f"< {_neg_tol(meta['bound_tol'])}")
+    for name, margin, allowance in rules:
+        broke = np.flatnonzero(~(margin >= -allowance))
+        if broke.size:
+            k = broke[0]
+            failures.append(f"{name}: step {k + 1} margin {margin[k]:.3e} "
+                            f"< -{allowance[k]:.3e}")
     if kkt is not None and len(steps) and not kkt <= stopped + 1e-8:
         failures.append(f"kkt residual {kkt:.3e} exceeds certificate {stopped:.3e}")
     if meta.get("stop_reason") == "tol" and not stopped <= meta["tol"]:

@@ -114,7 +114,7 @@ import numpy as np
 
 # kkt_residual and subgradient_residual are not called here, but stay
 # importable from this module: perfbench/tracer.py patches them on it
-from .diagnostics import (_descent_margin, _kkt_distance, _norm,  # noqa: F401
+from .diagnostics import (_check_mu, _descent_margin, _kkt_distance, _norm,  # noqa: F401
                           _step_subgradient, _stop_quantity, kkt_residual,
                           subgradient_residual)
 from .losses import _vector
@@ -327,11 +327,6 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
         raise ValueError("w and anchor have different lengths")
     aa = np.abs(anchor)
     return float(np.sum(penalty.value(aa) + penalty.deriv(aa) * (np.abs(w) - aa)))
-
-
-def _check_mu(mu: float) -> None:
-    if not 0 < mu < np.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu:g}")
 
 
 def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:

@@ -544,10 +544,9 @@ def test_murty_rule_moves_one_violator_when_exchanges_stop_helping():
         counts.append(out[1].size)
         return out
 
-    g0 = grad_s(x0)
     with mock.patch.object(cccp_module, "_check_pattern", recording):
         (x, g, resid), patterns = cccp_module._active_set_solve(
-            G, 0.0, kappa, b, box, x0, g0, grad_s, 1e-12, 100)
+            G, 0.0, kappa, b, box, x0, grad_s, 1e-12, 100)
     assert counts == [4, 4, 3, 1, 4, 2, 1, 1, 4, 3, 2, 0] and patterns == 12
     moved = [int(np.count_nonzero(s != t)) for s, t in zip(states, states[1:])]
     assert moved == counts[:7] + [1, 1, 1, 1]
@@ -1026,10 +1025,11 @@ def test_run_records_the_face_solves_of_every_inner_solve(make):
         assert sum(patterns) == 0
 
 
-@pytest.mark.parametrize("bad_call", [2, 4], ids=["step-1", "step-3"])
+@pytest.mark.parametrize("bad_call", [1, 3], ids=["step-1", "step-3"])
 def test_nonfinite_objective_after_the_start_ends_the_run(bad_call):
-    # loss.value is called once per iterate, the start point's first; from
-    # its bad_call-th call on it returns inf, and that row is not recorded
+    # loss.value is called once per outer step (the start point takes
+    # value_and_grad); from its bad_call-th call on it returns inf, and that
+    # row is not recorded
     loss, prob = _logistic_ridge_problem()
     value, calls = loss.value, [0]
 
@@ -1040,7 +1040,7 @@ def test_nonfinite_objective_after_the_start_ends_the_run(bad_call):
     loss.value = value_inf_from_bad_call
     trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
     assert trace.meta["stop_reason"] == "nonfinite" and not trace.converged
-    assert trace.num_steps() == bad_call - 2
+    assert trace.num_steps() == bad_call - 1
     assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.residual))
     np.testing.assert_array_equal(trace.final_w, trace.iterates[-1])
     # the rejected step's inner solve is not the trace's
@@ -1052,6 +1052,70 @@ def test_nonfinite_objective_after_the_start_ends_the_run(bad_call):
     assert abs(kkt - cccp_module._subproblem_residual(w, grad, prob.l1_weight,
                                                       prob.box)) <= 1e-12
     assert certify(trace).passed
+
+
+def test_start_of_a_logistic_run_makes_one_value_and_grad_call():
+    # f and grad f at the start point come from one value_and_grad, with no
+    # loss.value call; each outer step then makes one loss.value call.  A
+    # loss.value call also counts the value_and_grad it makes
+    loss, prob = _logistic_ridge_problem()
+    evals = count_calls(loss, "value_and_grad")
+    values = count_calls(loss, "value")
+    at_step, step = [], cccp_module.cccp_step
+
+    def counting_step(*args):
+        at_step.append((values[0], evals[0]))
+        return step(*args)
+
+    with mock.patch.object(cccp_module, "cccp_step", counting_step):
+        trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12, max_iter=300))
+    assert trace.converged and at_step[0] == (0, 1)
+    assert [v for v, _ in at_step] == list(range(trace.num_steps()))
+    assert trace.objective[0] == prob.objective(np.zeros(prob.p))
+
+
+def test_kkt_of_a_run_whose_first_step_is_not_finite_evaluates_nothing():
+    # the start row carries grad f + ridge*w - grad v at w0, and kkt reads it
+    loss, prob = _logistic_ridge_problem()
+    value, w0 = loss.value, np.zeros(prob.p)
+    loss.value = lambda w: np.inf if w.any() else value(w)
+    gradients = count_calls(loss, "gradient")
+    record, in_kkt = cccp_module._record, []
+
+    def recording(trace, rows, max_iter, tol, kkt, guarantee):
+        def counted_kkt(w, g):
+            before = gradients[0]
+            with mock.patch.object(DcProblem, "v_grad", autospec=True,
+                                   side_effect=DcProblem.v_grad) as v_grad:
+                out = kkt(w, g)
+            in_kkt.append((gradients[0] - before, v_grad.call_count))
+            return out
+
+        return record(trace, rows, max_iter, tol, counted_kkt, guarantee)
+
+    with mock.patch.object(cccp_module, "_record", recording):
+        trace = run_cccp(prob, CccpConfig(tol=1e-10, inner_tol=1e-12))
+    assert trace.meta["stop_reason"] == "nonfinite" and trace.num_steps() == 0
+    assert in_kkt == [(0, 0)]
+    grad = loss.gradient(w0) + prob.ridge * w0 - prob.v_grad(w0)
+    assert trace.meta["kkt"] == cccp_module._subproblem_residual(w0, grad, prob.l1_weight,
+                                                                 prob.box)
+
+
+@pytest.mark.parametrize("g_v", [np.array([0.5]), 0.5], ids=["length-1", "scalar"])
+@pytest.mark.parametrize("task", ["ls", "logistic"])
+def test_step_refuses_a_linearization_of_the_wrong_length(task, g_v):
+    # b = gram[1] + g_v and the other losses' smooth gradient would both
+    # broadcast it, and solve another subproblem
+    if task == "ls":
+        rng = np.random.default_rng(0)
+        loss = LeastSquaresLoss(Dataset(X=rng.normal(size=(40, 6)), y=rng.normal(size=40),
+                                        task="regression"))
+        prob = dc_problem_from_penalty(loss, McpPenalty(lam=0.1, gamma=3.0), box=(-1.0, 1.0))
+    else:
+        _, prob = _logistic_ridge_problem()
+    with pytest.raises(ValueError, match=f"^g_v has length 1, expected {prob.p}$"):
+        cccp_step(np.zeros(prob.p), prob, CccpConfig(), g_v)
 
 
 @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])

@@ -154,6 +154,17 @@ def test_scheme_b_rejected_for_capped():
         subgradient_residual(np.zeros(5), np.zeros(5), prob, 1.0, "c")
 
 
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.inf, np.nan])
+def test_certificate_refuses_a_weight_no_step_can_use(mu, scheme):
+    # step_a, step_b and quad_surrogate_value refuse such a mu too: a
+    # certificate at it would certify no step
+    prob = logistic_problem()
+    w_next = np.full(prob.p, 0.1)
+    with pytest.raises(ValueError, match="^mu must be positive and finite, got "):
+        subgradient_residual(w_next, np.zeros(prob.p), prob, mu, scheme)
+
+
 # ------------------------------------------------------------- kkt residual
 def test_origin_critical_when_gradient_inside_interval():
     prob = logistic_problem(lam=5.0, eps=1.0)  # zeta'(0) = 5 >> |grad|
@@ -302,7 +313,18 @@ def test_certify_catches_insufficient_descent():
     cert = certify(guarded_trace([3.0, 2.9], [0.0, 1.0], [0.0, 1.0]))
     assert not cert.passed
     assert cert.worst_descent == pytest.approx(-0.4)
-    assert cert.failures == ("descent: worst margin -4.000e-01 < -1e-9",)
+    assert cert.failures == ("descent: step 1 margin -4.000e-01 < -1.000e-09",)
+
+
+def test_certify_names_the_first_step_that_broke_the_rule():
+    # step 1's margin -1e-6 is the worst, but inside its allowance 1e-5 * 1
+    # + 1e-12; step 2's -1e-11 misses its allowance 1e-5 * 1e-9 + 1e-12
+    trace = guarded_trace([3.0, 3.0 + 1e-6, 3.0 + 1e-6 + 1e-11], [0.0, 1.0, 1e-9],
+                          [0.0, 0.0, 0.0], gamma=1e-30)
+    trace.meta.update(descent_slack=1e-5, descent_tol=1e-12)
+    cert = certify(trace)
+    assert cert.failures == ("descent: step 2 margin -1.000e-11 < -1.010e-12",)
+    assert cert.worst_descent == pytest.approx(-1e-6)
 
 
 def test_certify_reads_the_descent_margin_in_the_safeguards_arithmetic():
@@ -334,7 +356,7 @@ def test_certify_catches_violated_residual_bound():
     cert = certify(guarded_trace([3.0, 2.0], [0.0, 1.0], [0.0, 2.5]))
     assert not cert.passed
     assert cert.worst_bound == pytest.approx(-0.5)
-    assert cert.failures == ("subgradient bound: worst margin -5.000e-01 < -1e-8",)
+    assert cert.failures == ("subgradient bound: step 1 margin -5.000e-01 < -1.000e-08",)
 
 
 @pytest.mark.parametrize("field, index, failed", [
