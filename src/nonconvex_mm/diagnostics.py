@@ -22,9 +22,13 @@ product of two vectors: the same BLAS dot as ``@``, so the same bits,
 but an overflowing sum is inf with no floating-point warning.  The
 solvers' run rules and ``certify`` share two definitions:
 ``_descent_margin``, which the MM safeguard tests, and
-``_stop_quantity``, which the run loop stops on.  ``_check_mu`` refuses
-a surrogate weight that is not positive and finite, for every MM step
-and for ``subgradient_residual``.
+``_stop_quantity``, which the run loop stops on.  The guarantee of one
+MM step has its home here too: ``_check_step`` holds its preconditions
+(``_check_mu`` refuses a surrogate weight that is not positive and
+finite, and scheme "b" needs a penalty that can be linearized), and
+``_residual_lipschitz`` the constant of its subgradient bound.
+``run_mm``, ``step_a``, ``step_b`` and ``subgradient_residual`` all
+call them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .losses import _vector
+from .penalties import UnsupportedPenaltyError
 
 __all__ = [
     "Certificate",
@@ -153,6 +160,23 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be positive and finite, got {mu:g}")
 
 
+def _check_step(mu: float, penalty, linearize: bool) -> None:
+    """The preconditions of one MM step and of its certificate: mu passes
+    ``_check_mu``, and a penalty that scheme "b" linearizes has a
+    continuous derivative."""
+    _check_mu(mu)
+    if linearize and not penalty.supports_linearization:
+        raise UnsupportedPenaltyError(f"{penalty.kind} penalty cannot be linearized; "
+                                      "use scheme 'a'")
+
+
+def _residual_lipschitz(mu: float, lf: float, penalty, linearize: bool) -> float:
+    """The constant of an MM step's subgradient bound, ||B|| <= (mu + L_f
+    + L_zeta) ||Delta||, where L_zeta enters only when the step linearizes
+    the penalty: ``run_mm``'s ``meta["residual_lipschitz"]``."""
+    return mu + lf + (penalty.deriv_lipschitz() if linearize else 0.0)
+
+
 def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualReport:
     """Certificate produced by one MM step from w to w_next.
 
@@ -167,27 +191,26 @@ def subgradient_residual(w_next, w, prob, mu: float, scheme: str) -> ResidualRep
     nonincreasing, so the whole sweep stays inside the subdifferential)
     and makes the report the tightest available.  The bound gains the
     penalty curvature term:  ||B|| <= (mu + L_f + L_zeta) ||Delta||.
-    A mu that is not positive and finite is refused, as by every MM step.
+    The bound's constant is ``_residual_lipschitz``, the one ``run_mm``
+    certifies its steps against.
+
+    What an MM step refuses is refused here, by ``_check_step``: a mu that
+    is not positive and finite, and scheme "b" with a penalty that cannot
+    be linearized (``UnsupportedPenaltyError``).  A scheme other than "a"
+    or "b" raises ``ValueError``, and so does a w_next or a w whose length
+    is not the problem's p, naming the argument.
     """
-    _check_mu(mu)
+    pen = prob.penalty
+    linearize = scheme == "b"
+    _check_step(mu, pen, linearize)
     if scheme not in ("a", "b"):
         raise ValueError("scheme must be 'a' or 'b'")
-    w_next = np.asarray(w_next, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
+    w_next = _vector(w_next, prob.p, "w_next")
+    w = _vector(w, prob.p, "w")
     delta = w_next - w
-    pen = prob.penalty
     g_next = prob.loss.gradient(w_next)
-    lf = prob.loss.lipschitz
-    step = _norm(delta)
-
-    if scheme == "a":
-        d = None
-        bound = (mu + lf) * step
-    else:
-        if not pen.supports_linearization:
-            raise ValueError(f"scheme 'b' residual undefined for {pen.kind} penalty")
-        d = pen.deriv(np.abs(w)) - pen.deriv(np.abs(w_next))
-        bound = (mu + lf + pen.deriv_lipschitz()) * step
+    d = pen.deriv(np.abs(w)) - pen.deriv(np.abs(w_next)) if linearize else None
+    bound = _residual_lipschitz(mu, prob.loss.lipschitz, pen, linearize) * _norm(delta)
     b, B = _step_subgradient(w_next, delta, g_next, prob.loss.gradient(w), mu, d)
 
     return ResidualReport(

@@ -11,7 +11,8 @@ Two losses are provided:
 * ``LogisticLoss`` -- f(w) = mean(log(1 + exp(-y_i x_i^T w))) for labels
   in {-1, +1}; the working Lipschitz constant is sum(||x_i||^2) / (4n).
 
-Both accept a dense ndarray or a scipy CSR design matrix and are
+Both take the design of a ``Dataset``, a dense float ndarray or any
+scipy sparse matrix, which it holds as a canonical float64 CSR, and are
 immutable after construction, so instances can be shared freely across
 concurrent solver runs.  ``value_and_grad`` is the one evaluation of a
 loss: one ``X @ w`` and one ``X.T @ r``; ``value`` and ``gradient`` are

@@ -114,9 +114,9 @@ import numpy as np
 
 # kkt_residual and subgradient_residual are not called here, but stay
 # importable from this module: perfbench/tracer.py patches them on it
-from .diagnostics import (_check_mu, _descent_margin, _kkt_distance, _norm,  # noqa: F401
-                          _step_subgradient, _stop_quantity, kkt_residual,
-                          subgradient_residual)
+from .diagnostics import (_check_mu, _check_step, _descent_margin, _kkt_distance,  # noqa: F401
+                          _norm, _residual_lipschitz, _step_subgradient, _stop_quantity,
+                          kkt_residual, subgradient_residual)
 from .losses import _vector
 from .penalties import LogEpsilonPenalty, Penalty, UnsupportedPenaltyError
 
@@ -251,10 +251,11 @@ class IterateTrace:
     surrogate weight mu_k of the step that produced it (None for the
     first row and for solvers without one) and its extrapolation weight
     beta_k (0 for a plain step, None for the first row and for solvers
-    that do not extrapolate).  The
-    objective column is nonincreasing (up to evaluation roundoff once the
-    per-step decrease falls below one ulp of F) for any valid
-    majorization run.
+    that do not extrapolate).  The first row's residual is the exact KKT
+    distance for ``run_mm``, and 0.0 for ``run_cccp``, whose residual is
+    a linearization gap that no step has produced yet.  The objective
+    column is nonincreasing (up to evaluation roundoff once the per-step
+    decrease falls below one ulp of F) for any valid majorization run.
 
     ``iterates`` is None when the run recorded none, else a
     ``SparseIterates``: row k reads as a fresh dense copy of the k-th
@@ -327,15 +328,6 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
         raise ValueError("w and anchor have different lengths")
     aa = np.abs(anchor)
     return float(np.sum(penalty.value(aa) + penalty.deriv(aa) * (np.abs(w) - aa)))
-
-
-def _check_step(mu: float, penalty: Penalty, linearize: bool) -> None:
-    """The preconditions of one MM step; scheme "b" linearizes the penalty."""
-    _check_mu(mu)
-    if linearize and not penalty.supports_linearization:
-        raise UnsupportedPenaltyError(
-            f"{penalty.kind} penalty cannot be linearized; use scheme 'a'"
-        )
 
 
 def _soft_threshold(z: np.ndarray, thresh) -> np.ndarray:
@@ -536,11 +528,13 @@ def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt, guarantee
     row), is at most tol, or on ``"budget"`` after max_iter steps.
     ``rows`` is resumed only once its last row is recorded, and a row
     commits its step facts only when it is recorded, so a rejected row
-    commits nothing.  ``final_w`` is the last recorded w and
-    ``meta["kkt"]`` is kkt(w, g) of its row, computed once ``rows`` is
-    closed and has freed its step's arrays.  ``meta`` then takes the
-    ``guarantee`` that ``certify`` checks, the values of the keys
-    ``_GUARANTEE`` in their order.
+    commits nothing.  ``final_w`` is the last recorded w.  ``meta`` takes
+    the ``stop_reason``, the ``tol`` of the stop rule (``certify`` judges
+    a ``"tol"`` stop against both) and ``kkt``, kkt(w, g) of the last
+    row, computed once ``rows`` is closed and has freed its step's
+    arrays; then the ``guarantee`` that ``certify`` checks, the values of
+    the keys ``_GUARANTEE`` in their order.  No solver writes ``tol``
+    itself.
 
     Returns the step facts of the recorded steps: a ``defaultdict(list)``
     from each fact's field name to its values, in row order, over the
@@ -567,7 +561,7 @@ def _record(trace: IterateTrace, rows, max_iter: int, tol: float, kkt, guarantee
             break
     rows.close()
     trace.final_w = last.w
-    trace.meta.update(stop_reason=stop_reason, kkt=kkt(last.w, last.g))
+    trace.meta.update(stop_reason=stop_reason, tol=tol, kkt=kkt(last.w, last.g))
     trace.meta.update(zip(_GUARANTEE, guarantee))
     return facts
 
@@ -623,7 +617,6 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
         "mu": mu,
         "lipschitz": lf,
         "rho": config.rho,
-        "tol": config.tol,
         "penalty": {"kind": pen.kind, **pen.params()},
         "loss": loss.kind,
     }
@@ -637,9 +630,8 @@ def run_mm(prob: ProblemInstance, config: MmConfig, w0=None) -> IterateTrace:
     # refused before any evaluation: a mu that is not positive and finite, and
     # scheme b with a penalty that cannot be linearized
     _check_step(mu, pen, linearize)
-    # the guarantee certify() checks, valid for every mu_k <= mu; L_zeta
-    # enters only when r is linearized
-    bound_lipschitz = mu + lf + (pen.deriv_lipschitz() if linearize else 0.0)
+    # the bound certify() checks, valid for every mu_k <= mu
+    bound_lipschitz = _residual_lipschitz(mu, lf, pen, linearize)
     loss_evals = 0
 
     def rows(w):

@@ -72,6 +72,15 @@ def _as_float_array(t) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _abs_interval(u, lo_t, hi_t):
+    """(lo, hi) of the subdifferential of zeta(|.|) at u, componentwise,
+    where [lo_t, hi_t] brackets zeta' at |u|: the one sign rule of |x|.
+    u = +-0 takes lo from the negative side and hi from the positive one,
+    [-hi_t, hi_t].  ``Penalty.subdiff_interval`` and the kappa |x| term of
+    the CCCP subproblem (``lo_t = hi_t = kappa``) both call it."""
+    return np.where(u > 0, lo_t, -hi_t), np.where(u < 0, -lo_t, hi_t)
+
+
 class Penalty:
     """Base class: scalar penalty with value, derivative, and exact prox.
 
@@ -185,16 +194,14 @@ class Penalty:
         return d, d
 
     def subdiff_interval(self, u) -> SubgradientInterval:
-        """Interval of the subdifferential of zeta(|.|) at u, componentwise.
+        """Interval of the subdifferential of zeta(|.|) at u, componentwise:
+        ``_abs_interval`` of u and ``deriv_interval(|u|)``, so [-zeta'(0),
+        zeta'(0)] at u = +-0.
 
         A scalar u gives float bounds, an array gives arrays of its shape.
         """
         arr, scalar = _as_float_array(u)
-        lo_t, hi_t = self.deriv_interval(np.abs(arr))
-        # u = +-0 takes lo from the negative side and hi from the positive
-        # one: [-zeta'(0), zeta'(0)], the formula of cccp's interval
-        lo = np.where(arr > 0, lo_t, -hi_t)
-        hi = np.where(arr < 0, -lo_t, hi_t)
+        lo, hi = _abs_interval(arr, *self.deriv_interval(np.abs(arr)))
         if scalar:
             return SubgradientInterval(float(lo), float(hi))
         return SubgradientInterval(lo, hi)

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import nonconvex_mm.data_io as data_io
 
 from nonconvex_mm import (
+    CccpConfig,
     Dataset,
     IterateTrace,
     LeastSquaresLoss,
@@ -22,9 +23,12 @@ from nonconvex_mm import (
     LogEpsilonPenalty,
     MmConfig,
     ProblemInstance,
+    ScadPenalty,
     SyntheticSpec,
+    dc_problem_from_penalty,
     read_libsvm,
     read_trace_csv,
+    run_cccp,
     run_mm,
     synth_generate,
     write_libsvm,
@@ -547,9 +551,25 @@ def test_json_trace_carries_config_echo(tmp_path):
     assert payload["config"]["penalty"] == {"kind": "log_eps", "lam": 0.3, "eps": 0.5}
     assert payload["config"]["seed"] == 3
     assert payload["config"]["mu"] == pytest.approx(trace.meta["mu"])
+    assert payload["config"]["loss"] == "logistic"
+    assert payload["config"]["rho"] == 1.01
+    assert payload["config"]["tol"] == 1e-8
     assert payload["objective"] == trace.objective
     assert payload["final_w"] == [float(v) for v in trace.final_w]
     assert payload["converged"] is True
+
+
+def test_json_trace_of_a_cccp_run_echoes_its_tol(tmp_path):
+    # the run loop writes the tol it stopped on, for CCCP as for MM
+    data, _ = synth_generate(SyntheticSpec(n=40, p=6, sparsity=2, noise_sd=0.1, seed=3))
+    prob = dc_problem_from_penalty(LeastSquaresLoss(data), ScadPenalty(lam=0.1, theta=3.7),
+                                   box=(-2.0, 2.0))
+    trace = run_cccp(prob, CccpConfig(tol=1e-7))
+    path = tmp_path / "run.json"
+    write_trace(trace, "json", path)
+    payload = json.loads(path.read_text())
+    assert payload["config"]["tol"] == 1e-7
+    assert payload["stop_reason"] == "tol" and payload["converged"] is True
 
 
 def test_json_trace_carries_each_rows_mu(tmp_path):

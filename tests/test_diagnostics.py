@@ -17,6 +17,7 @@ from nonconvex_mm import (
     MmConfig,
     ProblemInstance,
     SyntheticSpec,
+    UnsupportedPenaltyError,
     certify,
     dc_problem_from_penalty,
     finite_length,
@@ -148,10 +149,39 @@ def test_scheme_b_rejected_for_capped():
                                            task="classification"))
     prob = ProblemInstance(loss=LogisticLoss(data),
                            penalty=CappedL1Penalty(lam=0.3, theta=1.0))
-    with pytest.raises(ValueError):
+    # the refusal of step_b and run_mm: the certificate shares their check
+    with pytest.raises(UnsupportedPenaltyError,
+                       match="^capped_l1 penalty cannot be linearized; use scheme 'a'$"):
         subgradient_residual(np.zeros(5), np.zeros(5), prob, 1.0, "b")
     with pytest.raises(ValueError, match="^scheme must be 'a' or 'b'$"):
         subgradient_residual(np.zeros(5), np.zeros(5), prob, 1.0, "c")
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+@pytest.mark.parametrize("length", [3, 1])
+def test_certificate_refuses_an_iterate_of_the_wrong_length(length, scheme):
+    # length 3 cannot be broadcast against p = 5, and length 1 can: each is
+    # refused by the name of the argument that is wrong
+    data, _ = synth_generate(SyntheticSpec(n=20, p=5, sparsity=2, seed=1,
+                                           task="classification"))
+    prob = ProblemInstance(loss=LogisticLoss(data), penalty=LogEpsilonPenalty(lam=0.3, eps=1.0))
+    with pytest.raises(ValueError, match=f"^w_next has length {length}, expected 5$"):
+        subgradient_residual(np.full(length, 0.1), np.zeros(5), prob, 1.0, scheme)
+    with pytest.raises(ValueError, match=f"^w has length {length}, expected 5$"):
+        subgradient_residual(np.full(5, 0.1), np.zeros(length), prob, 1.0, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["a", "b"])
+def test_certificate_bound_is_the_bound_the_run_certifies(scheme):
+    # the constant run_mm writes and the bound subgradient_residual reports
+    # come from one definition: they agree bit for bit on every step
+    prob = logistic_problem()
+    trace = run_mm(prob, MmConfig(scheme=scheme, max_iter=60, tol=0.0))
+    W, meta = trace.iterates, trace.meta
+    assert trace.num_steps() == 60 and sum(b > 0 for b in trace.beta[1:]) > 0
+    for k in range(trace.num_steps()):
+        rep = subgradient_residual(W[k + 1], W[k], prob, meta["mu"], scheme)
+        assert rep.bound == meta["residual_lipschitz"] * trace.step_norm[k + 1]
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])
