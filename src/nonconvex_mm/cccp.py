@@ -40,9 +40,7 @@ nonzero entries of the vector whose norm is the exact residual, grad s
 plus the point of the subgradient interval nearest -grad s, and an
 entry's sign gives the side; so one vector per pattern point serves the
 stop test and the exchange rule.  The pivoting starts from the
-pattern of the start point.  A start point with no free coordinate is
-that pattern's point and is checked as the first; at any other start
-point grad s is not formed.  It exchanges every violator; after 3
+pattern of the start point.  It exchanges every violator; after 3
 exchanges that do not lower the fewest violators seen, it exchanges only
 the last violator (Murty's rule) until the count falls below that.  It ends
 when the pattern's point has an exact residual, from one Gram matvec, at
@@ -55,10 +53,11 @@ back to proximal gradient from the start point.
 
 Proximal gradient, which runs the inner solve of every other loss, uses
 the exact prox of kappa*|.|_1 + delta_box (soft-threshold then clamp,
-exact per coordinate).  Each inner step 1/L_k comes from the certified
-curvature search that ``run_mm`` uses, with L_k between the
-strong-convexity modulus gamma_u and the global bound L_f + ridge.  The
-loop stops on the prox step's own certificate.  With s the smooth part of the subproblem,
+exact per coordinate): the MM step kernel ``mm._mm_update`` with the
+scalar weight kappa, then the clamp.  Each inner step 1/L_k comes from
+the certified curvature search that ``run_mm`` uses, with L_k between
+the strong-convexity modulus gamma_u and the global bound L_f + ridge.
+The loop stops on the prox step's own certificate.  With s the smooth part of the subproblem,
 the step x -> x+ with curvature L_k gives
 
     B = grad s(x+) - grad s(x) - L_k (x+ - x),
@@ -109,12 +108,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .diagnostics import _interval_gap, _norm, _step_subgradient
+from .diagnostics import _check_linearizable, _interval_gap, _norm, _step_subgradient
 from .losses import (LeastSquaresLoss, RankDeficientError, _vector,
                      least_squares_strong_convexity)
-from .mm import (IterateTrace, SparseIterates, _curvature_search, _record, _Row,
-                 _soft_threshold, _start_point)
-from .penalties import Penalty, UnsupportedPenaltyError, _abs_interval
+from .mm import (IterateTrace, SparseIterates, _curvature_search, _mm_update, _record,
+                 _Row, _start_point)
+from .penalties import Penalty, _abs_interval
 
 __all__ = [
     "ConvexRemainder",
@@ -151,12 +150,10 @@ def dc_decompose(penalty: Penalty) -> tuple[float, ConvexRemainder]:
     """Split zeta(|t|) = kappa*|t| - h(t) with h convex and smooth.
 
     Requires a concave differentiable penalty (LOG / SCAD / MCP); the
-    capped-l1 remainder would have a derivative jump.
+    capped-l1 remainder would have a derivative jump, and is refused by
+    ``diagnostics._check_linearizable`` (``UnsupportedPenaltyError``).
     """
-    if not penalty.supports_linearization:
-        raise UnsupportedPenaltyError(
-            f"{penalty.kind} penalty has no smooth DC decomposition"
-        )
+    _check_linearizable(penalty)
     kappa = penalty.deriv(0.0)
     return kappa, ConvexRemainder(penalty=penalty, kappa=kappa)
 
@@ -317,8 +314,8 @@ class InnerSolveInfo(NamedTuple):
     the gradient of its smooth part there.  ``iterations`` counts the
     proximal-gradient steps, ``gradient_evals`` the smooth-gradient
     evaluations; ``patterns`` the patterns of the active-set solve, the
-    start point's included, and ``active_set_solved`` (0 or 1) whether the
-    returned point is its answer.  ``inexact`` says whether the residual
+    start point's pattern included, and ``active_set_solved`` (0 or 1)
+    whether the returned point is its answer.  ``inexact`` says whether the residual
     misses ``inner_tol``.  The fields before ``smooth_grad`` are, in their
     order, the inner-solve facts of a ``run_cccp`` row (``mm._Row``)."""
 
@@ -456,27 +453,20 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
     """Block principal pivoting (module docstring) from the pattern of the
     start point x0.
 
-    Each pattern's point is checked once, by ``_check_pattern``.  A start
-    point with no free coordinate is its own pattern's point, so it is
-    checked as the first, with the smooth gradient there from one
-    ``grad_s`` call; at any other start point no gradient is formed.
-    Returns ((x, g, residual), patterns)
-    for the first pattern whose point has an exact residual at most
-    ``tol`` or no violator, or (None, patterns) after ``budget`` patterns
-    or at a free block that is not numerically positive definite.
+    Each pattern's point, the start pattern's included, comes from
+    ``_pattern_solve`` and is checked once, by ``_check_pattern``.
+    Returns ((x, g, residual), patterns) for the first pattern whose point
+    has an exact residual at most ``tol`` or no violator, or (None,
+    patterns) after ``budget`` patterns or at a free block that is not
+    numerically positive definite.
     """
     state = _pattern_of(x0, box)
-    if (state & 1).any():
-        x = g = None
-    else:
-        x, g = x0, grad_s(x0)
     fewest, backup, allowed = x0.size + 1, 3, None
     for patterns in range(1, budget + 1):
-        if x is None:
-            solved = _pattern_solve(G, ridge, kappa, b, state, box, grad_s)
-            if solved is None:
-                break
-            x, g = solved
+        solved = _pattern_solve(G, ridge, kappa, b, state, box, grad_s)
+        if solved is None:
+            break
+        x, g = solved
         resid, viol, up = _check_pattern(x, g, kappa, box, state)
         # no violator: the point solves the subproblem, and only rounding
         # can hold its residual above tol
@@ -495,7 +485,6 @@ def _active_set_solve(G: np.ndarray, ridge: float, kappa: float, b: np.ndarray, 
         if allowed is None:
             allowed = _allowed_states(box)
         state[viol] += step * np.where(allowed[viol] & (ahead > 0), ahead, 5).min(axis=1)
-        x = None
     return None, patterns
 
 
@@ -512,12 +501,10 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
     and ``loss.gradient`` is never called; for other losses every
     evaluation calls ``loss.gradient``.  For least squares the active-set
     solve of the module docstring runs from the pattern of the projected
-    start point, with at most ``cfg.inner_max_iter`` patterns; it checks
-    the start point, as its pattern's point, only when no coordinate of
-    it is free.  Its point is returned when its exact residual is at
-    most ``cfg.inner_tol`` or it has no violator; in the second case it
-    is flagged inexact if it misses ``cfg.inner_tol``, and no proximal
-    gradient step follows.
+    start point, with at most ``cfg.inner_max_iter`` patterns.  Its point
+    is returned when its exact residual is at most ``cfg.inner_tol`` or it
+    has no violator; in the second case it is flagged inexact if it misses
+    ``cfg.inner_tol``, and no proximal gradient step follows.
 
     When the pattern budget runs out or a free block is not numerically
     positive definite, and for every other loss, proximal gradient runs
@@ -552,7 +539,7 @@ def cccp_step(w, prob: DcProblem, cfg: CccpConfig, g_v=None) -> tuple[np.ndarray
         return out
 
     def trial(L):
-        x_next = _soft_threshold(x - g / L, kappa / L)
+        x_next = _mm_update(x, g, L, None, kappa)
         np.clip(x_next, *box, out=x_next)
         return x_next, grad_s(x_next)
 

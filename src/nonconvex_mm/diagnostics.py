@@ -160,14 +160,23 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be positive and finite, got {mu:g}")
 
 
-def _check_step(mu: float, penalty, linearize: bool) -> None:
-    """The preconditions of one MM step and of its certificate: mu passes
-    ``_check_mu``, and a penalty that scheme "b" linearizes has a
-    continuous derivative."""
-    _check_mu(mu)
-    if linearize and not penalty.supports_linearization:
+def _check_linearizable(penalty) -> None:
+    """Refuse a penalty whose derivative is not continuous: the one check
+    of every routine that linearizes the penalty (a scheme "b" step and
+    its certificate, the tangent majorant ``linearized_penalty_value`` and
+    the DC split ``cccp.dc_decompose``)."""
+    if not penalty.supports_linearization:
         raise UnsupportedPenaltyError(f"{penalty.kind} penalty cannot be linearized; "
                                       "use scheme 'a'")
+
+
+def _check_step(mu: float, penalty, linearize: bool) -> None:
+    """The preconditions of one MM step and of its certificate: mu passes
+    ``_check_mu``, and a penalty that scheme "b" linearizes passes
+    ``_check_linearizable``."""
+    _check_mu(mu)
+    if linearize:
+        _check_linearizable(penalty)
 
 
 def _residual_lipschitz(mu: float, lf: float, penalty, linearize: bool) -> float:

@@ -69,6 +69,8 @@ class Dataset:
     CSR matrix in canonical form (sorted indices, no duplicate entries):
     a sparse X of another format, dtype or form is converted to a new
     one, and a canonical float64 CSR is kept as given, without a copy.
+    A complex X or y is refused with ``ValueError`` naming it, whatever
+    its imaginary part: the float cast would drop it.
     The fields are never reassigned, so the least-squares Gram pair
     ``gram``, its spectrum ``gram_spectrum`` and the top eigenvalue
     ``gram_top_eigenvalue`` are each computed at most once and then
@@ -83,6 +85,11 @@ class Dataset:
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
         X = self.X
+        # read from the dtype alone: the float cast would drop an imaginary part
+        if np.iscomplexobj(X):
+            raise ValueError("design matrix has complex entries")
+        if np.iscomplexobj(self.y):
+            raise ValueError("targets have complex entries")
         if not _is_sparse(X):
             X = np.asarray(X, dtype=float)
             if X.ndim != 2:

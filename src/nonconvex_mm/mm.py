@@ -114,11 +114,12 @@ import numpy as np
 
 # kkt_residual and subgradient_residual are not called here, but stay
 # importable from this module: perfbench/tracer.py patches them on it
-from .diagnostics import (_check_mu, _check_step, _descent_margin, _kkt_distance,  # noqa: F401
-                          _norm, _residual_lipschitz, _step_subgradient, _stop_quantity,
-                          kkt_residual, subgradient_residual)
+from .diagnostics import (_check_linearizable, _check_mu, _check_step,  # noqa: F401
+                          _descent_margin, _kkt_distance, _norm, _residual_lipschitz,
+                          _step_subgradient, _stop_quantity, kkt_residual,
+                          subgradient_residual)
 from .losses import _vector
-from .penalties import LogEpsilonPenalty, Penalty, UnsupportedPenaltyError
+from .penalties import LogEpsilonPenalty, Penalty
 
 __all__ = [
     "ProblemInstance",
@@ -318,10 +319,7 @@ def quad_surrogate_value(w, anchor, mu: float, loss) -> float:
 
 def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
     """Tangent-line penalty majorant Q_r(w | anchor)."""
-    if not penalty.supports_linearization:
-        raise UnsupportedPenaltyError(
-            f"{penalty.kind} penalty cannot be linearized (derivative jumps)"
-        )
+    _check_linearizable(penalty)
     w = np.asarray(w, dtype=float).ravel()
     anchor = np.asarray(anchor, dtype=float).ravel()
     if w.shape != anchor.shape:
@@ -330,29 +328,27 @@ def linearized_penalty_value(w, anchor, penalty: Penalty) -> float:
     return float(np.sum(penalty.value(aa) + penalty.deriv(aa) * (np.abs(w) - aa)))
 
 
-def _soft_threshold(z: np.ndarray, thresh) -> np.ndarray:
-    """sign(z) max(|z| - thresh, 0): the exact prox of thresh * |.|_1.
-
-    It takes no box.  ``cccp`` clamps its output to the box, which gives
-    the prox of thresh * |.|_1 plus the box indicator; no box there means
-    the box (-inf, inf), normalized once when the ``DcProblem`` is built.
-    """
-    out = np.abs(z)
-    out -= thresh
-    np.maximum(out, 0.0, out=out)
-    np.copysign(out, z, out=out)
-    return out
-
-
 def _mm_update(w: np.ndarray, g: np.ndarray, mu: float, penalty: Penalty,
                omega: np.ndarray | None) -> np.ndarray:
     """Minimizer of Q_f(. | w) + r, or of Q_f(. | w) + Q_r(. | w) when the
-    weights omega = zeta'(|w|) are given; g = grad f(w)."""
+    weights omega = zeta'(|w|) are given; g = grad f(w).
+
+    With weights it is the soft-threshold sign(z) max(|z| - omega/mu, 0)
+    of z = w - g/mu, the exact prox of (omega/mu) |.|_1, and omega may be
+    a scalar: ``cccp``'s proximal-gradient inner step calls it with the
+    weight kappa and curvature L_k (no penalty), then clamps the output to
+    its box, which gives the prox of (kappa/L_k) |.|_1 plus the box
+    indicator.
+    """
     z = np.divide(g, mu)
     np.subtract(w, z, out=z)
     if omega is None:
         return penalty.prox(z, 1.0 / mu)
-    return _soft_threshold(z, omega / mu)
+    out = np.abs(z)
+    out -= omega / mu
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, z, out=out)
+    return out
 
 
 def step_a(w, prob: ProblemInstance, mu: float) -> np.ndarray:

@@ -101,7 +101,9 @@ def test_remainder_is_midpoint_convex():
 
 
 def test_capped_l1_has_no_smooth_decomposition():
-    with pytest.raises(UnsupportedPenaltyError):
+    # the refusal of a scheme "b" step: one check, one message
+    with pytest.raises(UnsupportedPenaltyError,
+                       match="^capped_l1 penalty cannot be linearized; use scheme 'a'$"):
         dc_decompose(CappedL1Penalty(lam=1.0, theta=1.0))
 
 
@@ -364,6 +366,24 @@ def test_inner_curvature_stays_between_gamma_u_and_the_cap(monkeypatch, ridge):
             assert sum(trace.meta["inner_patterns"]) == 0
 
 
+@pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
+def test_zero_answer_from_the_zero_start_takes_no_gram_matvec(box):
+    # kappa above every |b_i|: 0 solves the subproblem at w = 0.  The start
+    # pattern has no free coordinate, so its point is 0, where grad s is -b
+    # with no matvec, and that point ends the solve
+    loss = full_rank_ls(seed=5)
+    G, b = loss.data.gram
+    prob = dc_problem_from_penalty(loss, McpPenalty(lam=2.0 * np.abs(b).max(), gamma=3.0),
+                                   box=box)
+    loss.data.__dict__["gram"] = (G.view(CountingGram), b)
+    CountingGram.matvecs = 0
+    out, info = cccp_step(np.zeros(prob.p), prob, CccpConfig())
+    assert CountingGram.matvecs == 0 and info.gradient_evals == 0
+    assert not out.any() and info.residual == 0.0
+    assert (info.patterns, info.active_set_solved, info.iterations) == (1, 1, 0)
+    np.testing.assert_array_equal(info.smooth_grad, -b)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
        kappa=st.floats(0.0, 3.0), stretch=st.floats(1.0, 20.0),
@@ -387,8 +407,9 @@ def test_step_certificate_bounds_the_exact_residual(seed, p, kappa, stretch, box
               "pinned": (lo, lo.copy())}[box]
     x = np.clip(rng.normal(size=p), *bounds)
     g = G @ x - c
-    # the prox of kappa/L |.|_1 plus the box: soft-threshold, then clamp
-    x_next = np.clip(cccp_module._soft_threshold(x - g / L, kappa / L), *bounds)
+    # the prox of kappa/L |.|_1 plus the box, as the inner step takes it: the
+    # MM step kernel with the scalar weight kappa, then the clamp
+    x_next = np.clip(cccp_module._mm_update(x, g, L, None, kappa), *bounds)
     g_next = G @ x_next - c
     cert = float(np.linalg.norm(g_next - g - L * (x_next - x)))
     resid = cccp_module._subproblem_residual(x_next, g_next, kappa, bounds)

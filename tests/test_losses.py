@@ -627,6 +627,20 @@ def test_dataset_validation():
         LeastSquaresLoss(labels)
 
 
+@pytest.mark.parametrize("X, y, name", [
+    (np.eye(2) * (1 + 1j), np.ones(2), "design matrix has"),
+    (sp.csr_matrix(np.eye(2) * (1 + 1j)), np.ones(2), "design matrix has"),
+    (np.eye(2), np.ones(2) + 0j, "targets have"),
+], ids=["dense-X", "sparse-X", "y"])
+def test_dataset_refuses_complex_input_by_name(X, y, name):
+    # a zero imaginary part is refused too: the check reads the dtype; the
+    # float cast would drop the imaginary part with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} complex entries$"):
+            Dataset(X=X, y=y, task="regression")
+
+
 @pytest.mark.parametrize("kind, task", [("ls", "regression"), ("logistic", "classification")])
 def test_loss_names_the_task_of_the_data_it_takes(kind, task):
     loss = make_loss(kind, Dataset(X=np.eye(2), y=np.array([1.0, -1.0]), task=task))

@@ -111,7 +111,9 @@ def test_linearized_penalty_at_zero_anchor_is_weighted_l1():
 
 
 def test_linearized_penalty_rejects_capped():
-    with pytest.raises(UnsupportedPenaltyError):
+    # the refusal of a scheme "b" step: one check, one message
+    with pytest.raises(UnsupportedPenaltyError,
+                       match="^capped_l1 penalty cannot be linearized; use scheme 'a'$"):
         linearized_penalty_value(np.ones(2), np.zeros(2), CappedL1Penalty(lam=1.0, theta=1.0))
     with pytest.raises(ValueError, match="^w and anchor have different lengths$"):
         linearized_penalty_value(np.ones(2), np.zeros(3), McpPenalty(lam=1.0, gamma=2.0))

@@ -11,9 +11,15 @@ and the same verdict.  The hash covers the objective, step norm,
 residual, mu and beta columns, every iterate's bytes, ``final_w``,
 ``converged`` and ``meta`` as a sorted mapping with the type of each
 value.  The verdict is ``pass`` or ``fail`` with the name of each failed
-rule, then ``certify``'s worst descent and bound margins.  The BLAS is
-pinned to one thread, as in the benchmark.  Informational; it gates
-nothing.
+rule, then ``certify``'s worst descent and bound margins.  After the
+trace lines comes one total line per workload, the work its solves did
+(``WORK``): for ``run_mm`` the steps, loss evaluations, extrapolated
+steps, restarts and L_f curvature failures; for ``run_cccp`` the outer
+steps and, summed over the inner solves, the smooth-gradient
+evaluations, active-set patterns, active-set answers and
+proximal-gradient steps.  Timing on a shared machine is noisy, and these
+counts are not.  The BLAS is pinned to one thread, as in the benchmark.
+Informational; it gates nothing.
 
     python tools/pool_hash.py [src]
 """
@@ -22,6 +28,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,6 +61,24 @@ def trace_hash(trace) -> str:
     return h.hexdigest()
 
 
+# the meta keys each solver's total line sums, after its solve and step counts
+WORK = {
+    "mm": ("loss_evals", "extrapolated_steps", "restarts", "lf_curvature_failures"),
+    "cccp": ("inner_gradient_evals", "inner_patterns", "inner_active_set_solved",
+             "inner_iterations"),
+}
+
+
+def work(trace) -> dict:
+    """The counts of one trace that the workload's total line sums."""
+    counts = {"solves": 1, "steps": trace.num_steps()}
+    for k in WORK[trace.meta.get("solver", "mm")]:
+        v = trace.meta[k]
+        # a CCCP key holds one entry per outer step
+        counts[k] = sum(v) if isinstance(v, list) else v
+    return counts
+
+
 def verdict(cert) -> str:
     names = ",".join(f.split(":")[0] for f in cert.failures)
     head = "pass" if cert.passed else f"fail[{names}]"
@@ -73,6 +98,7 @@ def main(src: str = "src") -> None:
     from workloads import WORKLOADS
 
     tracer = NullTracer()
+    totals = {}  # workload name -> Counter of work()
     for w in WORKLOADS.values():
         seeds = range(w.pool)
         with tempfile.TemporaryDirectory() as tmp:
@@ -83,6 +109,9 @@ def main(src: str = "src") -> None:
                     trace = solve(s.problem, w.config)
                     print(w.name, s.case.key, trace_hash(trace), verdict(certify(trace)),
                           flush=True)
+                    totals.setdefault(w.name, Counter()).update(work(trace))
+    for name, total in totals.items():
+        print("total", name, " ".join(f"{k}={v}" for k, v in total.items()))
 
 
 if __name__ == "__main__":
